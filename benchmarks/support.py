@@ -81,17 +81,3 @@ def _fmt(cell) -> str:
 
 def dataset(size: int, seed: int = 42):
     return generate_uniform(bench_schema(), size, seed=seed)
-
-
-def write_bench_json(name: str, payload: dict) -> "Path":
-    """Persist one benchmark's numbers as ``BENCH_<name>.json``.
-
-    The file lands at the repository root so successive PRs can diff
-    perf trajectories without re-running the suite.
-    """
-    import json
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -297,32 +297,6 @@ def _print_fault_report(job) -> None:
         )
 
 
-#: ``--columnar`` choice -> ExecutionConfig/OptimizerConfig value.
-_COLUMNAR_CHOICES = {"auto": None, "on": True, "off": False}
-
-
-def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.kernels import KERNEL_MODES
-
-    parser.add_argument(
-        "--kernels", choices=KERNEL_MODES, default="auto",
-        help="compiled inner-loop kernels: 'auto' uses numba when "
-             "installed, 'on' requires it, 'off' forces the NumPy "
-             "fallback (results are bit-identical either way)",
-    )
-
-
-def _kernels_mode(args: argparse.Namespace) -> str:
-    from repro.kernels import NUMBA_AVAILABLE
-
-    if args.kernels == "on" and not NUMBA_AVAILABLE:
-        raise SystemExit(
-            "--kernels on requires the optional numba backend "
-            "(pip install 'repro[kernels]'); use 'auto' or 'off'"
-        )
-    return args.kernels
-
-
 def _add_telemetry_arguments(
     parser: argparse.ArgumentParser, profile: bool = True
 ) -> None:
@@ -477,11 +451,8 @@ def _explain_batch(args, schema: Schema) -> str:
         args.schema, schema, args.records, args.seed, args.skew
     )
     cluster = SimulatedCluster(ClusterConfig(machines=args.machines))
-    columnar = _COLUMNAR_CHOICES[args.columnar]
     cache = MeasureCache(args.cache_dir) if args.cache_dir else None
-    planner = BatchPlanner(
-        Optimizer(OptimizerConfig(columnar=columnar)), cache
-    )
+    planner = BatchPlanner(cache=cache)
     plan = planner.plan(queries, records, cluster.reduce_slots)
     if args.format == "json":
         return json.dumps(plan.to_dict(), indent=2, sort_keys=True)
@@ -507,10 +478,7 @@ def _cmd_explain(args) -> int:
         query_path = args.query[0]
         workflow = _load_workflow(query_path, schema)
         cluster = SimulatedCluster(ClusterConfig(machines=args.machines))
-        columnar = _COLUMNAR_CHOICES[args.columnar]
-        config = OptimizerConfig(
-            use_sampling=args.sampling, columnar=columnar
-        )
+        config = OptimizerConfig(use_sampling=args.sampling)
         records = None
         if args.sampling:
             # Sampled dispatch judges candidates on real data; generate
@@ -570,14 +538,9 @@ def _cmd_run(args) -> int:
         print(outcome.describe())
         result = outcome.result
     else:
-        columnar = _COLUMNAR_CHOICES[args.columnar]
         config = ExecutionConfig(
             early_aggregation=args.early_aggregation,
-            columnar=columnar,
-            kernels=_kernels_mode(args),
-            optimizer=OptimizerConfig(
-                use_sampling=args.sampling, columnar=columnar
-            ),
+            optimizer=OptimizerConfig(use_sampling=args.sampling),
         )
         with _MaybeProfiler(args.profile):
             outcome = _evaluate_or_die(
@@ -634,12 +597,7 @@ def _cmd_batch(args) -> int:
     )
     cluster = _build_cluster(args)
     cache = MeasureCache(args.cache_dir) if args.cache_dir else None
-    columnar = _COLUMNAR_CHOICES[args.columnar]
-    config = ExecutionConfig(
-        columnar=columnar,
-        kernels=_kernels_mode(args),
-        optimizer=OptimizerConfig(columnar=columnar),
-    )
+    config = ExecutionConfig()
     metrics = MetricsRegistry()
     telemetry, telemetry_writer = _make_telemetry(args)
     evaluator = BatchEvaluator(
@@ -769,12 +727,7 @@ def _cmd_append(args) -> int:
     partitions = _append_partitions(args, schema)
     base = partitions[0]
     cache = MeasureCache(args.cache_dir or None)
-    columnar = _COLUMNAR_CHOICES[args.columnar]
-    config = ExecutionConfig(
-        columnar=columnar,
-        kernels=_kernels_mode(args),
-        optimizer=OptimizerConfig(columnar=columnar),
-    )
+    config = ExecutionConfig()
     cluster_config = ClusterConfig(machines=args.machines)
     telemetry, telemetry_writer = _make_telemetry(args)
 
@@ -973,12 +926,7 @@ def _cmd_serve(args) -> int:
     quotas = TenantQuotas(
         capacity=args.quota_capacity, rate=args.quota_rate
     )
-    columnar = _COLUMNAR_CHOICES[args.columnar]
-    config = ExecutionConfig(
-        columnar=columnar,
-        kernels=_kernels_mode(args),
-        optimizer=OptimizerConfig(columnar=columnar),
-    )
+    config = ExecutionConfig()
     cluster_config = ClusterConfig(machines=args.machines)
     telemetry, telemetry_writer = _make_telemetry(args)
 
@@ -1204,14 +1152,9 @@ def _cmd_trace(args) -> int:
         on_event=progress_sink() if args.verbose else None
     )
     metrics = MetricsRegistry()
-    columnar = _COLUMNAR_CHOICES[args.columnar]
     config = ExecutionConfig(
         early_aggregation=args.early_aggregation,
-        columnar=columnar,
-        kernels=_kernels_mode(args),
-        optimizer=OptimizerConfig(
-            use_sampling=args.sampling, columnar=columnar
-        ),
+        optimizer=OptimizerConfig(use_sampling=args.sampling),
     )
     telemetry, telemetry_writer = _make_telemetry(args)
     evaluator = ParallelEvaluator(
@@ -1414,10 +1357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the skew handler's sampled-dispatch decision",
     )
     explain.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="columnar mode for sampled dispatch (matches 'run')",
-    )
-    explain.add_argument(
         "--format", choices=("text", "json", "dot"), default="text",
         help="output rendering (default: text)",
     )
@@ -1442,12 +1381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampling", action="store_true",
         help="pick the plan by sampled simulated dispatch",
     )
-    run.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="batched map side: 'auto' enables it when every aggregate "
-             "is vectorized, 'on'/'off' force it (results are identical)",
-    )
-    _add_kernels_argument(run)
     run.add_argument("--csv", help="export results to this CSV file")
     run.add_argument(
         "--gantt", action="store_true",
@@ -1468,12 +1401,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist materialized measures here; a second run against "
              "the same data reuses them and skips the computation",
     )
-    batch.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="batched map side: 'auto' enables it when every aggregate "
-             "is vectorized, 'on'/'off' force it (results are identical)",
-    )
-    _add_kernels_argument(batch)
     batch.add_argument(
         "--group-retries", type=int, default=1, metavar="N",
         help="in-line retries per failing share group (default: 1)",
@@ -1549,11 +1476,6 @@ def build_parser() -> argparse.ArgumentParser:
              "assert the maintained tables are bit-identical "
              "(exit status 1 on divergence)",
     )
-    append.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="batched map side for the warm-up run",
-    )
-    _add_kernels_argument(append)
     append.add_argument(
         "--manifest", metavar="FILE",
         help="write a run manifest with the last append's maintenance "
@@ -1698,11 +1620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability scale of the arrival storm (default: 0.2)",
     )
     serve.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="batched map side; results are identical either way",
-    )
-    _add_kernels_argument(serve)
-    serve.add_argument(
         "--manifest", metavar="FILE",
         help="write the drain manifest (serving + tracing + slo "
              "sections, schema v8)",
@@ -1775,12 +1692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampling", action="store_true",
         help="pick the plan by sampled simulated dispatch",
     )
-    trace.add_argument(
-        "--columnar", choices=sorted(_COLUMNAR_CHOICES), default="auto",
-        help="batched map side: 'auto' enables it when every aggregate "
-             "is vectorized, 'on'/'off' force it (results are identical)",
-    )
-    _add_kernels_argument(trace)
     _add_telemetry_arguments(trace)
     trace.set_defaults(handler=_cmd_trace)
 

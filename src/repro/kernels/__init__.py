@@ -1,112 +1,27 @@
-"""Compiled kernels for the hottest inner loops, with safe fallbacks.
+"""NumPy kernels for the hottest inner loops of the data plane.
 
-The data plane's remaining interpreted hot spots -- the sort/scan
-grouping sweep, the sibling-window sweep, and the early-aggregation
-partial-state fold -- dispatch through this package.  Two backends
-implement the same contract:
-
-* :mod:`repro.kernels._numba` -- ``@njit``-compiled single-pass loops,
-  available only when the optional ``numba`` extra is installed;
-* :mod:`repro.kernels._numpy` -- pure-NumPy ufunc implementations that
-  ship with the default install.
-
-The backend is selected **at import time**: if ``numba`` imports, the
-compiled table becomes eligible; otherwise the NumPy table is the only
-one.  Both produce bit-identical results -- every reduction folds
-left-to-right over the same sorted runs, so integer aggregates are
-exact in both and float accumulations round identically.  The test
-suite asserts this equivalence wherever both backends are installed.
-
-A process-wide tri-state knob (mirroring ``--columnar``) picks between
-them:
-
-``auto``
-    use the compiled backend when numba is installed, NumPy otherwise
-    (the default -- a plain install behaves exactly as before);
-``on``
-    require the compiled backend; raises
-    :class:`KernelsUnavailableError` when numba is missing;
-``off``
-    force the NumPy fallback even when numba is installed.
-
-Callers never look at the mode: they call the dispatching functions
-(:func:`segment_sum`, :func:`window_reduce`, ...) exported here, and the
-active table is consulted per call.  Worker processes receive the
-driver's mode through their init args so a forced mode crosses process
-boundaries.
+The sort/scan grouping sweep, the sibling-window sweep and the
+early-aggregation partial-state fold call the functions here.  All of
+them take already-sorted inputs (``starts`` mark run starts in the
+sorted stream) and fold left-to-right (``np.ufunc.reduceat`` reduces
+sequentially, not pairwise), so integer aggregates are exact and float
+accumulations round exactly as the scalar fold does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import _numpy as _numpy_backend
-
-#: Valid values of the tri-state knob.
-KERNEL_MODES = ("auto", "on", "off")
-
-
-class KernelsUnavailableError(RuntimeError):
-    """``kernels='on'`` was requested but the numba backend is missing."""
-
-
-try:  # backend selection happens here, at import time
-    from repro.kernels import _numba as _numba_backend
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised on numba-free installs
-    _numba_backend = None
-    NUMBA_AVAILABLE = False
-
-#: Process-wide tri-state mode; see :func:`set_kernels_mode`.
-_MODE = "auto"
-
-
-def set_kernels_mode(mode: str | None) -> str:
-    """Set the process-wide kernels mode; returns the mode installed.
-
-    ``None`` is accepted as ``"auto"`` so config plumbing can pass
-    optional knobs through unchanged.  ``"on"`` validates that the
-    compiled backend actually imported.
-    """
-    global _MODE
-    if mode is None:
-        mode = "auto"
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernels mode {mode!r}; choose one of {KERNEL_MODES}"
-        )
-    if mode == "on" and not NUMBA_AVAILABLE:
-        raise KernelsUnavailableError(
-            "kernels='on' requires the optional numba backend "
-            "(pip install numba); install it or use 'auto'/'off'"
-        )
-    _MODE = mode
-    return _MODE
-
-
-def kernels_mode() -> str:
-    """The current tri-state mode (``auto``/``on``/``off``)."""
-    return _MODE
+_REDUCEAT = {
+    "sum": np.add,
+    "min": np.minimum,
+    "max": np.maximum,
+}
 
 
 def kernels_backend() -> str:
-    """Name of the backend the current mode resolves to."""
-    if _MODE == "off" or not NUMBA_AVAILABLE:
-        return "numpy"
-    return "numba"
-
-
-def _table():
-    if _MODE != "off" and NUMBA_AVAILABLE:
-        return _numba_backend
-    return _numpy_backend
-
-
-# -- dispatching entry points ------------------------------------------------
-#
-# All functions take already-sorted inputs ("starts" mark run starts in
-# the sorted stream) and are bit-identical across backends.
+    """Name of the kernel implementation, as run envelopes record it."""
+    return "numpy"
 
 
 def segment_reduce(
@@ -116,11 +31,14 @@ def segment_reduce(
 
     *op* is one of ``sum``/``min``/``max``; the reduction folds
     left-to-right so integer results are exact and float results round
-    identically in every backend.
+    like the scalar fold.
     """
     if not len(starts):
         return np.empty(0, dtype=values.dtype)
-    return _table().segment_reduce(values, starts, op)
+    ufunc = _REDUCEAT.get(op)
+    if ufunc is None:
+        raise ValueError(f"unknown segment reduction {op!r}")
+    return ufunc.reduceat(values, starts)
 
 
 def segment_counts(starts: np.ndarray, total: int) -> np.ndarray:
@@ -138,9 +56,23 @@ def row_boundaries(sorted_rows: np.ndarray) -> np.ndarray:
     """
     if sorted_rows.ndim == 1:
         sorted_rows = sorted_rows[:, None]
-    if not len(sorted_rows):
-        return np.empty(0, dtype=bool)
-    return _table().row_boundaries(np.ascontiguousarray(sorted_rows))
+    out = np.ones(len(sorted_rows), dtype=bool)
+    if len(sorted_rows) > 1:
+        np.any(
+            sorted_rows[1:] != sorted_rows[:-1], axis=1, out=out[1:]
+        )
+    return out
+
+
+def _sparse_table(values: np.ndarray, ufunc) -> list[np.ndarray]:
+    """Doubling min/max table: level j reduces runs of length 2**j."""
+    levels = [values]
+    length = 1
+    while length * 2 <= len(values):
+        previous = levels[-1]
+        levels.append(ufunc(previous[:-length], previous[length:]))
+        length *= 2
+    return levels
 
 
 def window_reduce(
@@ -161,9 +93,32 @@ def window_reduce(
     the scalar path exactly.
     """
     if not len(positions):
-        empty = np.empty(0, dtype=values.dtype)
-        return np.empty(0, dtype=bool), empty
-    return _table().window_reduce(positions, values, int(low), int(high), op)
+        return np.empty(0, dtype=bool), np.empty(0, dtype=values.dtype)
+    # Per-anchor [start, stop) index ranges into the sorted positions.
+    starts = np.searchsorted(positions, positions + low, side="left")
+    stops = np.searchsorted(positions, positions + high, side="right")
+    mask = starts < stops
+    if op == "count":
+        return mask, (stops - starts).astype(np.int64)
+    if op == "sum":
+        prefix = np.zeros(len(values) + 1, dtype=values.dtype)
+        np.cumsum(values, out=prefix[1:])
+        return mask, prefix[stops] - prefix[starts]
+    if op in ("min", "max"):
+        ufunc = np.minimum if op == "min" else np.maximum
+        table = _sparse_table(values, ufunc)
+        lengths = np.maximum(stops - starts, 1)
+        # floor(log2) is exact here: window lengths are far below 2**52.
+        levels = np.floor(np.log2(lengths)).astype(np.int64)
+        out = np.empty(len(starts), dtype=values.dtype)
+        for level in np.unique(levels[mask]):
+            span = 1 << int(level)
+            rows = np.flatnonzero(mask & (levels == level))
+            left = table[int(level)][starts[rows]]
+            right = table[int(level)][stops[rows] - span]
+            out[rows] = ufunc(left, right)
+        return mask, out
+    raise ValueError(f"unknown window reduction {op!r}")
 
 
 def pack_rows(
@@ -178,6 +133,27 @@ def pack_rows(
     of the first *split* columns alone (``low_bits`` is 0 when *split*
     is 0 or covers every column), or ``None`` when the value ranges
     cannot fit in 63 bits -- callers then fall back to ``np.lexsort``.
-    Shared by both backends: packing is pure NumPy either way.
     """
-    return _numpy_backend.pack_rows(matrix, split)
+    if matrix.ndim != 2:
+        raise ValueError("pack_rows expects a 2-D matrix")
+    rows, cols = matrix.shape
+    if not cols:
+        return None
+    if not rows:
+        return np.zeros(0, dtype=np.int64), 0
+    lows = matrix.min(axis=0).astype(np.int64)
+    highs = matrix.max(axis=0).astype(np.int64)
+    spans = highs - lows  # >= 0
+    bits = [int(span).bit_length() for span in spans]
+    if sum(bits) > 63:
+        return None
+    packed = np.zeros(rows, dtype=np.int64)
+    low_bits = 0
+    for index in range(cols):
+        width = bits[index]
+        packed <<= width
+        if width:
+            packed |= matrix[:, index].astype(np.int64) - lows[index]
+        if split and index >= split:
+            low_bits += width
+    return packed, low_bits

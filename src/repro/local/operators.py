@@ -205,10 +205,9 @@ _PREFIX_WINDOWS = {
     "avg": _window_avg,
 }
 
-#: Aggregates the compiled window sweep covers.  Unlike the prefix fast
+#: Aggregates the kernel window sweep covers.  Unlike the prefix fast
 #: paths this includes min/max: :func:`repro.kernels.window_reduce`
-#: sweeps each group with two monotone pointers (or a sparse table in
-#: the NumPy backend), so no inverse is needed.
+#: answers them from a sparse table, so no inverse is needed.
 _KERNEL_WINDOWS = frozenset({"sum", "count", "avg", "min", "max"})
 
 #: Coordinate bound keeping ``position + window offset`` inside int64.
@@ -216,14 +215,14 @@ _KERNEL_POSITION_BOUND = 2**62
 
 
 def _kernel_safe(positions, values, aggregate_name: str) -> bool:
-    """Whether the compiled sweep is *exact* for this group.
+    """Whether the kernel sweep is *exact* for this group.
 
     Same contract as :func:`_prefix_safe` -- the kernel path must be
     bit-identical to the scalar fold.  Positions must fit int64 with
     window-offset headroom; ``count`` ignores the values; ``min``/``max``
     only select, so any int64 value is exact; ``sum``/``avg`` reuse the
-    float64-mantissa bound so every backend (Python int prefix, NumPy
-    cumsum, numba fold) lands on the same total.
+    float64-mantissa bound so the Python int prefix and the NumPy
+    cumsum land on the same total.
     """
     for position in positions:
         if abs(position) > _KERNEL_POSITION_BOUND:
@@ -241,7 +240,7 @@ def _kernel_safe(positions, values, aggregate_name: str) -> bool:
 
 
 def _window_kernel(positions, values, window, aggregate_name: str):
-    """Sweep one sorted group with the compiled window kernel."""
+    """Sweep one sorted group with the window kernel."""
     pos = np.asarray(positions, dtype=np.int64)
     if aggregate_name == "count":
         mask, out = kernels.window_reduce(

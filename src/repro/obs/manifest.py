@@ -122,6 +122,11 @@ def environment_info() -> dict:
     }
 
 
+#: Field annotations (strings, under postponed evaluation) of the
+#: manifest's container sections, and the JSON shape each must load as.
+_SECTION_SHAPES = {"dict": dict, "list": list}
+
+
 @dataclass
 class RunManifest:
     """Everything about one evaluation, as a JSON-ready record."""
@@ -454,7 +459,27 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        """Rebuild a manifest from its JSON document."""
+        """Rebuild a manifest from its JSON document.
+
+        Raises :class:`TypeError` for valid JSON of the wrong shape: a
+        top level that is not an object, or a section that is not the
+        object or array its field declares.
+        """
+        if not isinstance(data, dict):
+            raise TypeError(
+                f"top level is a {type(data).__name__}, not an object"
+            )
+        for spec in dataclasses.fields(cls):
+            shape = _SECTION_SHAPES.get(spec.type)
+            if (
+                shape is not None
+                and spec.name in data
+                and not isinstance(data[spec.name], shape)
+            ):
+                raise TypeError(
+                    f"section {spec.name!r} is a "
+                    f"{type(data[spec.name]).__name__}, not a {spec.type}"
+                )
         version = data.get("schema_version", SCHEMA_VERSION)
         known = {f.name for f in dataclasses.fields(cls)}
         if isinstance(version, int) and version > SCHEMA_VERSION:

@@ -17,9 +17,7 @@ wall fields are measurements and are not.
 
 Tracing is strictly opt-in.  Instrumented code defaults to
 :data:`NULL_TRACER`, whose ``span()`` returns one cached no-op handle --
-the disabled path is a single attribute lookup plus a method call,
-guarded by the overhead benchmark in
-``benchmarks/test_perf_obs_overhead.py``.
+the disabled path is a single attribute lookup plus a method call.
 """
 
 from __future__ import annotations

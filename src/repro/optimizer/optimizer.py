@@ -69,12 +69,6 @@ class OptimizerConfig:
     sample_size: int = 2000
     sample_seed: int = 13
     objective: str = "response_time"
-    #: Batched (vectorized) routing for sampling-based plan selection:
-    #: ``None``/``True`` push the sample through the columnar block
-    #: router (falling back per sample when it is not integer-batchable),
-    #: ``False`` forces the per-record mapper.  Load tallies -- and thus
-    #: the chosen plan -- are identical in every mode.
-    columnar: Optional[bool] = None
 
     def __post_init__(self):
         if self.objective not in ("response_time", "total_work"):
@@ -529,7 +523,6 @@ class Optimizer:
         table = sampled_dispatch_table(
             diversified, sample, num_reducers,
             key_prefix=(component_index,),
-            columnar=self.config.columnar is not False,
         )
         chosen, chosen_loads, best_max = None, None, None
         for scheme, loads in table:

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.cube.batches import RecordBatch
 from repro.cube.records import Record
 from repro.mapreduce.engine import default_partitioner
 from repro.query.workflow import Workflow
@@ -72,7 +73,6 @@ def simulate_dispatch(
     num_reducers: int,
     partitioner: Callable = default_partitioner,
     key_prefix: tuple = (),
-    columnar: bool = True,
 ) -> list[int]:
     """Records each reducer would receive if *sample* were dispatched.
 
@@ -80,22 +80,19 @@ def simulate_dispatch(
     (the workflow-component index) -- reducer assignment is by hash, so
     predicting loads requires hashing the exact keys execution will use.
 
-    With *columnar* (the default) the sample is routed as one batched
-    call through the scheme's vectorized router; samples that cannot be
-    represented as an integer batch fall back to the per-record mapper.
-    The tallies are identical either way.
+    The sample is routed as one batched call through the scheme's
+    vectorized router; samples that cannot be represented as an integer
+    batch fall back to the per-record mapper.  The tallies are identical
+    either way.
     """
     loads = [0] * num_reducers
-    if columnar:
-        from repro.cube.batches import RecordBatch
-
-        batch = RecordBatch.from_records(scheme.key.schema, sample)
-        if batch is not None and batch.routable():
-            for block_key, rows in scheme.make_batch_router()(batch):
-                loads[partitioner(key_prefix + block_key, num_reducers)] += (
-                    len(rows)
-                )
-            return loads
+    batch = RecordBatch.from_records(scheme.key.schema, sample)
+    if batch is not None and batch.routable():
+        for block_key, rows in scheme.make_batch_router()(batch):
+            loads[partitioner(key_prefix + block_key, num_reducers)] += (
+                len(rows)
+            )
+        return loads
     mapper = scheme.make_mapper()
     for record in sample:
         for block_key in mapper(record):
@@ -136,7 +133,6 @@ def sampled_dispatch_table(
     num_reducers: int,
     partitioner: Callable = default_partitioner,
     key_prefix: tuple = (),
-    columnar: bool = True,
 ) -> list[tuple[BlockScheme, list[int]]]:
     """Simulated-dispatch loads for *every* candidate scheme.
 
@@ -149,8 +145,7 @@ def sampled_dispatch_table(
         (
             scheme,
             simulate_dispatch(
-                scheme, sample, num_reducers, partitioner, key_prefix,
-                columnar=columnar,
+                scheme, sample, num_reducers, partitioner, key_prefix
             ),
         )
         for scheme in schemes
@@ -163,14 +158,12 @@ def pick_by_sampling(
     num_reducers: int,
     partitioner: Callable = default_partitioner,
     key_prefix: tuple = (),
-    columnar: bool = True,
 ) -> tuple[BlockScheme, list[int]]:
     """The candidate with the smallest simulated maximum load."""
     if not schemes:
         raise ValueError("no candidate schemes to sample")
     table = sampled_dispatch_table(
-        schemes, sample, num_reducers, partitioner, key_prefix,
-        columnar=columnar,
+        schemes, sample, num_reducers, partitioner, key_prefix
     )
     best_scheme, best_loads, best_max = None, None, None
     for scheme, loads in table:

@@ -141,18 +141,15 @@ class AdaptiveEvaluator:
         subplans = []
         decisions = []
         for index, (component, plan) in enumerate(model_plan.subplans):
-            use_columnar = self.config.optimizer.columnar is not False
             loads = simulate_dispatch(
-                plan.scheme, sample, num_reducers, key_prefix=(index,),
-                columnar=use_columnar,
+                plan.scheme, sample, num_reducers, key_prefix=(index,)
             )
             skewed = detect_skew(loads, self.skew_threshold)
             imbalance = load_imbalance(loads)
             if skewed:
                 candidates = diversify_schemes([plan.scheme])
                 scheme, sampled = pick_by_sampling(
-                    candidates, sample, num_reducers, key_prefix=(index,),
-                    columnar=use_columnar,
+                    candidates, sample, num_reducers, key_prefix=(index,)
                 )
                 replanned = scheme is not plan.scheme
                 if replanned:

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.cube.batches import RecordBatch
 from repro.cube.records import Record, estimated_record_bytes
 from repro.local.measure_table import MeasureTable, ResultSet
@@ -81,28 +80,12 @@ class ExecutionConfig:
     (consecutive blocks to consecutive reducers -- better balanced when
     block sizes are uniform, which the hash/model view treats as the
     pessimistic random case).
-
-    *columnar* selects the batched map side (vectorized block routing
-    and, with early aggregation, the reduceat-based combiner).  The
-    default ``None`` auto-enables it when every basic measure has a
-    vectorized implementation; ``True``/``False`` force it on or off.
-    Even when on, map tasks whose records cannot be represented as an
-    integer batch fall back to the scalar path per task, so results are
-    identical in every mode.
-
-    *kernels* is the compiled-kernel tri-state (see
-    :mod:`repro.kernels`): ``"auto"`` uses the numba backend when
-    installed, ``"on"`` requires it, ``"off"`` forces the NumPy
-    fallback.  Both backends are bit-identical; the knob only trades
-    speed.  ``None`` leaves the process-wide mode untouched.
     """
 
     num_reducers: Optional[int] = None
     early_aggregation: bool = False
     combined_sort: bool = False
     partitioner: str = "hash"
-    columnar: Optional[bool] = None
-    kernels: Optional[str] = None
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
@@ -110,13 +93,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown partitioner {self.partitioner!r}; choose "
                 "'hash' or 'round_robin'"
-            )
-        if self.kernels is not None and self.kernels not in (
-            kernels.KERNEL_MODES
-        ):
-            raise ValueError(
-                f"unknown kernels mode {self.kernels!r}; choose one of "
-                f"{kernels.KERNEL_MODES}"
             )
         if self.partitioner != "hash" and self.optimizer.use_sampling:
             # Simulated dispatch predicts loads under hash assignment;
@@ -491,27 +467,6 @@ class ParallelEvaluator:
 
         if cancel is not None:
             cancel.check()
-        if self.config.kernels is not None:
-            # The kernels mode is process-wide (worker dispatch tables
-            # are module state); restore the caller's mode on exit so
-            # one evaluator's knob cannot leak into another's run.
-            previous_mode = kernels.kernels_mode()
-            kernels.set_kernels_mode(self.config.kernels)
-            try:
-                return self._evaluate(workflow, data, plan, key_cache, cancel)
-            finally:
-                kernels.set_kernels_mode(previous_mode)
-        return self._evaluate(workflow, data, plan, key_cache, cancel)
-
-    def _evaluate(
-        self,
-        workflow: Workflow,
-        data: Sequence[Record] | DistributedFile,
-        plan: QueryPlan | Plan | None,
-        key_cache: KeyCache | None,
-        cancel: CancellationToken | None,
-    ) -> ParallelResult:
-        """The evaluation body; runs under the resolved kernels mode."""
         with self.tracer.span(
             "evaluate-query", measures=len(workflow)
         ) as root:
@@ -529,14 +484,12 @@ class ParallelEvaluator:
             record_bytes = estimated_record_bytes(workflow.schema)
             local_stats = LocalStats()
             served_blocks: set = set()
-            use_columnar = self.config.columnar
-            if use_columnar is None:
-                use_columnar = vectorized_supports(workflow)
-            columnar_stats = (
-                ColumnarStats(kernels_backend=kernels.kernels_backend())
-                if use_columnar
-                else None
-            )
+            # The batched map side (vectorized block routing and, under
+            # early aggregation, the reduceat combiner) needs a vectorized
+            # implementation of every basic measure; a map task whose
+            # records are not an integer batch still falls back alone.
+            use_columnar = vectorized_supports(workflow)
+            columnar_stats = ColumnarStats() if use_columnar else None
             mapper = self._make_mapper(query_plan)
             reducer = self._make_reducer(
                 query_plan, record_bytes, local_stats, served_blocks

@@ -60,16 +60,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.cube.batches import (
-    ColumnPayload,
-    RecordBatch,
-    compact_array,
-    decode_buffer,
-    encode_buffer,
-    estimated_pickle_bytes,
-)
+from repro.cube.batches import RecordBatch, estimated_pickle_bytes
 from repro.cube.records import Record, Schema
-from repro import kernels
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
@@ -99,9 +91,6 @@ from repro.parallel.shm import (
     shm_available,
 )
 
-#: Valid values of the transport knob.
-TRANSPORT_MODES = ("auto", "shm", "pickle")
-
 logger = logging.getLogger(__name__)
 
 #: How often the gather loop wakes to check retries/stragglers (seconds).
@@ -111,82 +100,6 @@ _POLL_SECONDS = 0.02
 _WORKER: dict = {}
 
 
-#: Codec applied to every columnar wire buffer shipped to workers.
-#: Block keys and sorted row indices are highly repetitive, so deflate
-#: roughly halves the shipped bytes on top of dtype compaction.
-_WIRE_CODEC = "zlib"
-
-
-@dataclass(frozen=True)
-class _ColumnarBucket:
-    """One reducer's blocks in compact columnar wire form.
-
-    The payload holds each record the bucket needs exactly once (blocks
-    within a bucket overlap heavily under annotated keys).  The block
-    structure itself is columnar too -- the block-key matrix travels as
-    a :class:`ColumnPayload` (each key column in its smallest covering
-    dtype), next to one per-block count array and one concatenated
-    row-index buffer -- so a bucket of thousands of small blocks
-    pickles as a handful of byte buffers instead of thousands of
-    per-block tuples and lists.
-    """
-
-    payload: ColumnPayload
-    keys: ColumnPayload
-    counts_dtype: str
-    counts: bytes
-    index_dtype: str
-    indices: bytes
-    codec: str = "raw"
-
-    @staticmethod
-    def build(
-        payload: ColumnPayload,
-        bucket_blocks: list,
-        row_maps: np.ndarray,
-        codec: str = "raw",
-    ) -> "_ColumnarBucket":
-        """Pack ``(block_key, payload row indices)`` entries for the wire."""
-        keys_matrix = np.asarray(
-            [key for key, _rows in bucket_blocks], dtype=np.int64
-        )
-        counts = np.asarray(
-            [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
-        )
-        counts_dtype, counts_bytes = compact_array(counts)
-        index_dtype, indices = compact_array(row_maps)
-        return _ColumnarBucket(
-            payload=payload,
-            keys=ColumnPayload.from_matrix(keys_matrix, codec=codec),
-            counts_dtype=counts_dtype,
-            counts=encode_buffer(counts_bytes, codec),
-            index_dtype=index_dtype,
-            indices=encode_buffer(indices, codec),
-            codec=codec,
-        )
-
-    def unpack(self) -> list:
-        """Rebuild the ``(block_key, row index array)`` entries."""
-        keys = self.keys.to_matrix()
-        counts = np.frombuffer(
-            decode_buffer(self.counts, self.codec),
-            dtype=np.dtype(self.counts_dtype),
-        )
-        indices = np.frombuffer(
-            decode_buffer(self.indices, self.codec),
-            dtype=np.dtype(self.index_dtype),
-        )
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return [
-            (
-                tuple(int(value) for value in keys[i]),
-                indices[offsets[i]:offsets[i + 1]],
-            )
-            for i in range(self.keys.length)
-        ]
-
-
 def _init_worker(
     workflow_data: dict,
     schema: Schema,
@@ -194,13 +107,9 @@ def _init_worker(
     expressions: Optional[Mapping[str, Expression]],
     function_factories: Sequence[tuple],
     telemetry_queue=None,
-    kernels_mode: str = "auto",
     trace_ctx: Optional[dict] = None,
 ) -> None:
     """Rebuild the workflow, evaluators and filters inside a worker."""
-    # The driver's kernels knob must cross the process boundary: a
-    # forced mode ("on"/"off") applies to worker evaluation too.
-    kernels.set_kernels_mode(kernels_mode)
     for factory_path, args in function_factories:
         module_name, _, attr = factory_path.rpartition(".")
         module = __import__(module_name, fromlist=[attr])
@@ -309,8 +218,6 @@ def _reduce_bucket(bucket) -> list:
     """Evaluate one reducer's blocks; runs inside a worker process."""
     if isinstance(bucket, ShmBucket):
         return _reduce_shm_bucket(bucket)
-    if isinstance(bucket, _ColumnarBucket):
-        return _reduce_columnar_bucket(bucket)
     rows = []
     for block_key, records in bucket:
         component_index = block_key[0]
@@ -327,34 +234,12 @@ def _reduce_bucket(bucket) -> list:
     return rows
 
 
-def _reduce_columnar_bucket(bucket: _ColumnarBucket) -> list:
-    """Evaluate one columnar bucket: rebuild columns, slice per block.
-
-    The batch deserializes with one ``frombuffer`` per column; each
-    block is a fancy-indexed slice handed to the vectorized evaluator,
-    which falls back to the scalar path internally whenever it cannot
-    produce bit-identical results.
-    """
-    batch = bucket.payload.to_batch(_WORKER["schema"])
-    rows = []
-    for block_key, block_rows in bucket.unpack():
-        component_index = block_key[0]
-        evaluator = _WORKER["vector_evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(batch.take(block_rows))
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
-            rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
-            )
-    return rows
-
-
 def _evaluate_shm_view(view) -> list:
     """Evaluate every block of an attached shm bucket.
 
+    Each block is a fancy-indexed slice of the mapped batch handed to
+    the vectorized evaluator, which falls back to the scalar path
+    internally whenever it cannot produce bit-identical results.
     Separated from :func:`_reduce_shm_bucket` so that when this frame
     returns, every array view into the shared mapping is dead and the
     caller's ``close()`` can actually unmap the segment.
@@ -379,10 +264,7 @@ def _evaluate_shm_view(view) -> list:
 def _reduce_shm_bucket(bucket: ShmBucket) -> list:
     """Evaluate one shm bucket: attach, view, evaluate, unmap.
 
-    The segment is driver-owned; this side only maps it.  Per-block
-    evaluation is byte-for-byte the columnar-pickle path -- the batch
-    merely arrives as views over the shared mapping instead of arrays
-    inflated from pickled buffers.
+    The segment is driver-owned; this side only maps it.
     """
     view = bucket.attach()
     try:
@@ -395,8 +277,6 @@ def _bucket_block_count(bucket) -> int:
     """How many blocks one gather bucket carries (any transport)."""
     if isinstance(bucket, ShmBucket):
         return bucket.counts[1]
-    if isinstance(bucket, _ColumnarBucket):
-        return bucket.keys.length
     return len(bucket)
 
 
@@ -443,7 +323,7 @@ class MultiprocessReport:
     replicated_records: int
     transport: str = "records"
     shipped_bytes: int = 0
-    #: Bytes written into shared-memory segments (0 on pickle paths);
+    #: Bytes written into shared-memory segments (0 for record lists);
     #: the descriptors that still cross the pipe count as
     #: ``shipped_bytes``.
     shm_bytes: int = 0
@@ -544,12 +424,11 @@ class MultiprocessEvaluator:
             loop merges them live, and the report/manifest gain a
             per-worker section.  Defaults to the no-op
             :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
-        transport: How columnar buckets reach workers: ``"auto"``
-            (shared memory when the platform supports it, else
-            deflated pickles), ``"shm"`` (require shared memory; raise
-            when unavailable), or ``"pickle"`` (force the
-            deflated-pickle path).  Record-list buckets always travel
-            by pickle.
+
+    Buckets reach workers through shared memory when the workflow has
+    vectorized aggregate support, the records form a routable batch and
+    the platform has POSIX shared memory; otherwise as pickled record
+    lists.  :attr:`MultiprocessReport.transport` says which.
     """
 
     def __init__(
@@ -563,14 +442,7 @@ class MultiprocessEvaluator:
         tracer=None,
         metrics=None,
         telemetry=None,
-        transport: str = "auto",
     ):
-        if transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose one of "
-                f"{TRANSPORT_MODES}"
-            )
-        self.transport = transport
         self.processes = processes or os.cpu_count() or 2
         self.optimizer = Optimizer(optimizer or OptimizerConfig())
         self.expressions = expressions
@@ -591,17 +463,10 @@ class MultiprocessEvaluator:
         workflow: Workflow,
         records: Sequence[Record],
         num_partitions: Optional[int] = None,
-        columnar: Optional[bool] = None,
         cancel: CancellationToken | None = None,
         trace: Optional[TraceContext] = None,
     ) -> tuple[ResultSet, MultiprocessReport]:
         """Run the one-round plan over *records* with real processes.
-
-        *columnar* selects the compact column-buffer transport for the
-        scatter (default ``None`` auto-enables it when the workflow has
-        vectorized aggregate support); data that cannot be represented
-        as an integer batch falls back to record-list transport either
-        way.
 
         *cancel* (a :class:`repro.parallel.cancel.CancellationToken`)
         is checked before the scatter and on every poll of the gather
@@ -641,30 +506,15 @@ class MultiprocessEvaluator:
 
         # Scatter: replicate records into blocks (driver side), then
         # group blocks into per-partition buckets by stable hash.
-        use_columnar = (
-            columnar
-            if columnar is not None
-            else vectorized_supports(workflow)
-        )
-        batch = (
-            RecordBatch.from_records(workflow.schema, records)
-            if use_columnar
-            else None
-        )
-        if batch is not None and not batch.routable():
-            # Typed dimension columns (strings/nulls) cannot be mapped
-            # through hierarchy level arrays; ship record lists instead.
-            batch = None
-        if self.transport == "shm" and not shm_available():
-            raise RuntimeError(
-                "transport='shm' requested but POSIX shared memory is "
-                "unavailable on this platform; use 'auto' or 'pickle'"
-            )
-        registry = None
-        if batch is not None and self.transport != "pickle" and (
-            self.transport == "shm" or shm_available()
-        ):
-            registry = SegmentRegistry()
+        batch = None
+        if vectorized_supports(workflow) and shm_available():
+            batch = RecordBatch.from_records(workflow.schema, records)
+            if batch is not None and not batch.routable():
+                # Typed dimension columns (strings/nulls) cannot be
+                # mapped through hierarchy level arrays; ship record
+                # lists instead.
+                batch = None
+        registry = SegmentRegistry() if batch is not None else None
         try:
             return self._evaluate_scattered(
                 workflow, records, batch, plan, partitions, registry,
@@ -687,15 +537,15 @@ class MultiprocessEvaluator:
     ) -> tuple[ResultSet, MultiprocessReport]:
         """Scatter into buckets, gather resiliently, union the answer.
 
-        *registry*, when given, selects shared-memory transport for the
-        columnar buckets; the caller guarantees ``unlink_all`` runs
-        whatever happens here.
+        *batch* and *registry* come together and select shared-memory
+        transport; the caller guarantees ``unlink_all`` runs whatever
+        happens here.  Without them the records ship as pickled lists.
         """
         if batch is not None:
             buckets, num_blocks, replicated, transport_seconds = (
                 self._scatter_columnar(batch, plan, partitions, registry)
             )
-            transport = "shm" if registry is not None else "columnar"
+            transport = "shm"
         else:
             blocks: dict[tuple, list] = defaultdict(list)
             for index, (_component, subplan) in enumerate(plan.subplans):
@@ -750,7 +600,6 @@ class MultiprocessEvaluator:
             self.expressions,
             self.function_factories,
             telemetry_queue,
-            kernels.kernels_mode(),
             exec_ctx.to_wire() if exec_ctx is not None else None,
         )
 
@@ -859,19 +708,18 @@ class MultiprocessEvaluator:
         batch: RecordBatch,
         plan,
         partitions: int,
-        registry: Optional[SegmentRegistry] = None,
+        registry: SegmentRegistry,
     ) -> tuple[list, int, int, float]:
-        """Route one batch into per-partition columnar buckets.
+        """Route one batch into per-partition shared-memory buckets.
 
         Returns ``(buckets, num_blocks, replicated_records,
-        materialize_seconds)``.  Each non-empty bucket ships every
+        materialize_seconds)``.  Each non-empty bucket holds every
         record it needs exactly once (its blocks overlap under
-        annotated keys) with per-block row indices into that payload --
-        as deflated column buffers when *registry* is ``None``, or
-        written once into a shared-memory segment otherwise (only the
-        :class:`ShmBucket` descriptor then crosses the pipe).
-        ``materialize_seconds`` is the wall time spent building the
-        transport form, excluding the routing shared by both.
+        annotated keys) with per-block row indices into that payload,
+        written once into a segment of *registry*; only the
+        :class:`ShmBucket` descriptor crosses the pipe.
+        ``materialize_seconds`` is the wall time spent writing the
+        segments, excluding the routing.
         """
         block_rows: dict[tuple, np.ndarray] = {}
         for index, (_component, subplan) in enumerate(plan.subplans):
@@ -899,22 +747,12 @@ class MultiprocessEvaluator:
             unique_rows = np.unique(all_rows)
             row_maps = np.searchsorted(unique_rows, all_rows)
             started = time.perf_counter()
-            sub_batch = batch.take(unique_rows)
-            if registry is not None:
-                buckets.append(
-                    ShmBucket.build(
-                        registry, sub_batch, bucket_blocks, row_maps
-                    )
+            buckets.append(
+                ShmBucket.build(
+                    registry, batch.take(unique_rows), bucket_blocks,
+                    row_maps,
                 )
-            else:
-                buckets.append(
-                    _ColumnarBucket.build(
-                        sub_batch.to_payload(codec=_WIRE_CODEC),
-                        bucket_blocks,
-                        row_maps,
-                        codec=_WIRE_CODEC,
-                    )
-                )
+            )
             materialize_seconds += time.perf_counter() - started
         return buckets, len(block_rows), replicated, materialize_seconds
 
@@ -1191,5 +1029,5 @@ class MultiprocessEvaluator:
         )
         self.metrics.set_gauge(
             "mp.columnar_transport",
-            1.0 if report.transport in ("columnar", "shm") else 0.0,
+            1.0 if report.transport == "shm" else 0.0,
         )

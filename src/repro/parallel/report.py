@@ -21,9 +21,6 @@ class ColumnarStats:
     be represented as an integer batch; ``vector_groups``/
     ``scalar_groups`` split the early-aggregation block groups between
     the reduceat-based combiner and its per-record scalar fallback.
-    ``kernels_backend`` names the compiled-kernel backend the evaluation
-    resolved to (``"numba"`` or ``"numpy"``) under the run's tri-state
-    kernels mode.
     """
 
     batch_tasks: int = 0
@@ -32,7 +29,6 @@ class ColumnarStats:
     fallback_records: int = 0
     vector_groups: int = 0
     scalar_groups: int = 0
-    kernels_backend: str = ""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

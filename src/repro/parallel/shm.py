@@ -1,10 +1,9 @@
 """Zero-copy shared-memory transport for the multiprocess shuffle.
 
-The pickle transport serializes every bucket's column buffers, deflates
-them, ships the bytes through the pool's IPC pipe, and inflates them
-in the worker -- four copies of data that both sides could simply map.
-This module replaces that path with POSIX shared memory
-(:mod:`multiprocessing.shared_memory`): the driver writes each bucket's
+Pickling a bucket serializes its records, ships the bytes through the
+pool's IPC pipe and rebuilds them in the worker -- copies of data that
+both sides could simply map.  With POSIX shared memory
+(:mod:`multiprocessing.shared_memory`) the driver writes each bucket's
 arrays **once** into a segment, the worker attaches and builds
 ``np.ndarray`` views directly over the mapping, and only a tiny
 :class:`ShmBucket` descriptor (segment name plus array offsets) crosses
@@ -46,6 +45,7 @@ fault scenario.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import secrets
@@ -67,8 +67,13 @@ SEGMENT_PREFIX = "repro-shm"
 _SHM_DIR = Path("/dev/shm")
 
 
+@functools.cache
 def shm_available() -> bool:
-    """Whether POSIX shared memory actually works on this platform."""
+    """Whether POSIX shared memory actually works on this platform.
+
+    Probed once per process: the answer is a property of the platform,
+    and the probe creates and unlinks a real segment.
+    """
     try:
         probe = shared_memory.SharedMemory(create=True, size=8)
     except (OSError, ValueError, ImportError):
@@ -197,12 +202,10 @@ _CODES = {"i8": np.int64, "f8": np.float64, "u1": np.uint8}
 class ShmBucket:
     """Picklable handle to one gather task's bucket in shared memory.
 
-    Mirrors ``_ColumnarBucket`` structurally -- payload, block-key
-    matrix, per-block counts and row indices -- but every array lives
-    in the named segment at a recorded offset instead of in pickled
-    buffers.  ``matrix`` describes the int plane as one 2-D array;
-    typed payloads (float measures, dictionary strings, nulls) ship
-    per-column slots instead.
+    Payload, block-key matrix, per-block counts and row indices all
+    live in the named segment at recorded offsets.  ``matrix``
+    describes the int plane as one 2-D array; typed payloads (float
+    measures, dictionary strings, nulls) ship per-column slots instead.
     """
 
     segment: str
@@ -231,7 +234,7 @@ class ShmBucket:
         *batch* holds the bucket's deduplicated records,
         *bucket_blocks* its ``(block_key, payload row indices)``
         entries and *row_maps* the concatenated per-block indices into
-        the payload (same shapes ``_ColumnarBucket.build`` takes).
+        the payload.
         """
         layout = _Layout()
         matrix = batch.matrix

@@ -13,7 +13,7 @@ dirty the newest time slice, so regional sibling-window repair touches
 a bounded frontier instead of the whole history.
 
 Used by ``repro append``, the daemon's live-append path, the
-``append_smoke`` CI step and ``BENCH_incremental.json``.
+``append_smoke`` CI step and the benchmark's ``serve_append`` workload.
 """
 
 from __future__ import annotations

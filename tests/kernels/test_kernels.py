@@ -1,49 +1,16 @@
-"""Kernel dispatch and bit-identity across backends.
+"""The NumPy kernels against brute-force references.
 
-The NumPy table is the contract reference; when numba is installed the
-compiled table must agree bit-for-bit on every primitive.  These tests
-run the reference everywhere and add backend-equivalence checks that
-activate only on installs with the optional extra, so the default CI
-leg stays numba-free while the matrix leg proves identity.
+Every primitive folds left-to-right over sorted runs, so integer
+results are exact; the operators built on them must match the generic
+per-slice fold bit for bit.
 """
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import _numpy as numpy_backend
-
-
-@pytest.fixture(autouse=True)
-def restore_mode():
-    previous = kernels.kernels_mode()
-    yield
-    kernels.set_kernels_mode(previous)
-
-
-class TestModeKnob:
-    def test_default_is_auto(self):
-        assert kernels.kernels_mode() in kernels.KERNEL_MODES
-
-    def test_set_and_read_back(self):
-        assert kernels.set_kernels_mode("off") == "off"
-        assert kernels.kernels_mode() == "off"
-        assert kernels.kernels_backend() == "numpy"
-
-    def test_none_means_auto(self):
-        assert kernels.set_kernels_mode(None) == "auto"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernels mode"):
-            kernels.set_kernels_mode("turbo")
-
-    def test_on_requires_numba(self):
-        if kernels.NUMBA_AVAILABLE:
-            assert kernels.set_kernels_mode("on") == "on"
-            assert kernels.kernels_backend() == "numba"
-        else:
-            with pytest.raises(kernels.KernelsUnavailableError):
-                kernels.set_kernels_mode("on")
 
 
 def _brute_window(positions, values, low, high, op):
@@ -153,64 +120,10 @@ class TestNumpyReference:
         assert len(keys) == 0 and low_bits == 0
 
 
-@pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba backend not installed"
-)
-class TestBackendBitIdentity:
-    """The compiled table must equal the NumPy reference bit-for-bit."""
-
-    def _compiled(self):
-        from repro.kernels import _numba as numba_backend
-
-        return numba_backend
-
-    @pytest.mark.parametrize("op", ["sum", "min", "max"])
-    def test_segment_reduce_identical(self, op):
-        rng = np.random.default_rng(11)
-        for dtype in (np.int64, np.float64):
-            values = rng.integers(-1000, 1000, size=500).astype(dtype)
-            starts = np.unique(
-                rng.integers(0, 500, size=40).astype(np.int64)
-            )
-            starts[0] = 0
-            reference = numpy_backend.segment_reduce(values, starts, op)
-            compiled = self._compiled().segment_reduce(values, starts, op)
-            assert reference.dtype == compiled.dtype
-            assert np.array_equal(reference, compiled)
-
-    def test_row_boundaries_identical(self):
-        rng = np.random.default_rng(12)
-        rows = np.sort(
-            rng.integers(0, 4, size=(300, 3)).astype(np.int64), axis=0
-        )
-        rows = np.ascontiguousarray(rows)
-        assert np.array_equal(
-            numpy_backend.row_boundaries(rows),
-            self._compiled().row_boundaries(rows),
-        )
-
-    @pytest.mark.parametrize("op", ["sum", "count", "min", "max"])
-    def test_window_reduce_identical(self, op):
-        rng = np.random.default_rng(13)
-        positions = np.sort(
-            rng.choice(np.arange(200), size=80, replace=False)
-        ).astype(np.int64)
-        values = rng.integers(-100, 100, size=80).astype(np.int64)
-        for low, high in ((-2, 2), (-5, -1), (1, 4)):
-            ref_mask, ref_out = numpy_backend.window_reduce(
-                positions, values, low, high, op
-            )
-            jit_mask, jit_out = self._compiled().window_reduce(
-                positions, values, low, high, op
-            )
-            assert np.array_equal(ref_mask, jit_mask)
-            assert np.array_equal(ref_out[ref_mask], jit_out[jit_mask])
-
-
 class TestDispatchThroughOperators:
-    """The tri-state knob changes nothing observable about results."""
+    """``sibling_window`` through the kernels equals the slice fold."""
 
-    def test_sibling_window_modes_agree(self):
+    def test_sibling_window_matches_slice_fold(self):
         from repro.cube.domains import UniformHierarchy
         from repro.cube.records import Attribute, Schema
         from repro.cube.regions import Granularity
@@ -232,15 +145,23 @@ class TestDispatchThroughOperators:
         }
         table = MeasureTable(granularity, cells)
         window = SiblingWindow("t", -3, -1)
-        results = {}
-        for mode in ("auto", "off"):
-            kernels.set_kernels_mode(mode)
-            for name in ("sum", "count", "avg", "min", "max"):
-                outcome = sibling_window(
-                    table, window, get_function(name)
+        for name in ("sum", "count", "avg", "min", "max"):
+            aggregate = get_function(name)
+            expected = {}
+            for group in range(4):
+                entries = sorted(
+                    (tick, value)
+                    for (key, tick), value in cells.items()
+                    if key == group
                 )
-                results.setdefault(name, []).append(
-                    sorted(outcome.items())
-                )
-        for name, (first, second) in results.items():
-            assert first == second, name
+                ticks = [tick for tick, _value in entries]
+                values = [value for _tick, value in entries]
+                for tick in ticks:
+                    start = bisect_left(ticks, tick + window.low)
+                    stop = bisect_right(ticks, tick + window.high)
+                    if start < stop:
+                        expected[(group, tick)] = aggregate.aggregate(
+                            values[start:stop]
+                        )
+            outcome = sibling_window(table, window, aggregate)
+            assert dict(outcome.items()) == expected, name

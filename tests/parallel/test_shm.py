@@ -1,7 +1,7 @@
 """Shared-memory shuffle: zero-copy round trips and guaranteed cleanup.
 
 The shm transport is pure plumbing: whatever travels through a segment
-must come back bit-identical to the pickled-bucket path, and every
+must come back bit-identical to centralized evaluation, and every
 segment must be unlinked by the time an evaluation returns -- success,
 failure, or chaos.  ``leaked_segments()`` scans ``/dev/shm`` for this
 repo's prefix, so a leak anywhere fails loudly here.
@@ -13,6 +13,7 @@ import pytest
 from repro.cube.batches import RecordBatch
 from repro.faults import FaultPlan, RetryPolicy
 from repro.local.sortscan import evaluate_centralized
+from repro.parallel import shm as shm_module
 from repro.parallel.multiprocess import MultiprocessEvaluator
 from repro.parallel.shm import (
     SegmentRegistry,
@@ -121,47 +122,44 @@ class TestShmBucketRoundTrip:
             registry.unlink_all()
 
 
-class TestTransportKnob:
+class TestTransportSelection:
     @pytest.fixture
     def setup(self, tiny_workflow, tiny_records):
         oracle = evaluate_centralized(tiny_workflow, tiny_records)
         return tiny_workflow, tiny_records, oracle
 
-    def test_shm_and_pickle_bit_identical(self, setup):
+    def test_shm_matches_oracle(self, setup):
         workflow, records, oracle = setup
-        shm_eval = MultiprocessEvaluator(processes=2, transport="shm")
-        pickle_eval = MultiprocessEvaluator(
-            processes=2, transport="pickle"
-        )
-        shm_result, shm_report = shm_eval.evaluate(
-            workflow, records, num_partitions=4, columnar=True
-        )
-        pickle_result, pickle_report = pickle_eval.evaluate(
-            workflow, records, num_partitions=4, columnar=True
-        )
-        assert shm_result == pickle_result == oracle
-        assert shm_report.transport == "shm"
-        assert shm_report.shm_bytes > 0
-        assert shm_report.transport_bytes_per_second > 0
-        assert pickle_report.transport == "columnar"
-        assert pickle_report.shm_bytes == 0
-        # The descriptor shipped per shm bucket is tiny next to the
-        # deflated column buffers it replaces.
-        assert shm_report.shipped_bytes < pickle_report.shipped_bytes
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            MultiprocessEvaluator(processes=2, transport="carrier-pigeon")
-
-    def test_scalar_records_ignore_transport(self, setup):
-        workflow, records, oracle = setup
-        evaluator = MultiprocessEvaluator(processes=2, transport="shm")
-        result, report = evaluator.evaluate(
-            workflow, records, num_partitions=4, columnar=False
+        result, report = MultiprocessEvaluator(processes=2).evaluate(
+            workflow, records, num_partitions=4
         )
         assert result == oracle
-        assert report.transport == "records"
-        assert report.shm_bytes == 0
+        assert report.transport == "shm"
+        assert report.shm_bytes > 0
+        assert report.transport_bytes_per_second > 0
+
+    def test_probe_runs_once_per_process(self, setup, monkeypatch):
+        workflow, records, _oracle = setup
+        probes = []
+        real = shm_module.shared_memory.SharedMemory
+
+        def counting(*args, **kwargs):
+            # Registry segments are named; only the probe is anonymous.
+            if kwargs.get("create") and "name" not in kwargs:
+                probes.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            shm_module.shared_memory, "SharedMemory", counting
+        )
+        shm_available.cache_clear()
+        evaluator = MultiprocessEvaluator(processes=2)
+        for _ in range(2):
+            _result, report = evaluator.evaluate(
+                workflow, records, num_partitions=4
+            )
+            assert report.transport == "shm"
+        assert len(probes) == 1
 
 
 @pytest.mark.faults
@@ -171,7 +169,6 @@ class TestShmUnderChaos:
         for seed in (1, 2):
             evaluator = MultiprocessEvaluator(
                 processes=2,
-                transport="shm",
                 fault_plan=FaultPlan(
                     worker_kill_probability=0.15,
                     task_failure_probability=0.2,
@@ -180,8 +177,7 @@ class TestShmUnderChaos:
                 retry_policy=RetryPolicy(max_attempts=6, backoff_base=0.0),
             )
             result, report = evaluator.evaluate(
-                tiny_workflow, tiny_records, num_partitions=4,
-                columnar=True,
+                tiny_workflow, tiny_records, num_partitions=4
             )
             assert result == oracle, f"chaos seed {seed}"
             assert report.transport == "shm"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan
+from repro.local import evaluate_centralized
 from repro.parallel import ExecutionConfig
 from repro.serving import BatchEvaluator
 
@@ -32,14 +33,20 @@ class TestBatchInvariance:
         assert all(o.succeeded and o.attempts == 1 for o in result.groups)
 
     def test_columnar_batch_matches_standalone(
-        self, batch_queries, batch_records, solo_results
+        self, batch_queries, batch_records
     ):
-        config = ExecutionConfig(columnar=True)
-        result = BatchEvaluator(fresh_cluster(), config).evaluate(
+        # Q1..Q6 are all vectorized, so every shared job takes the
+        # batched map side; the answers are the centralized oracle's.
+        result = BatchEvaluator(fresh_cluster()).evaluate(
             batch_queries, batch_records
         )
-        for name, solo in solo_results.items():
-            assert result.results[name] == solo, name
+        for job in result.jobs:
+            assert job.columnar.batch_tasks > 0
+            assert job.columnar.fallback_tasks == 0
+        for name, workflow in batch_queries.items():
+            assert result.results[name] == evaluate_centralized(
+                workflow, batch_records
+            ), name
 
     def test_early_aggregation_rejected(self):
         with pytest.raises(ValueError, match="early_aggregation"):

@@ -63,12 +63,7 @@ class TestDocumentationQuality:
         for info in pkgutil.walk_packages(
             repro.__path__, prefix="repro."
         ):
-            try:
-                module = importlib.import_module(info.name)
-            except ImportError:
-                # Optional-dependency backend (e.g. the numba kernels)
-                # on an install without the extra.
-                continue
+            module = importlib.import_module(info.name)
             if not module.__doc__:
                 missing.append(info.name)
         assert not missing, f"modules without docstrings: {missing}"

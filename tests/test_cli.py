@@ -203,6 +203,22 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("run", "columnar", "on"), ("serve", "kernels", "off")],
+    )
+    def test_removed_flags_fail_in_one_line(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, f"--{flag}", value])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "unrecognized arguments" in errors[0]
+
 
 class TestDemo:
     def test_demo(self, capsys):
@@ -346,6 +362,45 @@ class TestStats:
         path.write_text('{"schema_version": 99}')
         with pytest.raises(SystemExit, match="not a run manifest"):
             main(["stats", str(path)])
+
+    @pytest.mark.parametrize(
+        "section, wrong",
+        [
+            (None, [1, 2, 3]),
+            ("counters", []),
+            ("breakdown", []),
+            ("calibration", [1]),
+            ("batch", [1]),
+            ("faults", "none"),
+            ("reducer_loads", {"0": 1}),
+        ],
+        ids=[
+            "top-level", "counters", "breakdown", "calibration", "batch",
+            "faults", "reducer_loads",
+        ],
+    )
+    def test_stats_rejects_wrong_shaped_json(
+        self, weblog_query_file, tmp_path, capsys, section, wrong
+    ):
+        out = tmp_path / "trace.json"
+        main(
+            ["trace", weblog_query_file, "--records", "1000",
+             "--machines", "4", "--days", "1", "--out", str(out)]
+        )
+        capsys.readouterr()
+        path = tmp_path / "trace.manifest.json"
+        document = json.loads(path.read_text())
+        if section is None:
+            document = wrong
+        else:
+            document[section] = wrong
+        path.write_text(json.dumps(document))
+        for argv in (["stats", str(path)], ["diff", str(path), str(path)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            message = str(excinfo.value)
+            assert message.startswith(f"{path}: not a run manifest (")
+            assert "\n" not in message
 
     def test_stats_future_schema_degrades_gracefully(
         self, tmp_path, capsys
