@@ -1,5 +1,6 @@
 """Local (single-node) evaluation of composite subset measure queries."""
 
+from repro.local.lifting import bucket_evaluator, lift_workflow
 from repro.local.measure_table import MeasureTable, ResultSet
 from repro.local.operators import (
     align_candidates,
@@ -45,11 +46,13 @@ __all__ = [
     "VectorizedBlockEvaluator",
     "align_candidates",
     "batched_partial_states",
+    "bucket_evaluator",
     "choose_attribute_order",
     "compute_composite",
     "evaluate_centralized",
     "evaluate_vectorized",
     "is_prefix_compatible",
+    "lift_workflow",
     "make_sort_key",
     "rollup",
     "rollup_partials",

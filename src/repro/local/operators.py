@@ -39,9 +39,10 @@ def rollup(
     groups: dict[tuple, object] = {}
     add = aggregate.add
     create = aggregate.create
-    source_granularity = source.granularity
+    # Levels are resolved once per call, not once per row.
+    to_parent = source.granularity.coords_mapper(target)
     for coords, value in source.items():
-        parent = source_granularity.map_coords(coords, target)
+        parent = to_parent(coords)
         acc = groups.get(parent)
         if acc is None:
             acc = create()

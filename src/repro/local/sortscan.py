@@ -11,8 +11,10 @@ contiguous in the sorted stream and can be aggregated with O(1) state
 tables in the same scan, so the pass count never grows.
 
 This evaluator doubles as the paper's centralized baseline
-(:func:`evaluate_centralized`) and as the per-block subroutine run by
-every reducer of the parallel algorithm.
+(:func:`evaluate_centralized`) and as the subroutine every reducer of
+the parallel algorithm runs -- once per bucket of blocks over a lifted
+workflow (:mod:`repro.local.lifting`) in the simulated engine, once per
+block in the multiprocess workers.
 """
 
 from __future__ import annotations
@@ -200,14 +202,19 @@ def compute_composite(
     combine = measure.effective_combine
     result = MeasureTable(measure.granularity)
     target = measure.granularity
+    # Levels are resolved once per ALIGN edge, not once per candidate.
+    lookups = [
+        (table, target.coords_mapper(table.granularity) if is_align else None)
+        for table, is_align in edge_results
+    ]
     for coords in candidates:
         values = []
         missing = False
-        for table, is_align in edge_results:
-            if is_align:
-                value = table.get(target.map_coords(coords, table.granularity))
-            else:
+        for table, to_parent in lookups:
+            if to_parent is None:
                 value = table.get(coords)
+            else:
+                value = table.get(to_parent(coords))
             if value is None:
                 missing = True
                 break
@@ -222,13 +229,24 @@ class BlockEvaluator:
 
     Construct once per workflow; :meth:`evaluate` may be called many
     times (once per block).  The attribute order and coordinate mappers
-    are resolved up front.
+    are resolved up front; *attribute_order* overrides the planner's
+    choice (:func:`repro.local.lifting.bucket_evaluator` keeps the
+    unlifted workflow's order behind the block ordinal).
     """
 
-    def __init__(self, workflow: Workflow, tracer=None):
+    def __init__(
+        self,
+        workflow: Workflow,
+        tracer=None,
+        attribute_order: Sequence[int] | None = None,
+    ):
         self.workflow = workflow
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.attribute_order = choose_attribute_order(workflow)
+        self.attribute_order = (
+            tuple(attribute_order)
+            if attribute_order is not None
+            else choose_attribute_order(workflow)
+        )
         self._sort_key = make_sort_key(workflow.schema, self.attribute_order)
         # Measures sharing a granularity share one coordinate mapper:
         # the scan computes each distinct mapping once per record.
@@ -319,11 +337,14 @@ class BlockEvaluator:
         basic_tables: Mapping[str, MeasureTable] | None = None,
         presorted: bool = False,
         stats: LocalStats | None = None,
+        blocks: int = 1,
     ) -> ResultSet:
         """Evaluate the workflow over one block.
 
         Either raw *records* or precomputed *basic_tables* (the
-        early-aggregation path) must be supplied.
+        early-aggregation path) must be supplied.  *blocks* only labels
+        the spans: how many distribution blocks the input holds when a
+        lifted workflow evaluates a whole reducer bucket at once.
         """
         if stats is None:
             stats = LocalStats()
@@ -338,12 +359,13 @@ class BlockEvaluator:
             if not presorted:
                 with self.tracer.span("block-sort") as sort_span:
                     block = sorted(block, key=self._sort_key)
-                    sort_span.set(records=len(block))
+                    sort_span.set(records=len(block), blocks=blocks)
                 stats.sorted_records += len(block)
             with self.tracer.span("block-scan") as scan_span:
                 tables = dict(self._scan_basic(block, stats))
                 scan_span.set(
                     records=len(block),
+                    blocks=blocks,
                     contiguous=stats.contiguous_measures,
                     hashed=stats.hashed_measures,
                 )
@@ -378,7 +400,7 @@ class BlockEvaluator:
                 stats.composite_rows += len(table)
                 composites += 1
             composite_span.set(
-                measures=composites, rows=stats.composite_rows
+                measures=composites, rows=stats.composite_rows, blocks=blocks
             )
 
         return ResultSet(
@@ -401,10 +423,10 @@ class BlockEvaluator:
             return {mapper(record) for record in records}
         for source in tables.values():
             if measure.granularity.is_generalization_of(source.granularity):
-                return {
-                    source.granularity.map_coords(c, measure.granularity)
-                    for c in source.coords()
-                }
+                to_anchor = source.granularity.coords_mapper(
+                    measure.granularity
+                )
+                return {to_anchor(coords) for coords in source.coords()}
         return None
 
 

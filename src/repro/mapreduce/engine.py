@@ -15,7 +15,11 @@ The scatter/gather contract mirrors Hadoop's:
   mapper-side pre-aggregation (the early-aggregation optimization);
 * ``reducer(key, values, ctx) -> iterable[output]`` -- sees each group
   once, with pairs of equal key guaranteed to meet in the same task, and
-  charges its internal sort/scan work through *ctx*.
+  charges its internal sort/scan work through *ctx*;
+* ``reduce_task(groups, ctx) -> iterable[output]`` -- the whole-task
+  alternative to ``reducer``: sees all of a reduce task's key-sorted
+  ``(key, values)`` groups at once, so groups can share one sort and
+  one scan (Section III-D's composite key).
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class MapReduceJob:
 
     Args:
         mapper: Map function (see module docstring).
-        reducer: Reduce function.
+        reducer: Per-group reduce function, or ``None`` when
+            *reduce_task* reduces whole tasks instead.
         num_reducers: Number of reduce tasks (the paper's ``m``).
         combiner: Optional mapper-side pre-aggregation.
         partitioner: ``(key, m) -> reducer index``; defaults to hashing.
@@ -154,6 +159,11 @@ class MapReduceJob:
             bypassed for that task; returning ``None`` falls back to the
             scalar path, which is the per-task escape hatch for data the
             batched implementation cannot represent.
+        reduce_task: Whole-task reduce function, the reduce-side mirror
+            of *map_batch*: called once per reduce task with that task's
+            :func:`~repro.mapreduce.sorter.sort_group_pairs` groups and
+            the :class:`TaskContext`.  Exactly one of *reducer* and
+            *reduce_task* must be given.
         record_bytes: Serialized size of one map *input* record.
         value_bytes: Size function for map output values; defaults to
             ``record_bytes`` (values are copies of input records in the
@@ -165,11 +175,12 @@ class MapReduceJob:
     """
 
     mapper: Callable
-    reducer: Callable
+    reducer: Optional[Callable]
     num_reducers: int
     combiner: Optional[Callable] = None
     partitioner: Callable = default_partitioner
     map_batch: Optional[Callable] = None
+    reduce_task: Optional[Callable] = None
     record_bytes: int = 64
     value_bytes: Optional[Callable] = None
     combined_sort: bool = False
@@ -178,6 +189,11 @@ class MapReduceJob:
     def __post_init__(self):
         if self.num_reducers <= 0:
             raise ValueError("num_reducers must be positive")
+        if (self.reducer is None) == (self.reduce_task is None):
+            raise ValueError(
+                "give exactly one of reducer (per group) and reduce_task "
+                "(per task)"
+            )
 
     # -- map side ----------------------------------------------------------------
 
@@ -274,11 +290,15 @@ class MapReduceJob:
         fsort_seconds = timing.sort(len(pairs), fsort_bytes)
 
         context = TaskContext(timing)
-        for key, values in sort_group_pairs(pairs):
-            counters.reduce_input_records += len(values)
-            produced = self.reducer(key, values, context)
-            if produced:
-                outputs.extend(produced)
+        groups = sort_group_pairs(pairs)
+        counters.reduce_input_records += len(pairs)
+        if self.reduce_task is not None:
+            outputs.extend(self.reduce_task(groups, context))
+        else:
+            for key, values in groups:
+                produced = self.reducer(key, values, context)
+                if produced:
+                    outputs.extend(produced)
         if self.combined_sort:
             # The local re-sort is subsumed by the composite framework key.
             context.group_sort_seconds = 0.0

@@ -6,7 +6,7 @@ work still grinding through map/shuffle/reduce is pure waste.  Python
 threads cannot be killed, so cancellation is cooperative: the daemon
 hands the evaluator a :class:`CancellationToken` and the evaluator
 checks it at natural yield points -- before planning, per map task,
-per reduced block, per poll of the multiprocess gather loop.
+per reduce task and component, per poll of the multiprocess gather loop.
 
 A token trips for one of two reasons:
 

@@ -7,8 +7,10 @@ One MapReduce job evaluates the whole composite query:
    feasible distribution key and clustering factor per component;
 2. mappers replicate each record into every block whose extended range
    needs it, once per component (overlapping redistribution);
-3. each reducer runs the local sort/scan algorithm per block and filters
-   its outputs to the block's owned region range, so
+3. each reducer sorts and scans its whole bucket once per component
+   under a composite (block ordinal, local order) key -- the ordinal
+   is a leading coordinate of every region, so blocks stay isolated --
+   and filters each block's outputs to its owned region range, so
 4. the final answer is the plain union of local results -- no combination
    step, and any duplicate is a hard error.
 
@@ -27,14 +29,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cube.batches import RecordBatch
 from repro.cube.records import Record, estimated_record_bytes
+from repro.local.lifting import bucket_evaluator
 from repro.local.measure_table import MeasureTable, ResultSet
-from repro.local.sortscan import BlockEvaluator, LocalStats
+from repro.local.sortscan import LocalStats
 from repro.local.vectorized import (
     batched_partial_states,
     vectorized_supports,
@@ -384,12 +388,28 @@ class ParallelEvaluator:
         record_bytes: int,
         local_stats: LocalStats,
         served_blocks: set,
+        cancel: CancellationToken | None,
     ):
+        """The engine's ``reduce_task`` hook: one sort/scan per bucket.
+
+        All of a reduce task's blocks of one component are evaluated in
+        a single call of a lifted evaluator
+        (:func:`repro.local.lifting.bucket_evaluator`): every record --
+        or, under early aggregation, every partial state's region -- is
+        tagged with its block's ordinal in the bucket, which leads the
+        sort key and is a coordinate of every region, so no measure can
+        cross a block.  The ordinal is stripped from the output, the
+        owned-region filter runs only under keys with an annotated
+        component, and the virtual clock is charged block by block in
+        block order, exactly as a per-block loop would charge it.
+        """
         evaluators = []
         filters = []
         basics_by_component = []
         for component, subplan in plan.subplans:
-            evaluators.append(BlockEvaluator(component, tracer=self.tracer))
+            evaluator = bucket_evaluator(component, tracer=self.tracer)
+            evaluators.append(evaluator)
+            # Without an annotation every block owns all it computes.
             filters.append(
                 {
                     measure.name: subplan.scheme.make_result_filter(
@@ -397,41 +417,87 @@ class ParallelEvaluator:
                     )
                     for measure in component.measures
                 }
+                if subplan.scheme.key.is_overlapping
+                else None
             )
-            basics_by_component.append(list(component.basic_measures()))
+            basics_by_component.append(
+                list(evaluator.workflow.basic_measures())
+            )
         early = self.config.early_aggregation
+        value_width = _PARTIAL_STATE_BYTES if early else record_bytes
 
-        def reducer(block_key, values, ctx):
-            # A set, not a counter: fault-tolerant retries may re-run a
-            # block, but it still counts once toward calibration.
-            served_blocks.add(block_key)
-            component_index = block_key[0]
-            component_block = block_key[1:]
-            evaluator = evaluators[component_index]
-            stats = LocalStats()
-            if early:
-                tables = _merge_partials(
-                    basics_by_component[component_index], values
-                )
-                ctx.charge_sort(
-                    len(values), len(values) * _PARTIAL_STATE_BYTES
-                )
-                result = evaluator.evaluate(basic_tables=tables, stats=stats)
-                ctx.charge_eval(len(values))
-            else:
-                ctx.charge_sort(len(values), len(values) * record_bytes)
-                result = evaluator.evaluate(values, stats=stats)
-                ctx.charge_eval(stats.records + stats.output_rows)
-            local_stats.merge(stats)
+        def reduce_task(groups, ctx):
+            buckets: list[list] = [[] for _ in evaluators]
+            for block_key, values in groups:
+                # A set, not a counter: fault-tolerant retries may re-run
+                # a block, but it still counts once toward calibration.
+                served_blocks.add(block_key)
+                buckets[block_key[0]].append((block_key[1:], values))
+            outputs = []
+            for component_index, blocks in enumerate(buckets):
+                if not blocks:
+                    continue
+                if cancel is not None:
+                    cancel.check()
+                evaluator = evaluators[component_index]
+                stats = LocalStats()
+                if early:
+                    result = evaluator.evaluate(
+                        basic_tables=_merge_partials(
+                            basics_by_component[component_index],
+                            [values for _key, values in blocks],
+                        ),
+                        stats=stats,
+                        blocks=len(blocks),
+                    )
+                else:
+                    result = evaluator.evaluate(
+                        [
+                            (ordinal,) + record
+                            for ordinal, (_key, values) in enumerate(blocks)
+                            for record in values
+                        ],
+                        stats=stats,
+                        blocks=len(blocks),
+                    )
+                local_stats.merge(stats)
 
-            component_filters = filters[component_index]
-            for name, table in result.items():
-                keep = component_filters[name](component_block)
-                for coords, value in table.items():
-                    if keep(coords):
-                        yield (name, coords, value)
+                #: Output rows per block, before the ownership filter.
+                rows = [0] * len(blocks)
+                # Measures of one granularity share region tuples, as the
+                # unlifted tables do: answers are cached for a long time.
+                regions: dict = {}
+                component_filters = filters[component_index]
+                for name, table in result.items():
+                    filter_for = (
+                        None
+                        if component_filters is None
+                        else component_filters[name]
+                    )
+                    keeps: dict = {}
+                    for coords, value in table.items():
+                        ordinal = coords[0]
+                        rows[ordinal] += 1
+                        region = regions.get(coords)
+                        if region is None:
+                            region = regions[coords] = coords[1:]
+                        if filter_for is not None:
+                            keep = keeps.get(ordinal)
+                            if keep is None:
+                                keep = keeps[ordinal] = filter_for(
+                                    blocks[ordinal][0]
+                                )
+                            if not keep(region):
+                                continue
+                        outputs.append((name, region, value))
 
-        return reducer
+                for (_key, values), produced in zip(blocks, rows):
+                    size = len(values)
+                    ctx.charge_sort(size, size * value_width)
+                    ctx.charge_eval(size if early else size + produced)
+            return outputs
+
+        return reduce_task
 
     # -- whole query ----------------------------------------------------------------------
 
@@ -451,8 +517,8 @@ class ParallelEvaluator:
 
         *cancel* (a :class:`repro.parallel.cancel.CancellationToken`)
         makes the evaluation cooperative: the token is checked before
-        planning, per map task, and per reduced block, and a tripped
-        token unwinds the run with
+        planning, per map task, and per reduce task and component, and a
+        tripped token unwinds the run with
         :class:`~repro.parallel.cancel.DeadlineExceededError`.
         """
         if self.config.early_aggregation and not (
@@ -491,8 +557,8 @@ class ParallelEvaluator:
             use_columnar = vectorized_supports(workflow)
             columnar_stats = ColumnarStats() if use_columnar else None
             mapper = self._make_mapper(query_plan)
-            reducer = self._make_reducer(
-                query_plan, record_bytes, local_stats, served_blocks
+            reduce_task = self._make_reducer(
+                query_plan, record_bytes, local_stats, served_blocks, cancel
             )
             map_batch = (
                 self._make_map_batch(
@@ -504,12 +570,13 @@ class ParallelEvaluator:
             if cancel is not None:
                 cancel.check()
                 mapper = _cancellable(mapper, cancel)
-                reducer = _cancellable(reducer, cancel)
+                reduce_task = _cancellable(reduce_task, cancel)
                 if map_batch is not None:
                     map_batch = _cancellable(map_batch, cancel)
             job = MapReduceJob(
                 mapper=mapper,
-                reducer=reducer,
+                reducer=None,
+                reduce_task=reduce_task,
                 num_reducers=query_plan.num_reducers,
                 combiner=(
                     self._make_combiner(query_plan)
@@ -613,7 +680,7 @@ class ParallelEvaluator:
 
 
 def _cancellable(fn, cancel: CancellationToken):
-    """Check *cancel* before every call into *fn* (map task, block)."""
+    """Check *cancel* before every call into *fn* (map or reduce task)."""
 
     def guarded(*args, **kwargs):
         cancel.check()
@@ -622,24 +689,32 @@ def _cancellable(fn, cancel: CancellationToken):
     return guarded
 
 
-def _merge_partials(basics, values) -> dict[str, MeasureTable]:
-    """Merge shipped accumulator states into basic measure tables.
+def _merge_partials(basics, blocks) -> dict[str, MeasureTable]:
+    """Merge a bucket's shipped accumulator states into basic tables.
 
-    States merge in sorted (measure, region) order so results are
-    deterministic regardless of shuffle arrival order.  For float-valued
-    algebraic aggregates the merge order still differs from the
-    centralized per-record fold, so values may differ from a non-early
-    run by floating-point rounding -- an inherent property of partial
-    aggregation, not of this implementation.
+    *blocks* holds one list of shipped values per block of the bucket
+    and *basics* the lifted basic measures: each state's region gains
+    its block's ordinal as leading coordinate, so states of different
+    blocks never merge.  States merge in sorted (measure, region) order
+    so results are deterministic regardless of shuffle arrival order.
+    For float-valued algebraic aggregates the merge order still differs
+    from the centralized per-record fold, so values may differ from a
+    non-early run by floating-point rounding -- an inherent property of
+    partial aggregation, not of this implementation.
     """
+    tagged = []
+    for ordinal, values in enumerate(blocks):
+        lead = (ordinal,)
+        for value in values:
+            if value[0] != _PARTIAL:
+                raise ValueError(
+                    "early aggregation reducer received a raw record; "
+                    "the combiner did not run"
+                )
+            tagged.append((value[1], lead + value[2], value[3]))
+    tagged.sort(key=itemgetter(0, 1))
     merged: list[dict[tuple, object]] = [{} for _ in basics]
-    for value in sorted(values, key=lambda v: (v[1], v[2])):
-        tag, index, coords, state = value
-        if tag != _PARTIAL:
-            raise ValueError(
-                "early aggregation reducer received a raw record; "
-                "the combiner did not run"
-            )
+    for index, coords, state in tagged:
         measure = basics[index]
         existing = merged[index].get(coords)
         merged[index][coords] = (

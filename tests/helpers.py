@@ -9,6 +9,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.local.measure_table import MeasureTable
+from repro.local.sortscan import BlockEvaluator, LocalStats
+from repro.parallel.executor import (
+    _PARTIAL,
+    _PARTIAL_STATE_BYTES,
+    ParallelEvaluator,
+)
 from repro.query.measures import Relationship
 
 
@@ -125,3 +132,110 @@ def assert_results_match(result_set, reference, approx=1e-9):
                 )
             else:
                 assert got == value, f"{name}{coords}: {got} != {value}"
+
+
+# -- the per-block reducer loop, kept as a test oracle ------------------------
+
+
+def per_block_reducer(
+    plan, record_bytes, local_stats, served_blocks, early, tracer=None
+):
+    """The ``MapReduceJob`` reducer :class:`ParallelEvaluator` ran before
+    it evaluated whole buckets: one :class:`BlockEvaluator` call, one
+    owned-region filter and one set of clock charges per block.
+
+    Built from the unlifted pieces only (``BlockEvaluator``,
+    ``make_result_filter``, its own partial-state merge), so it shares
+    nothing with the bucket reducer it is compared against.
+    """
+    evaluators = []
+    filters = []
+    basics_by_component = []
+    for component, subplan in plan.subplans:
+        evaluators.append(BlockEvaluator(component, tracer=tracer))
+        filters.append(
+            {
+                measure.name: subplan.scheme.make_result_filter(
+                    measure.granularity
+                )
+                for measure in component.measures
+            }
+        )
+        basics_by_component.append(list(component.basic_measures()))
+
+    def merge_partials(basics, values):
+        merged = [{} for _ in basics]
+        for tag, index, coords, state in sorted(
+            values, key=lambda v: (v[1], v[2])
+        ):
+            assert tag == _PARTIAL
+            existing = merged[index].get(coords)
+            merged[index][coords] = (
+                state
+                if existing is None
+                else basics[index].aggregate.merge(existing, state)
+            )
+        return {
+            measure.name: MeasureTable(
+                measure.granularity,
+                {
+                    coords: measure.aggregate.finalize(state)
+                    for coords, state in merged[index].items()
+                },
+            )
+            for index, measure in enumerate(basics)
+        }
+
+    def reducer(block_key, values, ctx):
+        served_blocks.add(block_key)
+        component_index = block_key[0]
+        component_block = block_key[1:]
+        evaluator = evaluators[component_index]
+        stats = LocalStats()
+        if early:
+            tables = merge_partials(
+                basics_by_component[component_index], values
+            )
+            ctx.charge_sort(len(values), len(values) * _PARTIAL_STATE_BYTES)
+            result = evaluator.evaluate(basic_tables=tables, stats=stats)
+            ctx.charge_eval(len(values))
+        else:
+            ctx.charge_sort(len(values), len(values) * record_bytes)
+            result = evaluator.evaluate(values, stats=stats)
+            ctx.charge_eval(stats.records + stats.output_rows)
+        local_stats.merge(stats)
+
+        component_filters = filters[component_index]
+        for name, table in result.items():
+            keep = component_filters[name](component_block)
+            for coords, value in table.items():
+                if keep(coords):
+                    yield (name, coords, value)
+
+    return reducer
+
+
+class PerBlockLoopEvaluator(ParallelEvaluator):
+    """A :class:`ParallelEvaluator` whose reduce tasks run the per-block
+    loop: same planning, map side, engine and reporting, so everything
+    but the reducer is shared with the evaluator under test."""
+
+    def _make_reducer(
+        self, plan, record_bytes, local_stats, served_blocks, cancel
+    ):
+        reducer = per_block_reducer(
+            plan,
+            record_bytes,
+            local_stats,
+            served_blocks,
+            early=self.config.early_aggregation,
+            tracer=self.tracer,
+        )
+
+        def reduce_task(groups, ctx):
+            outputs = []
+            for block_key, values in groups:
+                outputs.extend(reducer(block_key, values, ctx))
+            return outputs
+
+        return reduce_task

@@ -115,3 +115,62 @@ class TestEvaluatorCancellation:
             SimulatedCluster(ClusterConfig(machines=4))
         ).evaluate(workflow, records, cancel=token)
         assert cancellable.result == plain.result
+
+
+class TestReduceTaskCancellation:
+    """The deadline reaches the whole-task reduce hook."""
+
+    @staticmethod
+    def expire_after_first_evaluation(monkeypatch, clock):
+        from repro.local.sortscan import BlockEvaluator
+
+        calls = []
+        original = BlockEvaluator.evaluate
+
+        def evaluate_then_expire(self, *args, **kwargs):
+            calls.append(self)
+            result = original(self, *args, **kwargs)
+            clock.now = 11.0
+            return result
+
+        monkeypatch.setattr(BlockEvaluator, "evaluate", evaluate_then_expire)
+        return calls
+
+    def test_expiry_after_first_reduce_task(self, monkeypatch, tiny_workflow):
+        from repro.parallel import ExecutionConfig
+
+        records = [(i % 16, i % 32, 1) for i in range(400)]
+        clock = FakeClock(now=0.0)
+        token = CancellationToken(deadline=10.0, clock=clock)
+        calls = self.expire_after_first_evaluation(monkeypatch, clock)
+        num_reducers = 4
+        evaluator = ParallelEvaluator(
+            SimulatedCluster(ClusterConfig(machines=4)),
+            ExecutionConfig(num_reducers=num_reducers),
+        )
+        with pytest.raises(DeadlineExceededError):
+            evaluator.evaluate(tiny_workflow, records, cancel=token)
+        assert 0 < len(calls) < num_reducers
+
+    def test_expiry_between_components_of_one_task(
+        self, monkeypatch, tiny_schema
+    ):
+        from repro.parallel import ExecutionConfig
+        from repro.query import WorkflowBuilder
+
+        builder = WorkflowBuilder(tiny_schema)
+        builder.basic("a", over={"x": "value"}, field="v", aggregate="sum")
+        builder.basic("b", over={"t": "tick"}, field="v", aggregate="count")
+        workflow = builder.build()
+        records = [(i % 16, i % 32, 1) for i in range(400)]
+        clock = FakeClock(now=0.0)
+        token = CancellationToken(deadline=10.0, clock=clock)
+        calls = self.expire_after_first_evaluation(monkeypatch, clock)
+        evaluator = ParallelEvaluator(
+            SimulatedCluster(ClusterConfig(machines=4)),
+            ExecutionConfig(num_reducers=1),
+        )
+        with pytest.raises(DeadlineExceededError):
+            evaluator.evaluate(workflow, records, cancel=token)
+        # One reduce task, two components: the second never ran.
+        assert len(calls) == 1
