@@ -23,6 +23,8 @@ of ints are exact in both), which the test suite asserts.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.cube.batches import RecordBatch, row_tuples
@@ -142,12 +144,22 @@ class VectorizedBlockEvaluator:
     Falls back to the scalar :class:`BlockEvaluator` whenever the
     workflow uses unsupported basic aggregates; composite measures
     always run through the shared operators, so results are identical
-    either way.
+    either way.  *attribute_order* is handed to that scalar half
+    (:func:`repro.local.lifting.vectorized_bucket_evaluator` keeps the
+    unlifted workflow's order behind the block ordinal).
     """
 
-    def __init__(self, workflow: Workflow):
+    def __init__(
+        self,
+        workflow: Workflow,
+        attribute_order: Sequence[int] | None = None,
+    ):
         self.workflow = workflow
-        self._scalar = BlockEvaluator(workflow)
+        #: The exact scalar evaluator every fallback (and the composite
+        #: phase) runs through.
+        self.scalar = BlockEvaluator(
+            workflow, attribute_order=attribute_order
+        )
         self.accelerated = vectorized_supports(workflow)
         # Pure-ALIGN composites anchor their regions on the raw records;
         # only then does the composite phase need the scalar tuples back.
@@ -169,25 +181,25 @@ class VectorizedBlockEvaluator:
         if isinstance(records, RecordBatch):
             return self._evaluate_batch(records, stats)
         if not self.accelerated:
-            return self._scalar.evaluate(records, stats=stats)
+            return self.scalar.evaluate(records, stats=stats)
         block = records if isinstance(records, list) else list(records)
         if stats is None:
             stats = LocalStats()
         if not block:
-            return self._scalar.evaluate([], stats=stats)
+            return self.scalar.evaluate([], stats=stats)
 
         matrix = np.asarray(block)
         if not np.issubdtype(matrix.dtype, np.integer):
             # Float (or object) fact values: casting to int64 would
             # silently truncate them, so take the scalar path instead.
-            return self._scalar.evaluate(block, stats=stats)
+            return self.scalar.evaluate(block, stats=stats)
         if matrix.size and int(np.abs(matrix).max()) > (2**62) // max(
             1, len(block)
         ):
             # Conservative overflow guard: int64 reductions wrap
             # silently; huge values go through arbitrary-precision
             # Python ints on the scalar path instead.
-            return self._scalar.evaluate(block, stats=stats)
+            return self.scalar.evaluate(block, stats=stats)
         return self._evaluate_matrix(matrix, block, stats)
 
     def _evaluate_batch(
@@ -198,7 +210,7 @@ class VectorizedBlockEvaluator:
         if not self.accelerated or not len(batch) or not (
             batch.reduction_safe()
         ):
-            return self._scalar.evaluate(batch.to_records(), stats=stats)
+            return self.scalar.evaluate(batch.to_records(), stats=stats)
         block = batch.to_records() if self._needs_anchor_records else None
         return self._evaluate_matrix(batch.matrix, block, stats)
 
@@ -223,7 +235,7 @@ class VectorizedBlockEvaluator:
             )
         # Composite phase: identical code path to the scalar evaluator;
         # records ride along so pure-ALIGN measures can anchor regions.
-        return self._scalar.evaluate(
+        return self.scalar.evaluate(
             records=block, basic_tables=tables, stats=stats
         )
 

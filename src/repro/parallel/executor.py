@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.cube.batches import RecordBatch
 from repro.cube.records import Record, estimated_record_bytes
-from repro.local.lifting import bucket_evaluator
+from repro.local.lifting import bucket_evaluator, unlift_outputs
 from repro.local.measure_table import MeasureTable, ResultSet
 from repro.local.sortscan import LocalStats
 from repro.local.vectorized import (
@@ -462,35 +462,13 @@ class ParallelEvaluator:
                     )
                 local_stats.merge(stats)
 
-                #: Output rows per block, before the ownership filter.
-                rows = [0] * len(blocks)
-                # Measures of one granularity share region tuples, as the
-                # unlifted tables do: answers are cached for a long time.
-                regions: dict = {}
-                component_filters = filters[component_index]
-                for name, table in result.items():
-                    filter_for = (
-                        None
-                        if component_filters is None
-                        else component_filters[name]
-                    )
-                    keeps: dict = {}
-                    for coords, value in table.items():
-                        ordinal = coords[0]
-                        rows[ordinal] += 1
-                        region = regions.get(coords)
-                        if region is None:
-                            region = regions[coords] = coords[1:]
-                        if filter_for is not None:
-                            keep = keeps.get(ordinal)
-                            if keep is None:
-                                keep = keeps[ordinal] = filter_for(
-                                    blocks[ordinal][0]
-                                )
-                            if not keep(region):
-                                continue
-                        outputs.append((name, region, value))
-
+                rows = unlift_outputs(
+                    result,
+                    filters[component_index],
+                    lambda ordinal: blocks[ordinal][0],
+                    len(blocks),
+                    outputs,
+                )
                 for (_key, values), produced in zip(blocks, rows):
                     size = len(values)
                     ctx.charge_sort(size, size * value_width)
@@ -744,11 +722,12 @@ def _value_bytes(record_bytes: int):
 
 
 def union_outputs(workflow: Workflow, outputs) -> ResultSet:
-    """Union per-block ``(measure, coords, value)`` rows.
+    """Union the reduce tasks' ``(measure, coords, value)`` rows.
 
     Fails loudly on any duplicated region -- the invariant a feasible
-    distribution scheme guarantees.  Shared by every backend that
-    gathers per-block results.
+    distribution scheme guarantees.  Shared by both backends: each
+    gathers one row list per reduce task, every row already filtered to
+    the region its block owns.
     """
     tables = {
         measure.name: MeasureTable(measure.granularity)

@@ -3,9 +3,16 @@
 The simulated cluster measures *what the paper measured*; this backend
 demonstrates the paper's closing remark that the algorithm "can be
 implemented in any OLAP system which supports scatter-and-gather": the
-same plan -- feasible key, clustering factor, per-block local sort/scan,
-owned-region filtering -- executed across real OS processes with
-:mod:`concurrent.futures`.
+same plan -- feasible key, clustering factor, one local sort/scan per
+bucket, owned-region filtering -- executed across real OS processes
+with :mod:`concurrent.futures`.
+
+Each gather task carries one reducer bucket of blocks.  A worker
+evaluates all of a component's blocks in the bucket with one call of a
+lifted evaluator (:mod:`repro.local.lifting`): every record is tagged
+with its block's ordinal in the bucket, which leads the sort key and is
+a coordinate of every region, so the paper's composite-key sort
+(Section III-D) keeps the blocks apart.
 
 Unlike a plain ``pool.map``, the gather side survives real failures the
 way a MapReduce master does:
@@ -18,9 +25,9 @@ way a MapReduce master does:
   final union stays duplicate-free (owned-region filtering already
   guarantees block-disjoint outputs);
 * a worker process dying (``BrokenProcessPool``) rebuilds the pool and
-  re-runs only the unfinished blocks;
+  re-runs only the unfinished tasks;
 * an attempt exceeding ``task_timeout`` is abandoned and re-dispatched;
-* when a block exhausts its budget the evaluator degrades gracefully:
+* when a task exhausts its budget the evaluator degrades gracefully:
   it falls back to :func:`repro.local.evaluate_centralized`, so the
   answer never changes -- only the speedup is lost.
 
@@ -65,12 +72,14 @@ from repro.cube.records import Record, Schema
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
-from repro.local.measure_table import ResultSet
-from repro.local.sortscan import BlockEvaluator, evaluate_centralized
-from repro.local.vectorized import (
-    VectorizedBlockEvaluator,
-    vectorized_supports,
+from repro.local.lifting import (
+    lift_batch,
+    unlift_outputs,
+    vectorized_bucket_evaluator,
 )
+from repro.local.measure_table import ResultSet
+from repro.local.sortscan import evaluate_centralized
+from repro.local.vectorized import vectorized_supports
 from repro.mapreduce.engine import stable_hash
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
 from repro.obs.tracectx import (
@@ -128,25 +137,28 @@ def _init_worker(
         for component in connected_components(workflow)
     }
     evaluators = []
-    vector_evaluators = []
     filters = []
     for names, key_spec, factors in scheme_specs:
         component = by_names[frozenset(names)]
         key = DistributionKey(
             schema, tuple(KeyComponent(*spec) for spec in key_spec)
         )
-        scheme = BlockScheme(key, dict(factors))
-        evaluators.append(BlockEvaluator(component))
-        vector_evaluators.append(VectorizedBlockEvaluator(component))
-        filters.append(
-            {
-                measure.name: scheme.make_result_filter(measure.granularity)
-                for measure in component.measures
-            }
-        )
+        evaluators.append(vectorized_bucket_evaluator(component))
+        # Without an annotation every block owns all it computes.
+        if key.is_overlapping:
+            scheme = BlockScheme(key, dict(factors))
+            filters.append(
+                {
+                    measure.name: scheme.make_result_filter(
+                        measure.granularity
+                    )
+                    for measure in component.measures
+                }
+            )
+        else:
+            filters.append(None)
     _WORKER["schema"] = schema
     _WORKER["evaluators"] = evaluators
-    _WORKER["vector_evaluators"] = vector_evaluators
     _WORKER["filters"] = filters
     # Telemetry channel: cumulative totals since worker start, flushed
     # with a monotone sequence number after every finished task.
@@ -215,49 +227,73 @@ def _record_task_span(task: int, attempt: int, started: float,
 
 
 def _reduce_bucket(bucket) -> list:
-    """Evaluate one reducer's blocks; runs inside a worker process."""
+    """Evaluate one reducer bucket; runs inside a worker process.
+
+    A record-list bucket's blocks are grouped by component, their
+    records tagged ``(ordinal,) + record`` and evaluated in one call of
+    the component's lifted scalar evaluator.
+    """
     if isinstance(bucket, ShmBucket):
         return _reduce_shm_bucket(bucket)
-    rows = []
+    by_component: dict[int, list] = defaultdict(list)
     for block_key, records in bucket:
-        component_index = block_key[0]
-        evaluator = _WORKER["evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(records)
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
-            rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
-            )
+        by_component[block_key[0]].append((block_key[1:], records))
+    rows: list = []
+    for component_index, blocks in sorted(by_component.items()):
+        result = _WORKER["evaluators"][component_index].scalar.evaluate(
+            [
+                (ordinal,) + record
+                for ordinal, (_key, records) in enumerate(blocks)
+                for record in records
+            ]
+        )
+        unlift_outputs(
+            result,
+            _WORKER["filters"][component_index],
+            lambda ordinal: blocks[ordinal][0],
+            len(blocks),
+            rows,
+        )
     return rows
 
 
 def _evaluate_shm_view(view) -> list:
-    """Evaluate every block of an attached shm bucket.
+    """Evaluate an attached shm bucket, one call per component.
 
-    Each block is a fancy-indexed slice of the mapped batch handed to
-    the vectorized evaluator, which falls back to the scalar path
-    internally whenever it cannot produce bit-identical results.
-    Separated from :func:`_reduce_shm_bucket` so that when this frame
-    returns, every array view into the shared mapping is dead and the
-    caller's ``close()`` can actually unmap the segment.
+    Each component's blocks are selected by key column 0; their payload
+    rows, fancy-indexed out of the mapped batch, gain the block ordinal
+    as a leading column and go to the lifted vectorized evaluator in
+    one batch, which falls back to the scalar path internally whenever
+    it cannot produce bit-identical results.  Separated from
+    :func:`_reduce_shm_bucket` so that when this frame returns, every
+    array view into the shared mapping is dead and the caller's
+    ``close()`` can actually unmap the segment.
     """
     batch = view.batch(_WORKER["schema"])
-    rows = []
-    for block_key, block_rows in view.blocks():
-        component_index = block_key[0]
-        evaluator = _WORKER["vector_evaluators"][component_index]
-        component_filters = _WORKER["filters"][component_index]
-        result = evaluator.evaluate(batch.take(block_rows))
-        for name, table in result.items():
-            keep = component_filters[name](block_key[1:])
-            rows.extend(
-                (name, coords, value)
-                for coords, value in table.items()
-                if keep(coords)
+    keys, counts, indices = view.block_arrays()
+    components = keys[:, 0]
+    entry_components = np.repeat(components, counts)
+    rows: list = []
+    for component_index in np.unique(components).tolist():
+        evaluator = _WORKER["evaluators"][component_index]
+        mine = components == component_index
+        sizes = counts[mine]
+        ordinals = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        result = evaluator.evaluate(
+            lift_batch(
+                evaluator.workflow.schema,
+                ordinals,
+                batch.take(indices[entry_components == component_index]),
             )
+        )
+        block_keys = keys[mine, 1:].tolist()
+        unlift_outputs(
+            result,
+            _WORKER["filters"][component_index],
+            lambda ordinal: tuple(block_keys[ordinal]),
+            len(sizes),
+            rows,
+        )
     return rows
 
 
@@ -271,6 +307,22 @@ def _reduce_shm_bucket(bucket: ShmBucket) -> list:
         return _evaluate_shm_view(view)
     finally:
         view.close()
+
+
+def _scheme_specs(plan) -> list:
+    """Each component's measure names, key and clustering factors, in
+    the picklable form :func:`_init_worker` rebuilds its schemes from."""
+    return [
+        (
+            tuple(component.names),
+            tuple(
+                (c.level, c.low, c.high)
+                for c in subplan.scheme.key.components
+            ),
+            tuple(sorted(subplan.scheme.clustering_factors.items())),
+        )
+        for component, subplan in plan.subplans
+    ]
 
 
 def _bucket_block_count(bucket) -> int:
@@ -547,34 +599,12 @@ class MultiprocessEvaluator:
             )
             transport = "shm"
         else:
-            blocks: dict[tuple, list] = defaultdict(list)
-            for index, (_component, subplan) in enumerate(plan.subplans):
-                mapper = subplan.scheme.make_mapper()
-                for record in records:
-                    for block_key in mapper(record):
-                        blocks[(index,) + block_key].append(record)
-            buckets = [[] for _ in range(partitions)]
-            replicated = 0
-            for block_key, block_records in blocks.items():
-                replicated += len(block_records)
-                buckets[stable_hash(block_key) % partitions].append(
-                    (block_key, block_records)
-                )
-            num_blocks = len(blocks)
+            buckets, num_blocks, replicated = self._scatter_records(
+                records, plan, partitions
+            )
             transport = "records"
             transport_seconds = None
 
-        scheme_specs = [
-            (
-                tuple(component.names),
-                tuple(
-                    (c.level, c.low, c.high)
-                    for c in subplan.scheme.key.components
-                ),
-                tuple(sorted(subplan.scheme.clustering_factors.items())),
-            )
-            for component, subplan in plan.subplans
-        ]
         # Telemetry channel: a managed queue is picklable into worker
         # initargs (a plain multiprocessing.Queue is not); the manager
         # process only exists while telemetry or tracing is on (worker
@@ -596,7 +626,7 @@ class MultiprocessEvaluator:
         init_args = (
             workflow_to_dict(workflow, expressions=self.expressions),
             workflow.schema,
-            scheme_specs,
+            _scheme_specs(plan),
             self.expressions,
             self.function_factories,
             telemetry_queue,
@@ -653,7 +683,7 @@ class MultiprocessEvaluator:
                 self._drain_telemetry(telemetry_queue)
                 report.workers = self.telemetry.worker_totals()
                 if row_lists is None:
-                    # Graceful degradation: some block exhausted its
+                    # Graceful degradation: some task exhausted its
                     # retry budget.  The centralized oracle computes
                     # the same answer -- we lose the speedup, never
                     # the result.
@@ -701,7 +731,32 @@ class MultiprocessEvaluator:
         self._record_metrics(report)
         return result, report
 
-    # -- columnar scatter ----------------------------------------------------------
+    # -- scatter -------------------------------------------------------------------
+
+    @staticmethod
+    def _scatter_records(
+        records: list, plan, partitions: int
+    ) -> tuple[list, int, int]:
+        """Replicate records into blocks and group blocks into buckets.
+
+        Returns ``(buckets, num_blocks, replicated_records)``: one list
+        of ``(block_key, records)`` entries per partition, assigned by
+        stable hash of the block key.
+        """
+        blocks: dict[tuple, list] = defaultdict(list)
+        for index, (_component, subplan) in enumerate(plan.subplans):
+            mapper = subplan.scheme.make_mapper()
+            for record in records:
+                for block_key in mapper(record):
+                    blocks[(index,) + block_key].append(record)
+        buckets: list[list] = [[] for _ in range(partitions)]
+        replicated = 0
+        for block_key, block_records in blocks.items():
+            replicated += len(block_records)
+            buckets[stable_hash(block_key) % partitions].append(
+                (block_key, block_records)
+            )
+        return buckets, len(blocks), replicated
 
     @staticmethod
     def _scatter_columnar(

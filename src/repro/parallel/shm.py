@@ -310,7 +310,7 @@ class ShmBucketView:
     """A worker's live view of a :class:`ShmBucket`.
 
     All arrays are views straight into the shared mapping -- nothing is
-    copied until the evaluator fancy-indexes per-block slices.  Close
+    copied until the evaluator fancy-indexes a task's rows.  Close
     **after** dropping every derived array: a mapping with live views
     cannot be unmapped, and :meth:`close` falls back to leaking the map
     (reclaimed at worker exit) rather than failing the task.
@@ -351,15 +351,23 @@ class ShmBucketView:
             )
         return RecordBatch(schema, tuple(columns), length=bucket.length)
 
-    def blocks(self) -> list:
-        """The ``(block_key, row index array)`` entries (key tuples copy,
-        index arrays stay views)."""
+    def block_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, counts, indices)`` as views: the block-key matrix
+        (one row per block), each block's row count, and every block's
+        payload row indices concatenated in block order."""
         rows, cols, offset = self.bucket.keys
         keys = self._array("i8", offset, rows * cols).reshape(rows, cols)
         counts_offset, num_blocks = self.bucket.counts
         counts = self._array("i8", counts_offset, num_blocks)
         indices_offset, total = self.bucket.indices
         indices = self._array("i8", indices_offset, total)
+        return keys, counts, indices
+
+    def blocks(self) -> list:
+        """The ``(block_key, row index array)`` entries (key tuples copy,
+        index arrays stay views)."""
+        keys, counts, indices = self.block_arrays()
+        num_blocks = len(counts)
         offsets = np.zeros(num_blocks + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return [

@@ -11,11 +11,13 @@ from collections import defaultdict
 
 from repro.local.measure_table import MeasureTable
 from repro.local.sortscan import BlockEvaluator, LocalStats
+from repro.local.vectorized import VectorizedBlockEvaluator
 from repro.parallel.executor import (
     _PARTIAL,
     _PARTIAL_STATE_BYTES,
     ParallelEvaluator,
 )
+from repro.parallel.shm import ShmBucket
 from repro.query.measures import Relationship
 
 
@@ -134,7 +136,7 @@ def assert_results_match(result_set, reference, approx=1e-9):
                 assert got == value, f"{name}{coords}: {got} != {value}"
 
 
-# -- the per-block reducer loop, kept as a test oracle ------------------------
+# -- the per-block reducer loops, kept as test oracles ------------------------
 
 
 def per_block_reducer(
@@ -213,6 +215,66 @@ def per_block_reducer(
                     yield (name, coords, value)
 
     return reducer
+
+
+def per_block_task_rows(plan, schema, bucket):
+    """The rows a :class:`~repro.parallel.multiprocess.MultiprocessEvaluator`
+    worker task returned before it evaluated whole buckets: one
+    evaluator call and one owned-region filter per block.
+
+    *bucket* is a gather task's bucket in either transport: an
+    :class:`~repro.parallel.shm.ShmBucket` (each block a fancy-indexed
+    slice of the mapped batch, through :class:`VectorizedBlockEvaluator`)
+    or a ``(block_key, records)`` list (through :class:`BlockEvaluator`).
+    Built from the unlifted pieces only, with a filter for every key, so
+    it shares nothing with the lifted worker it is compared against.
+    """
+    components = [component for component, _subplan in plan.subplans]
+    filters = [
+        {
+            measure.name: subplan.scheme.make_result_filter(
+                measure.granularity
+            )
+            for measure in component.measures
+        }
+        for component, subplan in plan.subplans
+    ]
+
+    def owned(block_key, result):
+        component_filters = filters[block_key[0]]
+        for name, table in result.items():
+            keep = component_filters[name](block_key[1:])
+            for coords, value in table.items():
+                if keep(coords):
+                    yield (name, coords, value)
+
+    rows = []
+    if not isinstance(bucket, ShmBucket):
+        evaluators = [BlockEvaluator(component) for component in components]
+        for block_key, records in bucket:
+            result = evaluators[block_key[0]].evaluate(records)
+            rows.extend(owned(block_key, result))
+        return rows
+
+    evaluators = [
+        VectorizedBlockEvaluator(component) for component in components
+    ]
+
+    def evaluate_view(view):
+        # Its own frame: every view into the mapping dies before close().
+        batch = view.batch(schema)
+        for block_key, block_rows in view.blocks():
+            result = evaluators[block_key[0]].evaluate(
+                batch.take(block_rows)
+            )
+            rows.extend(owned(block_key, result))
+
+    view = bucket.attach()
+    try:
+        evaluate_view(view)
+    finally:
+        view.close()
+    return rows
 
 
 class PerBlockLoopEvaluator(ParallelEvaluator):
