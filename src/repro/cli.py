@@ -89,8 +89,8 @@ from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.dfs import DataUnavailableError
 from repro.mapreduce.timing import ClusterConfig
 from repro.obs import (
-    MetricsRegistry,
     RunManifest,
+    TelemetryRegistry,
     Tracer,
     configure_logging,
     diff_manifests,
@@ -318,14 +318,18 @@ def _add_telemetry_arguments(
         )
 
 
-def _make_telemetry(args):
-    """``(registry, log_writer)`` for the run, or ``(None, None)``."""
+def _make_telemetry(args, keep: bool = False):
+    """``(registry, log_writer)`` for the run.
+
+    Without ``--telemetry`` that is ``(None, None)`` -- or, with *keep*
+    (commands whose manifest carries the registry), a registry with no
+    writer.
+    """
     if getattr(args, "prom", None) and not getattr(args, "telemetry", None):
         raise SystemExit("--prom requires --telemetry")
     if not getattr(args, "telemetry", None):
-        return None, None
+        return (TelemetryRegistry() if keep else None), None
     from repro.obs.exposition import TelemetryLogWriter
-    from repro.obs.telemetry import TelemetryRegistry
 
     registry = TelemetryRegistry()
     try:
@@ -338,7 +342,7 @@ def _make_telemetry(args):
 
 def _finish_telemetry(args, registry, writer) -> None:
     """Write the terminal frame and the optional Prometheus snapshot."""
-    if registry is None:
+    if writer is None:
         return
     writer.close(registry)
     print(f"wrote {writer.frames_written} telemetry frames to "
@@ -598,12 +602,10 @@ def _cmd_batch(args) -> int:
     cluster = _build_cluster(args)
     cache = MeasureCache(args.cache_dir) if args.cache_dir else None
     config = ExecutionConfig()
-    metrics = MetricsRegistry()
-    telemetry, telemetry_writer = _make_telemetry(args)
+    telemetry, telemetry_writer = _make_telemetry(args, keep=True)
     evaluator = BatchEvaluator(
         cluster,
         config,
-        metrics=metrics,
         cache=cache,
         group_retries=args.group_retries,
         telemetry=telemetry,
@@ -641,7 +643,7 @@ def _cmd_batch(args) -> int:
             outcome,
             cluster_config=cluster.config,
             execution_config=config,
-            metrics=metrics,
+            telemetry=telemetry.snapshot(final=True),
         )
         try:
             manifest.write(args.manifest)
@@ -1151,15 +1153,13 @@ def _cmd_trace(args) -> int:
     tracer = Tracer(
         on_event=progress_sink() if args.verbose else None
     )
-    metrics = MetricsRegistry()
     config = ExecutionConfig(
         early_aggregation=args.early_aggregation,
         optimizer=OptimizerConfig(use_sampling=args.sampling),
     )
-    telemetry, telemetry_writer = _make_telemetry(args)
+    telemetry, telemetry_writer = _make_telemetry(args, keep=True)
     evaluator = ParallelEvaluator(
-        cluster, config, tracer=tracer, metrics=metrics,
-        telemetry=telemetry,
+        cluster, config, tracer=tracer, telemetry=telemetry,
     )
     with _MaybeProfiler(args.profile):
         outcome = _evaluate_or_die(evaluator, workflow, records, cluster)
@@ -1186,8 +1186,7 @@ def _cmd_trace(args) -> int:
         query=query_text,
         cluster_config=cluster.config,
         execution_config=config,
-        metrics=metrics,
-        telemetry=telemetry.snapshot(final=True) if telemetry else {},
+        telemetry=telemetry.snapshot(final=True),
     )
     try:
         manifest.write(manifest_path)

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, run manifests and exporters.
+"""Observability: tracing, one metric registry, run manifests, exporters.
 
 The paper's argument is about *where time goes* -- per-phase makespans,
 per-reducer loads, optimizer predictions versus reality.  This package
@@ -7,14 +7,12 @@ makes those signals first-class and machine-readable:
 * :class:`Tracer` -- nested span events carrying wall-clock *and*
   simulated-clock timestamps plus structured attributes; disabled code
   paths use the no-op :data:`NULL_TRACER` at near-zero cost;
-* :class:`MetricsRegistry` -- named counters/gauges/histograms fed by
-  job counters, reducer loads and optimizer decisions;
 * exporters -- JSONL event logs, Chrome trace-event JSON (viewable in
   Perfetto / ``chrome://tracing`` with per-slot task tracks), and a
   live ``--verbose`` progress sink;
 * :class:`RunManifest` -- one JSON artifact per evaluation (plan,
-  config, counters, breakdown, environment, git sha) consumed by
-  ``repro stats``;
+  config, counters, breakdown, final telemetry frame, environment, git
+  sha) consumed by ``repro stats``;
 * :class:`CalibrationReport` -- the cost model's predicted max load,
   shuffle volume and block count joined against what the run measured
   (Formula 2/4 relative error, per-reducer load histogram);
@@ -25,13 +23,14 @@ makes those signals first-class and machine-readable:
   manifests with regression thresholds, behind ``repro diff``;
 * :func:`configure_logging` -- one consistent handler for the whole
   ``repro.*`` logger hierarchy;
-* :class:`TelemetryRegistry` -- the live telemetry plane: streaming
-  histograms, EWMA rate meters, windowed gauges, phase progress, and
-  per-worker resource sections merged from the multiprocess channel;
-  :data:`NULL_TELEMETRY` is its no-op twin.  Exposed as Prometheus
-  text (:func:`prometheus_text`), a JSONL frame log
-  (:class:`TelemetryLogWriter` / :func:`read_telemetry_frames`), and
-  the ``repro top`` dashboard (:func:`render_frame` /
+* :class:`TelemetryRegistry` -- the one metric registry: counters
+  (job counters among them), streaming histograms (reducer loads),
+  EWMA rate meters, windowed gauges (optimizer decisions, calibration
+  errors), phase progress, and per-worker resource sections merged
+  from the multiprocess channel; :data:`NULL_TELEMETRY` is its no-op
+  twin.  Exposed as Prometheus text (:func:`prometheus_text`), a JSONL
+  frame log (:class:`TelemetryLogWriter` /
+  :func:`read_telemetry_frames`), and the ``repro top`` dashboard (:func:`render_frame` /
   :func:`render_replay`);
 * :class:`WallProfiler` -- a sampling wall-clock profiler emitting
   collapsed stacks for flame graphs (``run --profile``);
@@ -86,7 +85,6 @@ from repro.obs.manifest import (
     counters_to_dict,
     environment_info,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import WallProfiler
 from repro.obs.slo import SloPolicy, SloTracker
 from repro.obs.telemetry import (
@@ -125,13 +123,9 @@ __all__ = [
     "CandidateExplanation",
     "ComponentCalibration",
     "ComponentExplanation",
-    "Counter",
     "FieldDelta",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "LedgerBook",
-    "MetricsRegistry",
     "NULL_QUERY_TRACER",
     "NULL_TELEMETRY",
     "NULL_TRACER",

@@ -5,9 +5,9 @@ re-run) one evaluation after the fact: the query, the chosen plan, the
 cluster and execution configuration, the full
 :class:`~repro.mapreduce.counters.JobCounters` and
 :class:`~repro.mapreduce.counters.PhaseBreakdown`, per-reducer loads,
-the metrics snapshot, and the environment (Python version, platform,
-git commit).  ``repro trace`` writes one next to every exported trace;
-``repro stats`` renders one back into a human summary.
+the final telemetry frame, and the environment (Python version,
+platform, git commit).  ``repro trace`` writes one next to every
+exported trace; ``repro stats`` renders one back into a human summary.
 
 Counters and breakdowns are serialized field-by-field via
 :func:`dataclasses.fields`, so the manifest schema follows the engine's
@@ -56,11 +56,13 @@ __all__ = [
 #: lifetime good/bad counts and windowed burn rates); v8 added the
 #: ``incremental`` section (the append flow's maintenance report:
 #: per-measure delta classification and patch/regional/derived/
-#: recomputed outcomes, fingerprints, partition-chain length).  Older
-#: manifests still load, with the newer sections empty; manifests
-#: *newer* than this reader load too, with a one-line warning and any
-#: unknown fields dropped.
-SCHEMA_VERSION = 8
+#: recomputed outcomes, fingerprints, partition-chain length); v9
+#: dropped the ``metrics`` section -- its counters, gauges and load
+#: histogram live in ``telemetry``.  Older manifests still load, with
+#: the newer sections empty and a v1-v8 ``metrics`` section dropped;
+#: manifests *newer* than this reader load too, with a one-line warning
+#: and any unknown fields dropped.
+SCHEMA_VERSION = 9
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +94,16 @@ def breakdown_to_dict(breakdown: PhaseBreakdown) -> dict:
 def breakdown_from_dict(data: dict) -> PhaseBreakdown:
     """Rebuild a :class:`PhaseBreakdown` from its mapping form."""
     return PhaseBreakdown(**data)
+
+
+def _config_section(cluster_config, execution_config) -> dict:
+    """The ``config`` section: whichever of the two dataclasses is set."""
+    config: dict = {}
+    if cluster_config is not None:
+        config["cluster"] = dataclasses.asdict(cluster_config)
+    if execution_config is not None:
+        config["execution"] = dataclasses.asdict(execution_config)
+    return config
 
 
 def git_revision() -> Optional[str]:
@@ -142,7 +154,6 @@ class RunManifest:
     load_imbalance: float
     config: dict = field(default_factory=dict)
     environment: dict = field(default_factory=environment_info)
-    metrics: dict = field(default_factory=dict)
     #: Fault plan, retry policy and per-phase recovery accounting when
     #: the run executed under chaos (empty for clean runs); mirrors
     #: :attr:`repro.mapreduce.counters.JobReport.faults`.
@@ -169,9 +180,11 @@ class RunManifest:
     #: high-water marks and end-to-end latency percentiles.  Empty for
     #: non-serving runs and manifests written before v5.
     serving: dict = field(default_factory=dict)
-    #: Final live-telemetry frame (schema v4):
+    #: Final telemetry frame (schema v4):
     #: :meth:`repro.obs.telemetry.TelemetryRegistry.snapshot` of the
-    #: run's last state.  Empty when telemetry was off.
+    #: run's last state -- job counters, ``job.*``/``optimizer.*``/
+    #: ``calibration.*`` gauges and the ``job.reducer_load`` histogram
+    #: for ``repro trace``/``batch``.  Empty when no registry was kept.
     telemetry: dict = field(default_factory=dict)
     #: Latency-attribution ledger book (schema v6):
     #: :meth:`repro.obs.ledger.LedgerBook.to_dict` -- per-query phase
@@ -209,7 +222,6 @@ class RunManifest:
         query: str = "",
         cluster_config=None,
         execution_config=None,
-        metrics=None,
         workers=None,
         telemetry=None,
     ) -> "RunManifest":
@@ -217,19 +229,12 @@ class RunManifest:
 
         *outcome* is a :class:`~repro.parallel.report.ParallelResult`
         (anything with ``.plan`` and ``.job``); the configs are the
-        dataclasses used for the run, *metrics* an optional
-        :class:`~repro.obs.metrics.MetricsRegistry`, *workers* the
-        per-worker sections from
-        :meth:`repro.obs.telemetry.TelemetryRegistry.worker_totals`,
-        and *telemetry* the final live-telemetry frame.
+        dataclasses used for the run, *workers* the per-worker sections
+        from :meth:`repro.obs.telemetry.TelemetryRegistry.worker_totals`,
+        and *telemetry* the registry's final snapshot.
         """
         report = outcome.job
         calibration = getattr(outcome, "calibration", None)
-        config: dict = {}
-        if cluster_config is not None:
-            config["cluster"] = dataclasses.asdict(cluster_config)
-        if execution_config is not None:
-            config["execution"] = dataclasses.asdict(execution_config)
         return cls(
             query=query,
             plan=outcome.plan.describe(),
@@ -240,8 +245,7 @@ class RunManifest:
             breakdown=breakdown_to_dict(report.breakdown),
             reducer_loads=list(report.reducer_loads),
             load_imbalance=report.load_imbalance,
-            config=config,
-            metrics=metrics.to_dict() if metrics is not None else {},
+            config=_config_section(cluster_config, execution_config),
             faults=dict(getattr(report, "faults", {}) or {}),
             calibration=(
                 calibration.to_dict() if calibration is not None else {}
@@ -256,7 +260,7 @@ class RunManifest:
         outcome,
         cluster_config=None,
         execution_config=None,
-        metrics=None,
+        telemetry=None,
     ) -> "RunManifest":
         """Build a manifest from a batch evaluation outcome.
 
@@ -264,7 +268,8 @@ class RunManifest:
         Counters, phase breakdowns and reducer loads aggregate over the
         batch's shared jobs; the ``batch`` section keeps the per-group
         detail (members, attempts, per-group calibration) plus the
-        component dispositions and cache traffic.
+        component dispositions and cache traffic.  *telemetry* is the
+        registry's final snapshot.
         """
         counters = JobCounters()
         breakdown = PhaseBreakdown()
@@ -306,11 +311,6 @@ class RunManifest:
             if loads and sum(loads)
             else 0.0
         )
-        config: dict = {}
-        if cluster_config is not None:
-            config["cluster"] = dataclasses.asdict(cluster_config)
-        if execution_config is not None:
-            config["execution"] = dataclasses.asdict(execution_config)
         plan = outcome.plan
         return cls(
             query="batch(" + ", ".join(sorted(outcome.results)) + ")",
@@ -325,8 +325,8 @@ class RunManifest:
             breakdown=breakdown_to_dict(breakdown),
             reducer_loads=loads,
             load_imbalance=imbalance,
-            config=config,
-            metrics=metrics.to_dict() if metrics is not None else {},
+            config=_config_section(cluster_config, execution_config),
+            telemetry=dict(telemetry or {}),
             batch={
                 "queries": sorted(outcome.results),
                 "groups": groups,
@@ -363,11 +363,6 @@ class RunManifest:
         tracker snapshot (:meth:`repro.obs.slo.SloTracker.snapshot`).
         """
         serving = report if isinstance(report, dict) else report.to_dict()
-        config: dict = {}
-        if cluster_config is not None:
-            config["cluster"] = dataclasses.asdict(cluster_config)
-        if execution_config is not None:
-            config["execution"] = dataclasses.asdict(execution_config)
         latency = serving.get("latency_ms", {})
         return cls(
             query=query
@@ -383,7 +378,7 @@ class RunManifest:
             breakdown=breakdown_to_dict(PhaseBreakdown()),
             reducer_loads=[],
             load_imbalance=0.0,
-            config=config,
+            config=_config_section(cluster_config, execution_config),
             serving=serving,
             telemetry=dict(telemetry or {}),
             tracing=dict(tracing or {}),
@@ -418,11 +413,6 @@ class RunManifest:
         section["partitions"] = partitions
         if verified is not None:
             section["verified"] = bool(verified)
-        config: dict = {}
-        if cluster_config is not None:
-            config["cluster"] = dataclasses.asdict(cluster_config)
-        if execution_config is not None:
-            config["execution"] = dataclasses.asdict(execution_config)
         return cls(
             query=query
             or f"append({section.get('delta_records', 0)} records)",
@@ -438,7 +428,7 @@ class RunManifest:
             breakdown=breakdown_to_dict(PhaseBreakdown()),
             reducer_loads=[],
             load_imbalance=0.0,
-            config=config,
+            config=_config_section(cluster_config, execution_config),
             telemetry=dict(telemetry or {}),
             incremental=section,
         )

@@ -1,9 +1,9 @@
-"""The live telemetry plane: bounded-memory streaming instruments.
+"""The metric registry: bounded-memory streaming instruments.
 
-Everything else in :mod:`repro.obs` is *post-mortem*: spans, metrics
-and manifests materialize after a run finishes, in the driver process,
-with unbounded instruments.  This module is the in-flight counterpart
--- the substrate an always-on serving daemon reports through:
+:class:`TelemetryRegistry` is the one place every evaluator reports its
+counters, gauges and distributions -- readable live while a run is in
+flight (``repro top``, the JSONL log, Prometheus) and frozen into the
+run manifest's ``telemetry`` section when it ends:
 
 * :class:`StreamingHistogram` -- a fixed-bucket, log-scaled histogram.
   Observations land in ``O(1)`` with bounded memory; two histograms
@@ -34,10 +34,12 @@ the simulated clock -- the property the test suite asserts.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -524,13 +526,13 @@ class WorkerDelta:
 
 
 class TelemetryRegistry:
-    """The driver-side namespace of live instruments.
+    """The driver-side namespace of instruments, created on first use.
 
-    Like :class:`~repro.obs.metrics.MetricsRegistry` but built for
-    in-flight reads: every instrument is bounded-memory, snapshots are
-    cheap, and :meth:`merge_worker` folds in cross-process flushes
-    idempotently.  *clock* is shared by every instrument the registry
-    creates, so a simulated clock makes whole snapshots deterministic.
+    Built for in-flight reads: every instrument is bounded-memory,
+    snapshots are cheap, and :meth:`merge_worker` folds in
+    cross-process flushes idempotently.  *clock* is shared by every
+    instrument the registry creates, so a simulated clock makes whole
+    snapshots deterministic.
 
     ``enabled`` mirrors the tracer convention: instrumented code can
     hold a registry unconditionally (:data:`NULL_TELEMETRY` when off)
@@ -604,6 +606,26 @@ class TelemetryRegistry:
     def phase(self, name: str, done: int, total: int) -> None:
         """Record phase progress: *done* of *total* units finished."""
         self.progress[name] = (done, total)
+        self._notify()
+
+    def record_job_counters(self, counters, prefix: str = "job.") -> None:
+        """Fold a :class:`~repro.mapreduce.counters.JobCounters` in.
+
+        One counter per dataclass field -- the field list comes from
+        :func:`dataclasses.fields`, so a counter added to the engine
+        automatically appears here.  The ``extra`` Counter's entries
+        land under ``<prefix>extra.<key>``.  Sinks hear of it once.
+        """
+        totals = self.counters
+        for spec in dataclasses.fields(counters):
+            value = getattr(counters, spec.name)
+            if isinstance(value, Counter):
+                for key, count in value.items():
+                    name = f"{prefix}extra.{key}"
+                    totals[name] = totals.get(name, 0) + count
+            else:
+                name = prefix + spec.name
+                totals[name] = totals.get(name, 0) + value
         self._notify()
 
     # -- cross-process merge ----------------------------------------------
@@ -729,6 +751,9 @@ class NullTelemetry:
         return None
 
     def phase(self, name: str, done: int, total: int) -> None:
+        return None
+
+    def record_job_counters(self, counters, prefix: str = "job.") -> None:
         return None
 
     def merge_worker(self, delta) -> bool:

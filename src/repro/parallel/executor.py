@@ -113,12 +113,13 @@ class ParallelEvaluator:
 
     *tracer* (a :class:`repro.obs.Tracer`) records the evaluation's
     span tree -- optimize, map, shuffle, sort, evaluate, per-slot task
-    placements -- and *metrics* (a
-    :class:`repro.obs.MetricsRegistry`) receives job counters, reducer
-    loads, and the optimizer's predicted-versus-actual max load.
-    *telemetry* (a :class:`repro.obs.telemetry.TelemetryRegistry`)
-    receives live phase progress, throughput rates and streaming load
-    distributions while the job runs.  All default to disabled no-ops.
+    placements.  *telemetry* (a
+    :class:`repro.obs.telemetry.TelemetryRegistry`) receives live phase
+    progress and throughput rates while the job runs, then each job's
+    counters (``job.<field>``), reducer loads, phase makespans, the
+    optimizer's predicted-versus-actual max load (``optimizer.*``) and
+    the calibration errors (``calibration.*``).  Both default to
+    disabled no-ops.
     """
 
     def __init__(
@@ -126,13 +127,11 @@ class ParallelEvaluator:
         cluster: SimulatedCluster,
         config: ExecutionConfig | None = None,
         tracer=None,
-        metrics=None,
         telemetry=None,
     ):
         self.cluster = cluster
         self.config = config or ExecutionConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
@@ -596,18 +595,10 @@ class ParallelEvaluator:
             root.set(calibration_error=calibration.max_load_error)
             if columnar_stats is not None:
                 root.set(columnar=columnar_stats.to_dict())
-        if self.metrics is not None:
-            self._record_metrics(query_plan, job_result.report, calibration)
-            if columnar_stats is not None:
-                for name, value in columnar_stats.to_dict().items():
-                    if isinstance(value, (int, float)):
-                        self.metrics.inc(f"columnar.{name}", value)
-        for load in job_result.report.reducer_loads:
-            self.telemetry.observe("job.reducer_load", load)
-        self.telemetry.set_gauge(
-            "job.response_time", job_result.report.response_time
-        )
-        self.telemetry.inc("job.completed")
+        if self.telemetry.enabled:
+            self._record_job(
+                query_plan, job_result.report, calibration, columnar_stats
+            )
         return ParallelResult(
             result=result,
             plan=query_plan,
@@ -617,12 +608,12 @@ class ParallelEvaluator:
             calibration=calibration,
         )
 
-    def _record_metrics(
-        self, query_plan: QueryPlan, report, calibration=None
+    def _record_job(
+        self, query_plan: QueryPlan, report, calibration, columnar_stats
     ) -> None:
-        """Feed one job's outcome into the attached metrics registry."""
-        metrics = self.metrics
-        metrics.record_job_counters(report.counters)
+        """Feed one finished job's outcome into the telemetry registry."""
+        telemetry = self.telemetry
+        telemetry.record_job_counters(report.counters)
         if calibration is not None:
             for name in (
                 "max_load_error",
@@ -632,29 +623,36 @@ class ParallelEvaluator:
             ):
                 value = getattr(calibration, name)
                 if value is not None:
-                    metrics.set_gauge(f"calibration.{name}", value)
+                    telemetry.set_gauge(f"calibration.{name}", value)
+        if columnar_stats is not None:
+            for name, value in columnar_stats.to_dict().items():
+                if isinstance(value, (int, float)):
+                    telemetry.inc(f"columnar.{name}", value)
         for load in report.reducer_loads:
-            metrics.observe("job.reducer_load", load)
-        metrics.set_gauge("job.response_time", report.response_time)
-        metrics.set_gauge("job.map_makespan", report.map_makespan)
-        metrics.set_gauge("job.reduce_makespan", report.reduce_makespan)
-        metrics.set_gauge("job.load_imbalance", report.load_imbalance)
-        metrics.set_gauge("job.actual_max_load", report.max_reducer_load)
-        metrics.set_gauge(
+            telemetry.observe("job.reducer_load", load)
+        telemetry.set_gauge("job.response_time", report.response_time)
+        telemetry.set_gauge("job.map_makespan", report.map_makespan)
+        telemetry.set_gauge("job.reduce_makespan", report.reduce_makespan)
+        telemetry.set_gauge("job.load_imbalance", report.load_imbalance)
+        telemetry.set_gauge("job.actual_max_load", report.max_reducer_load)
+        telemetry.set_gauge(
             "optimizer.predicted_max_load", query_plan.predicted_max_load
         )
         for index, (_component, subplan) in enumerate(query_plan.subplans):
             prefix = f"optimizer.component{index}."
-            metrics.set_gauge(
+            telemetry.set_gauge(
                 prefix + "predicted_max_load", subplan.predicted_max_load
             )
-            metrics.set_gauge(prefix + "blocks", subplan.scheme.num_blocks())
-            metrics.inc(
+            telemetry.set_gauge(
+                prefix + "blocks", subplan.scheme.num_blocks()
+            )
+            telemetry.inc(
                 prefix + "candidates_considered",
                 subplan.candidates_considered,
             )
             for attr, cf in subplan.scheme.clustering_factors.items():
-                metrics.set_gauge(prefix + f"cf.{attr}", cf)
+                telemetry.set_gauge(prefix + f"cf.{attr}", cf)
+        telemetry.inc("job.completed")
 
 
 def _cancellable(fn, cancel: CancellationToken):

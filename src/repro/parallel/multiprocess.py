@@ -105,6 +105,16 @@ logger = logging.getLogger(__name__)
 #: How often the gather loop wakes to check retries/stragglers (seconds).
 _POLL_SECONDS = 0.02
 
+#: Report fields recorded once per run as ``mp.<field>`` counters.
+_RECOVERY_COUNTERS = (
+    "attempts",
+    "retries",
+    "timeouts",
+    "pool_rebuilds",
+    "speculative_launched",
+    "speculative_wins",
+)
+
 # Worker-process state, set up once per pool by _init_worker.
 _WORKER: dict = {}
 
@@ -467,14 +477,17 @@ class MultiprocessEvaluator:
             :func:`repro.faults.apply_chaos`).
         tracer: Optional :class:`repro.obs.Tracer`; receives dispatch
             and recovery spans on the wall clock.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; receives
-            attempt/retry/speculation counters.
         telemetry: Optional
             :class:`repro.obs.telemetry.TelemetryRegistry`; turns on
             the worker->driver channel -- workers flush cumulative
             counters and resource samples after every task, the gather
             loop merges them live, and the report/manifest gain a
-            per-worker section.  Defaults to the no-op
+            per-worker section.  The registry also receives the
+            transport gauges (``mp.shipped_bytes``, ``mp.shm_bytes``,
+            ``mp.transport_bytes_per_s``), live ``mp.failures``, and
+            once per run the recovery counters (``mp.attempts``,
+            ``mp.retries``, ...) with the ``mp.degraded`` and
+            ``mp.columnar_transport`` gauges.  Defaults to the no-op
             :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
 
     Buckets reach workers through shared memory when the workflow has
@@ -492,7 +505,6 @@ class MultiprocessEvaluator:
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
-        metrics=None,
         telemetry=None,
     ):
         self.processes = processes or os.cpu_count() or 2
@@ -502,7 +514,6 @@ class MultiprocessEvaluator:
         self.retry_policy = retry_policy or RetryPolicy()
         self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
@@ -697,13 +708,11 @@ class MultiprocessEvaluator:
                         "mp-degrade", retries=report.retries
                     ):
                         result = evaluate_centralized(workflow, records)
-                    self._record_metrics(report)
-                    return result, report
         finally:
             if exec_ctx is not None:
                 # The run's execution span closes AS the forked context
                 # (id = exec_ctx.span_id), so worker task spans -- its
-                # children -- attach whatever path returned above.
+                # children -- attach however the gather ended above.
                 report.trace_spans.extend(collector.spans)
                 report.trace_spans.append({
                     "name": "mp-evaluate",
@@ -725,10 +734,18 @@ class MultiprocessEvaluator:
             if manager is not None:
                 manager.shutdown()
 
-        result = union_outputs(
-            workflow, (row for rows in row_lists for row in rows)
-        )
-        self._record_metrics(report)
+        if row_lists is not None:
+            result = union_outputs(
+                workflow, (row for rows in row_lists for row in rows)
+            )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            for name in _RECOVERY_COUNTERS:
+                telemetry.inc(f"mp.{name}", getattr(report, name))
+            telemetry.set_gauge("mp.degraded", float(report.degraded))
+            telemetry.set_gauge(
+                "mp.columnar_transport", float(report.transport == "shm")
+            )
         return result, report
 
     # -- scatter -------------------------------------------------------------------
@@ -1063,26 +1080,3 @@ class MultiprocessEvaluator:
                 self.telemetry.merge_worker(delta)
             except (KeyError, TypeError, ValueError):
                 logger.warning("dropped malformed telemetry flush")
-
-    def _record_metrics(self, report: MultiprocessReport) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.inc("mp.attempts", report.attempts)
-        self.metrics.inc("mp.retries", report.retries)
-        self.metrics.inc("mp.injected_failures", report.injected_failures)
-        self.metrics.inc("mp.timeouts", report.timeouts)
-        self.metrics.inc("mp.pool_rebuilds", report.pool_rebuilds)
-        self.metrics.inc(
-            "mp.speculative_launched", report.speculative_launched
-        )
-        self.metrics.inc("mp.speculative_wins", report.speculative_wins)
-        self.metrics.set_gauge("mp.degraded", 1.0 if report.degraded else 0.0)
-        self.metrics.set_gauge("mp.shipped_bytes", float(report.shipped_bytes))
-        self.metrics.set_gauge("mp.shm_bytes", float(report.shm_bytes))
-        self.metrics.set_gauge(
-            "mp.transport_bytes_per_s", report.transport_bytes_per_second
-        )
-        self.metrics.set_gauge(
-            "mp.columnar_transport",
-            1.0 if report.transport == "shm" else 0.0,
-        )

@@ -176,7 +176,6 @@ class BatchEvaluator:
         cluster: SimulatedCluster,
         config: ExecutionConfig | None = None,
         tracer=None,
-        metrics=None,
         cache: MeasureCache | None = None,
         group_retries: int = 1,
         telemetry=None,
@@ -201,8 +200,7 @@ class BatchEvaluator:
             query_tracer if query_tracer is not None else NULL_QUERY_TRACER
         )
         self.inner = ParallelEvaluator(
-            cluster, config, tracer=tracer, metrics=metrics,
-            telemetry=telemetry,
+            cluster, config, tracer=tracer, telemetry=telemetry,
         )
         self.cache = cache
         if cache is not None:

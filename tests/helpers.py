@@ -7,6 +7,7 @@ the centralized sort/scan evaluator and the parallel executors.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 from repro.local.measure_table import MeasureTable
@@ -134,6 +135,28 @@ def assert_results_match(result_set, reference, approx=1e-9):
                 )
             else:
                 assert got == value, f"{name}{coords}: {got} != {value}"
+
+
+_PROM_SAMPLE_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+
+
+def assert_valid_exposition(text):
+    """Prometheus text: one ``# TYPE`` per family, legal sample names,
+    and a float value on every sample line."""
+    families = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            assert line.startswith(("# HELP ", "# TYPE ")), line
+            if line.startswith("# TYPE "):
+                families.append(line.split()[2])
+            continue
+        name = re.split(r"[{ ]", line, maxsplit=1)[0]
+        assert _PROM_SAMPLE_NAME.fullmatch(name), line
+        float(line.rsplit(" ", 1)[1])
+    duplicated = sorted(
+        {family for family in families if families.count(family) > 1}
+    )
+    assert not duplicated, f"families declared twice: {duplicated}"
 
 
 # -- the per-block reducer loops, kept as test oracles ------------------------

@@ -1,4 +1,4 @@
-"""Every manifest schema version (v1..v8) must keep loading.
+"""Every manifest schema version (v1..v9) must keep loading.
 
 ``repro stats`` and ``repro diff`` read manifests written by older
 builds; these tests freeze a representative document per version and
@@ -47,7 +47,17 @@ def _base_document() -> dict:
         "load_imbalance": 600 / 575,
         "config": {"machines": 2},
         "environment": {"python": "3.x"},
-        "metrics": {},
+        # v1-v8 only: the retired second registry's snapshot.
+        "metrics": {
+            "counters": {"job.map_input_records": 1000},
+            "gauges": {"optimizer.predicted_max_load": 580.0},
+            "histograms": {
+                "job.reducer_load": {
+                    "count": 2, "min": 550, "max": 600, "mean": 575.0,
+                    "p50": 600, "p99": 600, "exact": True,
+                },
+            },
+        },
         "created_at": "2026-01-01T00:00:00+0000",
     }
 
@@ -55,6 +65,8 @@ def _base_document() -> dict:
 def document_for_version(version: int) -> dict:
     data = _base_document()
     data["schema_version"] = version
+    if version >= 9:
+        del data["metrics"]
     if version >= 2:
         data["calibration"] = {
             "predicted_max_load": 580.0,
@@ -218,7 +230,10 @@ def document_for_version(version: int) -> dict:
     return data
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+VERSIONS = [1, 2, 3, 4, 5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("version", VERSIONS)
 class TestVersionRoundTrip:
     def test_from_dict_and_back(self, version):
         manifest = RunManifest.from_dict(document_for_version(version))
@@ -286,6 +301,16 @@ class TestVersionGuards:
         assert manifest.tracing == {}
         assert manifest.slo == {}
         assert manifest.incremental == {}
+
+    @pytest.mark.parametrize("version", VERSIONS[:-1])
+    def test_metrics_section_dropped_silently(self, version, caplog):
+        data = document_for_version(version)
+        assert data["metrics"]["counters"]
+        with caplog.at_level("WARNING", logger="repro.obs.manifest"):
+            manifest = RunManifest.from_dict(data)
+        assert caplog.records == []
+        assert "metrics" not in manifest.to_dict()
+        assert manifest.reducer_loads == [600, 550]
 
     def test_unknown_fields_ignored(self):
         data = document_for_version(2)

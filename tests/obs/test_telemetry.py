@@ -1,13 +1,18 @@
-"""Tests for the live telemetry plane's streaming instruments.
+"""Tests for the metric registry and its streaming instruments.
 
-Everything here runs against an injected fake clock, so rates, window
-eviction, and snapshot sequencing are exactly reproducible.
+The instrument tests run against an injected fake clock, so rates,
+window eviction, and snapshot sequencing are exactly reproducible; the
+evaluator tests check what one job records into the registry.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.mapreduce import ClusterConfig, SimulatedCluster
+from repro.mapreduce.counters import JobCounters
+from repro.obs.exposition import prometheus_text
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     RateMeter,
@@ -18,6 +23,10 @@ from repro.obs.telemetry import (
     WorkerDelta,
     sample_resources,
 )
+from repro.parallel.executor import ParallelEvaluator
+from repro.workload import all_queries, generate_skewed, paper_schema
+
+from tests.helpers import assert_valid_exposition
 
 
 class FakeClock:
@@ -101,6 +110,53 @@ class TestStreamingHistogram:
         assert histogram.mean == 0.0
         assert histogram.summary()["count"] == 0
 
+    def test_empty_summary(self):
+        assert StreamingHistogram("empty").summary() == {"count": 0}
+        assert StreamingHistogram("empty").percentile(50) == 0.0
+        assert StreamingHistogram("empty").mean == 0.0
+
+    def test_summary_statistics(self):
+        histogram = StreamingHistogram("loads")
+        for value in (4.0, 1.0, 3.0, 2.0):
+            histogram.observe(value)
+        assert histogram.count == 4
+        assert histogram.mean == 2.5
+        summary = histogram.summary()
+        assert summary["min"] == 1.0
+        assert summary["max"] == 4.0
+        assert summary["p50"] == 3.0  # nearest-rank on sorted [1,2,3,4]
+
+    def test_percentile_bounds(self):
+        histogram = StreamingHistogram("t")
+        histogram.observe(1.0)
+        with pytest.raises(ValueError, match="outside"):
+            histogram.percentile(101)
+        assert histogram.percentile(0) == 1.0
+        assert histogram.percentile(100) == 1.0
+
+    def test_exact_flag_flips_past_limit(self):
+        histogram = StreamingHistogram("t", exact_limit=16)
+        for value in range(16):
+            histogram.observe(float(value))
+        assert histogram.summary()["exact"] is True
+        histogram.observe(16.0)
+        assert histogram.summary()["exact"] is False
+
+    def test_extremes_and_mean_stay_exact_past_limit(self):
+        histogram = StreamingHistogram("t", exact_limit=8)
+        values = [float(v) for v in range(1, 1001)]
+        for value in values:
+            histogram.observe(value)
+        summary = histogram.summary()
+        assert summary["min"] == 1.0
+        assert summary["max"] == 1000.0
+        assert summary["mean"] == sum(values) / len(values)
+        assert summary["count"] == 1000
+
+    def test_rejects_bad_growth(self):
+        with pytest.raises(ValueError, match="growth"):
+            StreamingHistogram("t", growth=1.0)
+
     def test_memory_is_bounded(self):
         histogram = StreamingHistogram("t", exact_limit=32)
         for value in range(100_000):
@@ -110,6 +166,24 @@ class TestStreamingHistogram:
         assert len(histogram._buckets) <= (
             histogram._max_index - histogram._min_index + 2
         )
+
+    def test_count_stays_exact_with_bounded_memory(self):
+        histogram = StreamingHistogram("loads", exact_limit=64)
+        for value in range(10_000):
+            histogram.observe(float(value))
+        assert histogram._samples is None
+        assert len(histogram._buckets) <= (
+            histogram._max_index - histogram._min_index + 2
+        )
+        assert histogram.count == 10_000  # exact, from the running total
+
+    def test_approximate_median_is_representative(self):
+        histogram = StreamingHistogram("loads", exact_limit=256)
+        for value in range(1, 10_001):
+            histogram.observe(float(value))
+        assert not histogram.exact
+        p50 = histogram.percentile(50)
+        assert 3500.0 <= p50 <= 6500.0  # uniform input, bucketed median
 
 
 def histogram_slack(histogram: StreamingHistogram) -> float:
@@ -152,6 +226,13 @@ class TestRateMeter:
 
 
 class TestWindowedGauge:
+    def test_last_write_wins(self):
+        gauge = WindowedGauge("load", clock=FakeClock())
+        assert gauge.value is None
+        gauge.set(3.0)
+        gauge.set(7.0)
+        assert gauge.value == 7.0
+
     def test_window_eviction(self):
         clock = FakeClock()
         gauge = WindowedGauge("load", window=10.0, clock=clock)
@@ -316,6 +397,123 @@ class TestTelemetryRegistry:
         assert len(events) == 3
         assert all(event is registry for event in events)
 
+    def test_get_or_create_is_stable(self):
+        registry = TelemetryRegistry(clock=FakeClock())
+        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.histogram("h") is registry.histogram("h")
+        assert registry.rate("r") is registry.rate("r")
+
+    def test_counter_increments(self):
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.inc("calls")
+        registry.inc("calls", 4)
+        assert registry.counters["calls"] == 5
+
+    def test_convenience_recorders(self):
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.inc("jobs")
+        registry.inc("jobs", 2)
+        registry.set_gauge("load", 1.5)
+        registry.observe("lat", 10.0)
+        registry.observe("lat", 20.0)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["jobs"] == 3
+        assert snapshot["gauges"]["load"]["last"] == 1.5
+        assert snapshot["histograms"]["lat"]["count"] == 2
+
+    def test_record_job_counters_covers_every_field(self):
+        # Fill EVERY dataclass field with a distinct value so a field
+        # silently skipped by the registry would be caught here.
+        counters = JobCounters()
+        for index, f in enumerate(dataclasses.fields(counters)):
+            if f.name == "extra":
+                counters.extra["stragglers"] = 99
+            else:
+                setattr(counters, f.name, index + 1)
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.record_job_counters(counters)
+
+        for f in dataclasses.fields(counters):
+            if f.name == "extra":
+                assert registry.counters["job.extra.stragglers"] == 99
+            else:
+                value = getattr(counters, f.name)
+                assert registry.counters[f"job.{f.name}"] == value
+
+    def test_record_job_counters_accumulates(self):
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.record_job_counters(JobCounters(map_input_records=10))
+        registry.record_job_counters(JobCounters(map_input_records=5))
+        assert registry.counters["job.map_input_records"] == 15
+
+    def test_record_job_counters_notifies_once(self):
+        events = []
+
+        class Sink:
+            def update(self, registry):
+                events.append(registry)
+
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.attach(Sink())
+        registry.record_job_counters(JobCounters(map_input_records=10))
+        assert len(events) == 1
+
+
+class TestEvaluatorRecording:
+    """What one :class:`ParallelEvaluator` run leaves in the registry."""
+
+    @pytest.fixture(scope="class")
+    def q1_run(self):
+        schema = paper_schema(days=3, temporal_base="minute")
+        records = generate_skewed(schema, 300, seed=7, skew_fraction=0.25)
+        registry = TelemetryRegistry()
+        evaluator = ParallelEvaluator(
+            SimulatedCluster(ClusterConfig(machines=4)), telemetry=registry
+        )
+        outcome = evaluator.evaluate(all_queries(schema)["Q1"], records)
+        return registry, outcome
+
+    def test_job_counters_land_under_job_prefix(self, q1_run):
+        registry, outcome = q1_run
+        counters = registry.snapshot()["counters"]
+        job = outcome.job.counters
+        for f in dataclasses.fields(job):
+            if f.name == "extra":
+                for key, count in job.extra.items():
+                    assert counters[f"job.extra.{key}"] == count
+            else:
+                assert counters[f"job.{f.name}"] == getattr(job, f.name)
+        assert counters["job.completed"] == 1
+
+    def test_each_reducer_load_recorded_once(self, q1_run):
+        registry, outcome = q1_run
+        loads = registry.snapshot()["histograms"]["job.reducer_load"]
+        assert loads["count"] == len(outcome.job.reducer_loads)
+        assert loads["max"] == max(outcome.job.reducer_loads)
+
+    def test_job_optimizer_and_calibration_gauges(self, q1_run):
+        registry, outcome = q1_run
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["job.response_time"]["last"] == (
+            outcome.job.response_time)
+        assert gauges["optimizer.predicted_max_load"]["last"] == (
+            outcome.plan.predicted_max_load)
+        for index in range(len(outcome.plan.subplans)):  # Q1: three
+            assert f"optimizer.component{index}.blocks" in gauges
+        calibration = outcome.calibration
+        recorded = 0
+        for name in ("max_load_error", "shipped_records_error",
+                     "shuffle_bytes_error", "blocks_error"):
+            value = getattr(calibration, name)
+            if value is not None:
+                assert gauges[f"calibration.{name}"]["last"] == value
+                recorded += 1
+        assert recorded
+
+    def test_prometheus_exposition_is_valid(self, q1_run):
+        registry, _outcome = q1_run
+        assert_valid_exposition(prometheus_text(registry))
+
 
 class TestNullTelemetry:
     def test_is_disabled_and_inert(self):
@@ -325,6 +523,7 @@ class TestNullTelemetry:
         NULL_TELEMETRY.set_gauge("c", 1.0)
         NULL_TELEMETRY.observe("d", 2.0)
         NULL_TELEMETRY.phase("map", 1, 2)
+        NULL_TELEMETRY.record_job_counters(JobCounters(map_tasks=1))
         NULL_TELEMETRY.attach(object())
         assert NULL_TELEMETRY.merge_worker({}) is False
         assert NULL_TELEMETRY.worker_totals() == {}

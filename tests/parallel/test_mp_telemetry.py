@@ -18,6 +18,8 @@ from repro.obs.top import render_frame
 from repro.parallel.multiprocess import MultiprocessEvaluator
 from repro.query import RATIO, WorkflowBuilder
 
+from tests.helpers import assert_valid_exposition
+
 pytestmark = pytest.mark.faults
 
 FAST_BACKOFF = dict(backoff_base=0.02, backoff_max=0.1, jitter=0.0,
@@ -176,6 +178,19 @@ class TestExposure:
         _result, report = chaos_evaluate(workflow, records, registry)
         return registry, report
 
+    def test_recovery_counters_match_the_report(self, chaos_registry):
+        registry, report = chaos_registry
+        counters = registry.counters
+        for name in ("attempts", "retries", "timeouts", "pool_rebuilds",
+                     "speculative_launched", "speculative_wins"):
+            assert counters[f"mp.{name}"] == getattr(report, name), name
+        assert counters.get("mp.failures", 0) == report.injected_failures
+        assert report.injected_failures > 0  # the chaos plan did fire
+        assert "mp.injected_failures" not in counters
+        assert registry.gauges["mp.degraded"].value == float(report.degraded)
+        assert registry.gauges["mp.shipped_bytes"].value == (
+            report.shipped_bytes)
+
     def test_prometheus_snapshot_is_valid(self, chaos_registry):
         registry, _report = chaos_registry
         text = prometheus_text(registry)
@@ -183,11 +198,7 @@ class TestExposure:
         assert "# TYPE repro_mp_task_seconds summary" in text
         assert 'repro_phase_done{phase="mp-tasks"}' in text
         assert 'repro_worker_cpu_seconds{worker="w' in text
-        for line in text.splitlines():
-            if line.startswith("#"):
-                assert line.startswith(("# HELP ", "# TYPE "))
-            else:
-                float(line.rsplit(" ", 1)[1])
+        assert_valid_exposition(text)
 
     def test_top_renders_live_mp_frame(self, chaos_registry):
         registry, report = chaos_registry

@@ -342,7 +342,7 @@ class TestManifest:
         )
         manifest = RunManifest.from_serve(report)
         data = manifest.to_dict()
-        assert data["schema_version"] == SCHEMA_VERSION == 8
+        assert data["schema_version"] == SCHEMA_VERSION == 9
         assert data["serving"]["arrivals"] == len(batch_queries)
         assert data["serving"]["drained"] is True
 
@@ -399,7 +399,7 @@ class TestGracefulDrain:
         assert "serve:" in stdout
 
         data = json.loads(manifest_path.read_text())
-        assert data["schema_version"] == 8
+        assert data["schema_version"] == 9
         serving = data["serving"]
         assert serving["drained"] is True
         assert serving["arrivals"] > 0

@@ -353,6 +353,29 @@ class TestStats:
         assert "map_input_records" in text
         assert "cumulative:" in text
 
+    def test_trace_manifest_carries_the_registry(
+        self, weblog_query_file, tmp_path, capsys
+    ):
+        from repro.obs import RunManifest
+
+        # No --telemetry: trace still keeps a registry, just no writer.
+        out = tmp_path / "trace.json"
+        assert main(
+            ["trace", weblog_query_file, "--records", "3000",
+             "--machines", "4", "--days", "1", "--out", str(out)]
+        ) == 0
+        assert "telemetry frames" not in capsys.readouterr().out
+        path = str(tmp_path / "trace.manifest.json")
+        manifest = RunManifest.load(path)
+        telemetry = manifest.telemetry
+        assert telemetry["counters"]["job.map_input_records"] == (
+            manifest.counters["map_input_records"])
+        assert "optimizer.predicted_max_load" in telemetry["gauges"]
+        assert telemetry["histograms"]["job.reducer_load"]["count"] == (
+            len(manifest.reducer_loads))
+        assert main(["stats", path]) == 0
+        assert "schema v9" in capsys.readouterr().out
+
     def test_stats_missing_file(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["stats", "/nonexistent/manifest.json"])
@@ -718,7 +741,24 @@ class TestBatch:
         assert main(["stats", manifest]) == 0
         out = capsys.readouterr().out
         assert "batch:" in out
-        assert "schema v8" in out
+        assert "schema v9" in out
+
+    def test_batch_manifest_carries_the_registry(
+        self, batch_query_files, tmp_path, capsys
+    ):
+        from repro.obs import RunManifest
+
+        a, b = batch_query_files
+        path = str(tmp_path / "batch.manifest.json")
+        assert main(["batch", a, b, "--manifest", path] + self.ARGS) == 0
+        assert "telemetry frames" not in capsys.readouterr().out
+        manifest = RunManifest.load(path)
+        telemetry = manifest.telemetry
+        assert telemetry["counters"]["job.map_input_records"] == (
+            manifest.counters["map_input_records"])
+        assert "optimizer.predicted_max_load" in telemetry["gauges"]
+        assert main(["stats", path]) == 0
+        assert "batch:" in capsys.readouterr().out
 
     def test_duplicate_stems_rejected(self, tmp_path):
         nested = tmp_path / "nested"
@@ -890,7 +930,7 @@ class TestTelemetryCli:
         manifest = json.loads(
             (tmp_path / "trace.manifest.json").read_text()
         )
-        assert manifest["schema_version"] == 8
+        assert manifest["schema_version"] == 9
         assert manifest["telemetry"]["final"] is True
         assert manifest["telemetry"]["counters"]["job.completed"] == 1
 

@@ -79,7 +79,7 @@ def test_tour_commands_run_verbatim(tour_cwd, capsys):
     assert "wrote run manifest to trace.manifest.json" in trace_out
 
     stats_out = output(lambda a: a[0] == "stats")[0]
-    assert "schema v8" in stats_out
+    assert "schema v9" in stats_out
 
     cold, warm = output(lambda a: a[0] == "batch")
     assert "2 queries answered by 1 shared jobs" in cold
