@@ -31,10 +31,10 @@ query language (see :mod:`repro.query.parser`):
 * ``repro trace QUERY.cq --out trace.json`` -- evaluate with full
   tracing: writes a Chrome trace-event file (open in Perfetto or
   ``chrome://tracing``), a run manifest (including the cost-model
-  calibration report), and optionally the raw span events as JSONL;
+  calibration report), and optionally the spans as JSONL (``--events``);
   ``repro trace --spans SPANS.jsonl --query TRACE_ID`` instead views
-  per-query span trees recorded by ``serve --trace-spans`` (or a
-  flight-recorder bundle), rendering one query's causal tree as ASCII
+  span trees recorded by ``trace --events`` or ``serve --trace-spans``
+  (or a flight-recorder bundle), rendering one trace's tree as ASCII
   or exporting it as Chrome trace JSON with ``--chrome``;
 * ``repro stats MANIFEST.json`` -- summarize a previously written run
   manifest (schemas v1-v8, including batch/cache/worker/serving/
@@ -91,6 +91,7 @@ from repro.mapreduce.timing import ClusterConfig
 from repro.obs import (
     RunManifest,
     TelemetryRegistry,
+    Span,
     Tracer,
     configure_logging,
     diff_manifests,
@@ -934,30 +935,24 @@ def _cmd_serve(args) -> int:
 
     # The trace plane: per-query span trees (JSONL sink), the flight
     # recorder, and per-tenant SLO burn tracking.
-    query_tracer = None
+    tracer = None
     flight = None
     span_handle = None
-    if args.trace_spans or args.flight_dir:
+    if args.span_file or args.flight_dir:
         from repro.obs.flight import FlightRecorder
-        from repro.obs.tracectx import QueryTracer
 
         flight = FlightRecorder(directory=args.flight_dir or None)
-        sink = None
-        if args.trace_spans:
+        on_span = None
+        if args.span_file:
             try:
-                span_handle = open(
-                    args.trace_spans, "w", encoding="utf-8"
-                )
+                span_handle = open(args.span_file, "w", encoding="utf-8")
             except OSError as exc:
                 raise SystemExit(f"cannot write span file: {exc}")
 
-            def sink(span: dict, _handle=span_handle) -> None:
-                _handle.write(json.dumps(span) + "\n")
-                _handle.flush()
+            def on_span(span, _handle=span_handle) -> None:
+                write_jsonl((span,), _handle)
 
-        query_tracer = QueryTracer(
-            sink=sink, flight=flight, process="daemon"
-        )
+        tracer = Tracer(on_span=on_span, flight=flight, process="daemon")
     slo = None
     if args.slo_ms is not None or args.slo:
         from repro.obs.slo import SloPolicy, SloTracker
@@ -988,7 +983,7 @@ def _cmd_serve(args) -> int:
         limits=limits,
         quotas=quotas,
         telemetry=telemetry,
-        tracer=query_tracer,
+        tracer=tracer,
         slo=slo,
         flight=flight,
     )
@@ -1037,8 +1032,8 @@ def _cmd_serve(args) -> int:
                 f"{section['bad']} bad, "
                 f"burn {section['burn_rate']:.2f}x"
             )
-    if args.trace_spans:
-        print(f"wrote per-query spans to {args.trace_spans}")
+    if args.span_file:
+        print(f"wrote per-query spans to {args.span_file}")
     if flight is not None and flight.dump_paths:
         print(
             f"flight recorder dumped {len(flight.dump_paths)} "
@@ -1087,7 +1082,6 @@ def _cmd_trace_view(args) -> int:
         iter_spans,
         list_traces,
         render_trace,
-        write_trace_chrome,
     )
 
     try:
@@ -1122,7 +1116,9 @@ def _cmd_trace_view(args) -> int:
         if not tree:
             raise SystemExit(f"no spans for trace {args.query_id}")
         try:
-            n_events = write_trace_chrome(tree, args.chrome)
+            n_events = write_chrome_trace(
+                [Span.from_dict(span) for span in tree], args.chrome
+            )
         except OSError as exc:
             raise SystemExit(f"cannot write chrome trace: {exc}")
         print(
@@ -1150,9 +1146,7 @@ def _cmd_trace(args) -> int:
     )
     cluster = _build_cluster(args)
 
-    tracer = Tracer(
-        on_event=progress_sink() if args.verbose else None
-    )
+    tracer = Tracer(on_span=progress_sink() if args.verbose else None)
     config = ExecutionConfig(
         early_aggregation=args.early_aggregation,
         optimizer=OptimizerConfig(use_sampling=args.sampling),
@@ -1173,7 +1167,7 @@ def _cmd_trace(args) -> int:
     except OSError as exc:
         raise SystemExit(f"cannot read query file: {exc}")
     try:
-        n_events = write_chrome_trace(tracer.events, args.out)
+        n_events = write_chrome_trace(tracer.spans, args.out)
     except OSError as exc:
         raise SystemExit(f"cannot write trace: {exc}")
     print(
@@ -1195,10 +1189,14 @@ def _cmd_trace(args) -> int:
     print(f"wrote run manifest to {manifest_path}")
     if args.events:
         try:
-            n_spans = write_jsonl(tracer.events, args.events)
+            n_spans = write_jsonl(tracer.spans, args.events)
         except OSError as exc:
-            raise SystemExit(f"cannot write span events: {exc}")
-        print(f"wrote {n_spans} span events to {args.events}")
+            raise SystemExit(f"cannot write span file: {exc}")
+        print(
+            f"wrote {n_spans} spans to {args.events} (trace "
+            f"{tracer.trace_id}; view with 'repro trace --spans "
+            f"{args.events}')"
+        )
     return 0
 
 
@@ -1624,7 +1622,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sections, schema v8)",
     )
     serve.add_argument(
-        "--trace-spans", metavar="FILE",
+        "--trace-spans", metavar="FILE", dest="span_file",
         help="write every query's trace spans as JSONL to FILE "
              "(view them with 'repro trace --spans FILE')",
     )
@@ -1654,8 +1652,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(trace)
     trace.add_argument(
         "--spans", metavar="FILE",
-        help="view mode: read spans (serve --trace-spans JSONL, or a "
-             "flight-recorder bundle) instead of running a query",
+        help="view mode: read spans (trace --events or serve "
+             "--trace-spans JSONL, or a flight-recorder bundle) instead "
+             "of running a query",
     )
     trace.add_argument(
         "--query", dest="query_id", metavar="TRACE_ID",
@@ -1681,7 +1680,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--events", metavar="FILE",
-        help="also dump the raw span events as JSONL to FILE",
+        help="also write the spans as JSONL to FILE (readable by "
+             "'repro trace --spans FILE')",
     )
     trace.add_argument(
         "--early-aggregation", action="store_true",

@@ -124,6 +124,13 @@ class JobReport:
     #: the phase entries in
     #: :meth:`~repro.faults.PhaseFaultStats.to_dict` form.
     faults: dict = field(default_factory=dict)
+    #: Host ``time.perf_counter`` stamps of the map phase's start and
+    #: end and of the reduce phase's start: the wall boundaries the
+    #: serving ledger tiles execution with.  Measurements, so they take
+    #: no part in equality.
+    wall_map_start: float = field(default=0.0, compare=False)
+    wall_map_end: float = field(default=0.0, compare=False)
+    wall_reduce_start: float = field(default=0.0, compare=False)
 
     @property
     def response_time(self) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -346,6 +347,7 @@ class MapReduceJob:
         buckets: list[list] = [[] for _ in range(self.num_reducers)]
 
         with tracer.span("job", job=self.name) as job_span:
+            wall_map_start = time.perf_counter()
             with tracer.span("map") as map_span:
                 map_durations = []
                 telemetry.phase("map", 0, len(input_file.blocks))
@@ -404,6 +406,7 @@ class MapReduceJob:
                     output_records=counters.map_output_records,
                     stragglers=map_stragglers,
                 )
+            wall_map_end = time.perf_counter()
             if chaos:
                 _add_attempt_spans(
                     tracer, "map", map_trace, sim_offset=sim_origin,
@@ -414,6 +417,7 @@ class MapReduceJob:
                     "map", map_trace, sim_offset=sim_origin, name="map"
                 )
 
+            wall_reduce_start = time.perf_counter()
             with tracer.span("reduce") as reduce_span:
                 outputs: list = []
                 shuffle, fsort, gsort, evaluate, loads = [], [], [], [], []
@@ -562,6 +566,9 @@ class MapReduceJob:
                 map_trace=map_trace,
                 reduce_trace=reduce_trace,
                 faults=faults,
+                wall_map_start=wall_map_start,
+                wall_map_end=wall_map_end,
+                wall_reduce_start=wall_reduce_start,
             )
             job_span.set_sim(sim_origin, sim_origin + report.response_time)
             job_span.set(

@@ -4,12 +4,18 @@ The paper's argument is about *where time goes* -- per-phase makespans,
 per-reducer loads, optimizer predictions versus reality.  This package
 makes those signals first-class and machine-readable:
 
-* :class:`Tracer` -- nested span events carrying wall-clock *and*
-  simulated-clock timestamps plus structured attributes; disabled code
-  paths use the no-op :data:`NULL_TRACER` at near-zero cost;
-* exporters -- JSONL event logs, Chrome trace-event JSON (viewable in
-  Perfetto / ``chrome://tracing`` with per-slot task tracks), and a
-  live ``--verbose`` progress sink;
+* :class:`Tracer` -- the one span recorder: :class:`Span` records
+  carrying wall-clock *and* simulated-clock timestamps plus structured
+  attributes, opened through a nesting stack (engine, optimizer) or
+  through explicit :class:`TraceContext` parenting across the daemon,
+  share groups and worker processes (one causally-linked tree per
+  query, share groups joined via span links); disabled code paths use
+  the no-op :data:`NULL_TRACER` at near-zero cost;
+* exporters -- JSONL span files, Chrome trace-event JSON (viewable in
+  Perfetto / ``chrome://tracing`` with per-slot task tracks and one
+  wall timeline per process), and a live ``--verbose`` progress sink;
+  ``repro trace --spans`` reads span files back and renders one
+  query's tree (:func:`render_trace`);
 * :class:`RunManifest` -- one JSON artifact per evaluation (plan,
   config, counters, breakdown, final telemetry frame, environment, git
   sha) consumed by ``repro stats``;
@@ -34,10 +40,6 @@ makes those signals first-class and machine-readable:
   :func:`render_replay`);
 * :class:`WallProfiler` -- a sampling wall-clock profiler emitting
   collapsed stacks for flame graphs (``run --profile``);
-* :class:`QueryTracer` / :class:`TraceContext` -- per-query trace
-  trees with explicit cross-process parenting (one causally-linked
-  tree per query, share groups joined via span links), rendered by
-  ``repro trace --query`` (:func:`render_trace`);
 * :class:`QueryLedger` / :class:`LedgerBook` -- the latency
   attribution ledger: every completed query's wall time tiled into
   phases that sum to its end-to-end latency;
@@ -99,24 +101,19 @@ from repro.obs.telemetry import (
     sample_resources,
 )
 from repro.obs.top import render_frame, render_replay
-from repro.obs.tracectx import (
-    NULL_QUERY_TRACER,
-    NullQueryTracer,
-    QueryTracer,
-    SpanCollector,
-    TraceContext,
-    TraceSpan,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, SpanEvent, Tracer
+from repro.obs.tracectx import SpanCollector, TraceContext
+from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.traceview import (
     collect_trace,
     find_orphans,
     iter_spans,
     list_traces,
     render_trace,
-    trace_chrome_events,
-    write_trace_chrome,
 )
+
+# The wall-clock benchmark resolves this name for its traced serving
+# runs; the benchmark change that next edits bench/workloads.py retires it.
+QueryTracer = Tracer
 
 __all__ = [
     "CalibrationReport",
@@ -126,16 +123,13 @@ __all__ = [
     "FieldDelta",
     "FlightRecorder",
     "LedgerBook",
-    "NULL_QUERY_TRACER",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullQueryTracer",
     "NullTelemetry",
     "NullTracer",
     "PHASES",
     "QueryExplanation",
     "QueryLedger",
-    "QueryTracer",
     "RateMeter",
     "ResourceSample",
     "RunDiff",
@@ -144,12 +138,10 @@ __all__ = [
     "SloTracker",
     "Span",
     "SpanCollector",
-    "SpanEvent",
     "StreamingHistogram",
     "TelemetryLogWriter",
     "TelemetryRegistry",
     "TraceContext",
-    "TraceSpan",
     "Tracer",
     "WallProfiler",
     "WindowedGauge",
@@ -176,8 +168,6 @@ __all__ = [
     "render_text",
     "render_trace",
     "sample_resources",
-    "trace_chrome_events",
     "write_chrome_trace",
     "write_jsonl",
-    "write_trace_chrome",
 ]

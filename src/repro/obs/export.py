@@ -1,16 +1,20 @@
-"""Span-event exporters: JSONL, Chrome trace-event JSON, live progress.
+"""Span exporters: JSONL, Chrome trace-event JSON, live progress.
 
-Three consumers of the same :class:`~repro.obs.tracer.SpanEvent` stream:
+Views of the one :class:`~repro.obs.tracer.Span` stream, whichever API
+recorded it:
 
-* :func:`write_jsonl` -- one JSON object per event, the stable
-  machine-readable log for ad-hoc analysis;
+* :func:`write_jsonl` -- one JSON object per span, the stable
+  machine-readable span file that ``repro trace --spans`` reads back
+  (:func:`~repro.obs.traceview.iter_spans`);
 * :func:`write_chrome_trace` / :func:`chrome_trace_events` -- the Chrome
   trace-event format (open ``trace.json`` at https://ui.perfetto.dev or
-  ``chrome://tracing``).  The simulated timeline renders as one process
-  with the phase span tree plus one thread row per (track, slot) pair --
-  map and reduce task placements become per-slot tracks -- and the wall
-  clock renders as a second process for profiling the reproduction
-  itself;
+  ``chrome://tracing``).  Spans with simulated timestamps render on a
+  "simulated cluster" process: the phase span tree plus one thread row
+  per (track, slot) pair, so map and reduce task placements become
+  per-slot tracks.  Every wall-clock interval also renders on the wall
+  timeline, one trace-viewer process per ``process`` tag -- the daemon,
+  each execution slot, each worker process -- rebased to the earliest
+  span;
 * :func:`progress_sink` -- a human-readable live sink for ``--verbose``
   runs, printing each span as it finishes.
 
@@ -24,7 +28,7 @@ import json
 import sys
 from typing import IO, Iterable, Optional, Sequence
 
-from repro.obs.tracer import SpanEvent
+from repro.obs.tracer import Span
 
 __all__ = [
     "chrome_trace_events",
@@ -33,31 +37,32 @@ __all__ = [
     "write_jsonl",
 ]
 
-#: Process ids of the Chrome trace: one per conceptual timeline.
+#: Process id of the simulated timeline; wall processes follow it.
 _PID_SIM = 1
-_PID_WALL = 2
 
 #: Seconds -> trace-event microseconds.
 _US = 1e6
 
 
-def write_jsonl(events: Iterable[SpanEvent], target: str | IO[str]) -> int:
-    """Write one JSON object per span event; returns the event count.
+def write_jsonl(spans: Iterable[Span], target: str | IO[str]) -> int:
+    """Write one JSON object per span; returns the span count.
 
-    *target* is a path or an open text stream.
+    *target* is a path or an open text stream (flushed afterwards, so
+    a live ``Tracer(on_span=...)`` sink can write one span per call).
     """
     if isinstance(target, str):
-        with open(target, "w") as handle:
-            return write_jsonl(events, handle)
+        with open(target, "w", encoding="utf-8") as handle:
+            return write_jsonl(spans, handle)
     count = 0
-    for event in events:
-        target.write(json.dumps(event.to_dict(), sort_keys=True))
+    for span in spans:
+        target.write(json.dumps(span.to_dict(), sort_keys=True))
         target.write("\n")
         count += 1
+    target.flush()
     return count
 
 
-def _track_threads(events: Sequence[SpanEvent]) -> dict[tuple[str, int], int]:
+def _track_threads(spans: Sequence[Span]) -> dict[tuple[str, int], int]:
     """Assign one simulated-process thread id per (track, slot) row.
 
     Thread 0 is the phase tree; task tracks follow, grouped by track
@@ -65,110 +70,97 @@ def _track_threads(events: Sequence[SpanEvent]) -> dict[tuple[str, int], int]:
     ``reduce slot 0..n``.
     """
     rows = sorted(
-        {
-            (event.track, event.slot or 0)
-            for event in events
-            if event.track is not None
-        }
+        {(span.track, span.slot or 0) for span in spans if span.track is not None}
     )
     return {row: index + 1 for index, row in enumerate(rows)}
 
 
-def chrome_trace_events(events: Sequence[SpanEvent]) -> list[dict]:
-    """Convert span events to a Chrome trace-event list.
+def _meta(kind: str, pid: int, tid: int, name: str) -> dict:
+    return {"ph": "M", "name": kind, "pid": pid, "tid": tid,
+            "args": {"name": name}}
+
+
+def chrome_trace_events(spans: Sequence[Span]) -> list[dict]:
+    """Convert spans to a Chrome trace-event list.
 
     Spans with simulated timestamps land on the "simulated cluster"
-    process; every span also lands on the "wall clock" process with
-    timestamps rebased to the first event, so both timelines start at
-    zero.
+    process; every span that is a wall-clock interval -- all but the
+    per-slot task placements, which exist only in simulated time --
+    also lands on the wall process of its ``process`` tag, with
+    timestamps rebased to the earliest such span.
     """
-    out: list[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": _PID_SIM,
-            "tid": 0,
-            "args": {"name": "simulated cluster"},
-        },
-        {
-            "ph": "M",
-            "name": "thread_name",
-            "pid": _PID_SIM,
-            "tid": 0,
-            "args": {"name": "phases"},
-        },
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": _PID_WALL,
-            "tid": 0,
-            "args": {"name": "wall clock"},
-        },
+    out: list[dict] = []
+    simulated = [
+        span for span in spans
+        if span.sim_start is not None and span.sim_end is not None
     ]
-    threads = _track_threads(events)
-    for (track, slot), tid in threads.items():
-        out.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": _PID_SIM,
-                "tid": tid,
-                "args": {"name": f"{track} slot {slot}"},
-            }
-        )
+    threads = _track_threads(simulated)
+    if simulated:
+        out.append(_meta("process_name", _PID_SIM, 0, "simulated cluster"))
+        out.append(_meta("thread_name", _PID_SIM, 0, "phases"))
+        for (track, slot), tid in threads.items():
+            out.append(
+                _meta("thread_name", _PID_SIM, tid, f"{track} slot {slot}")
+            )
+    walled = [span for span in spans if span.track is None]
+    processes = sorted({span.process for span in walled})
+    pids = {
+        process: _PID_SIM + 1 + index
+        for index, process in enumerate(processes)
+    }
+    for process, pid in pids.items():
+        out.append(_meta("process_name", pid, 0, process or "wall clock"))
 
-    wall_base = min((event.wall_start for event in events), default=0.0)
-    for event in events:
-        args = {
+    def args(span: Span) -> dict:
+        return {
             key: value
-            for key, value in event.attributes.items()
+            for key, value in span.attributes.items()
             if isinstance(value, (str, int, float, bool)) or value is None
         }
-        if event.sim_start is not None and event.sim_end is not None:
-            tid = 0
-            if event.track is not None:
-                tid = threads[(event.track, event.slot or 0)]
-            out.append(
-                {
-                    "name": event.name,
-                    "cat": event.track or "phase",
-                    "ph": "X",
-                    "ts": event.sim_start * _US,
-                    "dur": (event.sim_end - event.sim_start) * _US,
-                    "pid": _PID_SIM,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-        if event.track is None:
-            # Task placements exist only in simulated time; everything
-            # else is a real nested interval worth profiling.
-            out.append(
-                {
-                    "name": event.name,
-                    "cat": "wall",
-                    "ph": "X",
-                    "ts": (event.wall_start - wall_base) * _US,
-                    "dur": event.wall_duration * _US,
-                    "pid": _PID_WALL,
-                    "tid": 0,
-                    "args": args,
-                }
-            )
+
+    for span in simulated:
+        tid = 0
+        if span.track is not None:
+            tid = threads[(span.track, span.slot or 0)]
+        out.append(
+            {
+                "name": span.name,
+                "cat": span.track or "phase",
+                "ph": "X",
+                "ts": span.sim_start * _US,
+                "dur": (span.sim_end - span.sim_start) * _US,
+                "pid": _PID_SIM,
+                "tid": tid,
+                "args": args(span),
+            }
+        )
+    wall_base = min((span.wall_start for span in walled), default=0.0)
+    for span in walled:
+        out.append(
+            {
+                "name": span.name,
+                "cat": "wall",
+                "ph": "X",
+                "ts": (span.wall_start - wall_base) * _US,
+                "dur": span.wall_duration * _US,
+                "pid": pids[span.process],
+                "tid": 0,
+                "args": args(span),
+            }
+        )
     return out
 
 
-def write_chrome_trace(events: Sequence[SpanEvent],
-                       target: str | IO[str]) -> int:
+def write_chrome_trace(spans: Sequence[Span], target: str | IO[str]) -> int:
     """Write the Chrome trace JSON; returns the trace-event count.
 
     *target* is a path or an open text stream; the result loads in
     Perfetto or ``chrome://tracing`` unmodified.
     """
     if isinstance(target, str):
-        with open(target, "w") as handle:
-            return write_chrome_trace(events, handle)
-    trace_events = chrome_trace_events(events)
+        with open(target, "w", encoding="utf-8") as handle:
+            return write_chrome_trace(spans, handle)
+    trace_events = chrome_trace_events(spans)
     json.dump(
         {"traceEvents": trace_events, "displayTimeUnit": "ms"},
         target,
@@ -179,7 +171,7 @@ def write_chrome_trace(events: Sequence[SpanEvent],
 
 
 def progress_sink(stream: Optional[IO[str]] = None, max_depth: int = 3):
-    """A live sink for ``Tracer(on_event=...)``: one line per span.
+    """A live sink for ``Tracer(on_span=...)``: one line per span.
 
     Prints indented span completions with wall and simulated durations;
     spans deeper than *max_depth* (per-task, per-block noise) are
@@ -187,19 +179,19 @@ def progress_sink(stream: Optional[IO[str]] = None, max_depth: int = 3):
     """
     out = stream if stream is not None else sys.stderr
 
-    def sink(event: SpanEvent) -> None:
-        if event.depth > max_depth or event.track is not None:
+    def sink(span: Span) -> None:
+        if span.depth > max_depth or span.track is not None:
             return
-        clocks = [f"wall {event.wall_duration * 1e3:.1f}ms"]
-        if event.sim_duration is not None:
-            clocks.append(f"sim {event.sim_duration:.4f}s")
+        clocks = [f"wall {span.wall_duration * 1e3:.1f}ms"]
+        if span.sim_duration is not None:
+            clocks.append(f"sim {span.sim_duration:.4f}s")
         detail = "".join(
             f" {key}={value}"
-            for key, value in event.attributes.items()
+            for key, value in span.attributes.items()
             if isinstance(value, (str, int, float, bool))
         )
         print(
-            f"{'  ' * event.depth}{event.name} "
+            f"{'  ' * span.depth}{span.name} "
             f"[{', '.join(clocks)}]{detail}",
             file=out,
         )

@@ -1,19 +1,17 @@
-"""Cross-process trace context and the per-query span recorder.
+"""The trace plane's wire format: contexts and worker-shipped spans.
 
-The stack-based :class:`~repro.obs.tracer.Tracer` assumes one nested
-call tree per thread; the serving daemon interleaves many queries on
-one event loop and fans execution out to worker *processes*, so causal
-structure must be carried explicitly.  This module provides:
+The serving daemon interleaves many queries on one event loop and fans
+execution out to worker *processes*, so causal structure is carried
+explicitly rather than by a call stack.  This module holds what crosses
+those boundaries; the recorder is :class:`~repro.obs.tracer.Tracer`.
 
 * :class:`TraceContext` -- an immutable (trace_id, span_id, parent_id,
   links) tuple minted once per query and handed down through admission,
   share groups, executors, and worker processes.  ``to_wire()`` /
   :func:`context_from_wire` give it a JSON-safe shape for the existing
-  seq-deduped telemetry channel.
-* :class:`QueryTracer` -- a thread-safe recorder of finished
-  :class:`TraceSpan` records tagged with their context.  Span ids are
-  ``"{pid:x}.{counter}"`` strings, unique across processes, so a
-  post-run merge of daemon and worker spans needs no coordination.
+  seq-deduped telemetry channel.  Span ids (:func:`new_span_id`) are
+  ``"{pid:x}.{counter}"`` strings, unique across processes, so a merge
+  of daemon and worker spans needs no coordination.
 * :func:`wire_span` -- worker-side span construction from a wire
   context without a tracer instance (workers only buffer and ship).
 * :class:`SpanCollector` -- driver-side dedup of worker spans by
@@ -30,18 +28,12 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
-    "NULL_QUERY_TRACER",
-    "NullQueryTracer",
-    "QueryTracer",
     "SpanCollector",
     "TraceContext",
-    "TraceSpan",
     "context_from_wire",
     "fork_context",
     "new_span_id",
@@ -105,56 +97,6 @@ def fork_context(ctx: TraceContext, links: Sequence = ()) -> TraceContext:
     )
 
 
-@dataclass
-class TraceSpan:
-    """One finished, context-tagged span on the shared wall clock."""
-
-    name: str
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    wall_start: float
-    wall_end: float
-    process: str = ""
-    links: tuple = ()
-    attributes: dict = field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> float:
-        return (self.wall_end - self.wall_start) * 1000.0
-
-    def to_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "wall_start": self.wall_start,
-            "wall_end": self.wall_end,
-        }
-        if self.process:
-            data["process"] = self.process
-        if self.links:
-            data["links"] = [list(pair) for pair in self.links]
-        if self.attributes:
-            data["attributes"] = dict(self.attributes)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpan":
-        return cls(
-            name=data["name"],
-            trace_id=data["trace_id"],
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            wall_start=float(data.get("wall_start", 0.0)),
-            wall_end=float(data.get("wall_end", 0.0)),
-            process=data.get("process", ""),
-            links=tuple(tuple(pair) for pair in data.get("links", ())),
-            attributes=dict(data.get("attributes", {})),
-        )
-
-
 def wire_span(
     ctx: dict,
     name: str,
@@ -167,7 +109,7 @@ def wire_span(
 
     Worker processes call this: they hold only the wire form of the
     execution context and buffer finished spans for the telemetry
-    flush, so there is no :class:`QueryTracer` on that side.
+    flush, so there is no tracer on that side.
     """
     span = {
         "name": name,
@@ -184,191 +126,6 @@ def wire_span(
     return span
 
 
-class QueryTracer:
-    """Collects context-tagged spans from many concurrent queries.
-
-    Unlike the stack-based tracer, parenting is explicit (via
-    :class:`TraceContext`), so interleaved recording from several
-    asyncio tasks or threads cannot cross-link trees.  The wall clock
-    defaults to ``time.time`` so daemon and worker spans land on one
-    comparable timeline.
-
-    Args:
-        clock: Shared wall-clock source (injectable for tests).
-        sink: Optional callback fired with each finished span's dict --
-            the hook the JSONL span-file writer attaches to.
-        flight: Optional :class:`~repro.obs.flight.FlightRecorder`;
-            every finished span is also pushed onto its ring.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.time,
-        sink: Optional[Callable[[dict], None]] = None,
-        flight=None,
-        process: str = "",
-    ):
-        self._clock = clock
-        self._sink = sink
-        self.flight = flight
-        self.process = process or f"pid{os.getpid()}"
-        self._lock = threading.Lock()
-        self.spans: list[TraceSpan] = []
-
-    def now(self) -> float:
-        return self._clock()
-
-    # -- contexts --------------------------------------------------------------
-
-    def mint(self, trace_id: str) -> TraceContext:
-        """A fresh root context for one query's trace."""
-        return TraceContext(trace_id=trace_id, span_id=new_span_id())
-
-    def fork(self, ctx: TraceContext, links: Sequence = ()) -> TraceContext:
-        """A child context under *ctx* (see :func:`fork_context`)."""
-        return fork_context(ctx, links=links)
-
-    # -- recording -------------------------------------------------------------
-
-    def record(
-        self,
-        ctx: TraceContext,
-        name: str,
-        wall_start: float,
-        wall_end: float,
-        process: str = "",
-        **attributes,
-    ) -> TraceSpan:
-        """Record a finished span as a *child* of *ctx*'s span."""
-        span = TraceSpan(
-            name=name,
-            trace_id=ctx.trace_id,
-            span_id=new_span_id(),
-            parent_id=ctx.span_id,
-            wall_start=wall_start,
-            wall_end=wall_end,
-            process=process or self.process,
-        )
-        if attributes:
-            span.attributes = attributes
-        self._emit(span)
-        return span
-
-    def close(
-        self,
-        ctx: TraceContext,
-        name: str,
-        wall_start: float,
-        wall_end: float,
-        process: str = "",
-        **attributes,
-    ) -> TraceSpan:
-        """Record the span *ctx itself* stands for (id, parent, links).
-
-        Used for spans whose children are recorded before the span
-        ends: fork the context first, parent children under it, then
-        close it once the interval is known.
-        """
-        span = TraceSpan(
-            name=name,
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id,
-            wall_start=wall_start,
-            wall_end=wall_end,
-            process=process or self.process,
-            links=ctx.links,
-        )
-        if attributes:
-            span.attributes = attributes
-        self._emit(span)
-        return span
-
-    def event(self, ctx: TraceContext, name: str, **attributes) -> TraceSpan:
-        """Record an instantaneous annotation under *ctx* (shed,
-        deadline, fallback decisions)."""
-        now = self.now()
-        return self.record(ctx, name, now, now, **attributes)
-
-    def ingest(self, span_dict: dict) -> TraceSpan:
-        """Absorb a span shipped from another process (already deduped)."""
-        span = TraceSpan.from_dict(span_dict)
-        self._emit(span)
-        return span
-
-    def _emit(self, span: TraceSpan) -> None:
-        with self._lock:
-            self.spans.append(span)
-        if self.flight is not None:
-            self.flight.record(span.to_dict())
-        if self._sink is not None:
-            self._sink(span.to_dict())
-
-    # -- inspection ------------------------------------------------------------
-
-    def find(self, name: str) -> list[TraceSpan]:
-        """All finished spans called *name*."""
-        with self._lock:
-            return [span for span in self.spans if span.name == name]
-
-    def for_trace(self, trace_id: str) -> list[TraceSpan]:
-        """All spans recorded under *trace_id* (links not followed)."""
-        with self._lock:
-            return [s for s in self.spans if s.trace_id == trace_id]
-
-    def to_dicts(self) -> list[dict]:
-        with self._lock:
-            return [span.to_dict() for span in self.spans]
-
-
-class NullQueryTracer:
-    """The disabled per-query tracer: context minting still works (so
-    callers always hold a context object) but nothing is recorded."""
-
-    enabled = False
-    flight = None
-    process = ""
-    spans: tuple = ()
-
-    def now(self) -> float:
-        return 0.0
-
-    def mint(self, trace_id: str) -> TraceContext:
-        return TraceContext(trace_id=trace_id, span_id="0")
-
-    def fork(self, ctx: TraceContext, links: Sequence = ()) -> TraceContext:
-        return ctx
-
-    def record(self, ctx, name, wall_start, wall_end, process="",
-               **attributes) -> None:
-        return None
-
-    def close(self, ctx, name, wall_start, wall_end, process="",
-              **attributes) -> None:
-        return None
-
-    def event(self, ctx, name, **attributes) -> None:
-        return None
-
-    def ingest(self, span_dict: dict) -> None:
-        return None
-
-    def find(self, name: str) -> list:
-        return []
-
-    def for_trace(self, trace_id: str) -> list:
-        return []
-
-    def to_dicts(self) -> list:
-        return []
-
-
-#: The shared disabled per-query tracer.
-NULL_QUERY_TRACER = NullQueryTracer()
-
-
 class SpanCollector:
     """Deduplicates worker-shipped spans by (worker, seq).
 
@@ -376,21 +133,23 @@ class SpanCollector:
     and ship the recent window with *every* telemetry flush (the same
     at-least-once channel the counters use), so the driver may see a
     span many times and -- after retries -- out of order per worker.
-    Keeping the highest seq seen per worker makes the merge idempotent.
+    Keeping the highest seq seen per worker makes the merge idempotent;
+    each new span goes to *sink* exactly once (typically
+    :meth:`~repro.obs.tracer.Tracer.ingest`).
     """
 
-    def __init__(self):
+    def __init__(self, sink: Callable[[dict], object]):
+        self._sink = sink
         self._seen: dict[str, int] = {}
-        self.spans: list[dict] = []
 
     def merge(self, worker: str, entries: Iterable) -> int:
         """Absorb ``(seq, span_dict)`` pairs from *worker*; returns the
-        number of new spans accepted."""
+        number of new spans passed to the sink."""
         last = self._seen.get(worker, -1)
         added = 0
         for seq, span in entries:
             if seq > last:
-                self.spans.append(span)
+                self._sink(span)
                 last = seq
                 added += 1
         self._seen[worker] = last

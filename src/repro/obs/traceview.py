@@ -1,10 +1,11 @@
 """Reading, reconstructing, and rendering per-query trace trees.
 
-Consumes span records produced by :class:`~repro.obs.tracectx.QueryTracer`
+Consumes :meth:`Span.to_dict <repro.obs.tracer.Span.to_dict>` records
 from either shape on disk:
 
-* a **span file** -- one JSON span per line, written live by
-  ``repro serve --trace-spans``; or
+* a **span file** -- one JSON span per line, written by
+  :func:`~repro.obs.export.write_jsonl` (live by ``repro serve
+  --trace-spans``, after the run by ``repro trace --events``); or
 * a **flight-recorder bundle** -- one self-contained JSON object with a
   ``"spans"`` list (see :mod:`repro.obs.flight`).
 
@@ -14,9 +15,8 @@ memory.  :func:`collect_trace` reassembles one query's causal tree,
 *following links*: a share-group execution span belongs to its primary
 trace but links to the other members' root spans, so every member's
 view includes the shared execution subtree.  :func:`render_trace` is
-the ``repro trace --query`` ASCII view and
-:func:`trace_chrome_events` the per-query Chrome-trace export (one
-trace-viewer process per recorded ``process`` tag).
+the ``repro trace --query`` ASCII view; its Chrome export goes through
+:func:`~repro.obs.export.chrome_trace_events` like every other span set.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ __all__ = [
     "iter_spans",
     "list_traces",
     "render_trace",
-    "trace_chrome_events",
-    "write_trace_chrome",
 ]
-
-_US = 1e6
 
 
 def _bundle_spans(data: dict) -> list[dict]:
@@ -218,57 +214,3 @@ def render_trace(spans: Sequence[dict], trace_id: str) -> str:
     for root in children.get(None, ()):
         walk(root, 1)
     return "\n".join(lines)
-
-
-def trace_chrome_events(spans: Sequence[dict]) -> list[dict]:
-    """Chrome trace-event list for one (already collected) span set.
-
-    Each distinct ``process`` tag becomes a trace-viewer process, so a
-    query's daemon-side phases and worker-side task attempts line up on
-    one shared wall-clock timeline.
-    """
-    processes = sorted({span.get("process", "") for span in spans})
-    pids = {process: index + 1 for index, process in enumerate(processes)}
-    out: list[dict] = []
-    for process, pid in pids.items():
-        out.append({
-            "ph": "M",
-            "name": "process_name",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": process or "daemon"},
-        })
-    base = min((span.get("wall_start", 0.0) for span in spans),
-               default=0.0)
-    for span in spans:
-        attributes = {
-            key: value
-            for key, value in (span.get("attributes") or {}).items()
-            if isinstance(value, (str, int, float, bool)) or value is None
-        }
-        attributes["trace_id"] = span.get("trace_id", "")
-        out.append({
-            "name": span.get("name", "?"),
-            "cat": "trace",
-            "ph": "X",
-            "ts": (span.get("wall_start", 0.0) - base) * _US,
-            "dur": (span.get("wall_end", 0.0)
-                    - span.get("wall_start", 0.0)) * _US,
-            "pid": pids[span.get("process", "")],
-            "tid": 0,
-            "args": attributes,
-        })
-    return out
-
-
-def write_trace_chrome(spans: Sequence[dict],
-                       target: str | IO[str]) -> int:
-    """Write the per-query Chrome trace JSON; returns the event count."""
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            return write_trace_chrome(spans, handle)
-    events = trace_chrome_events(spans)
-    json.dump({"traceEvents": events, "displayTimeUnit": "ms"},
-              target, indent=1)
-    target.write("\n")
-    return len(events)

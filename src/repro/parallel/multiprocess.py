@@ -82,12 +82,7 @@ from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
 from repro.mapreduce.engine import stable_hash
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
-from repro.obs.tracectx import (
-    SpanCollector,
-    TraceContext,
-    fork_context,
-    wire_span,
-)
+from repro.obs.tracectx import SpanCollector, TraceContext, wire_span
 from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.query.functions import Expression
@@ -180,7 +175,7 @@ def _init_worker(
     # telemetry channel inside a bounded ring (the worker-side flight
     # recorder) as (seq, span) pairs, so redelivery dedups cleanly.
     _WORKER["trace_ctx"] = trace_ctx
-    _WORKER["trace_spans"] = deque(maxlen=128)
+    _WORKER["span_ring"] = deque(maxlen=128)
     _WORKER["trace_seq"] = 0
 
 
@@ -204,7 +199,7 @@ def _flush_worker_telemetry() -> None:
         "counters": dict(_WORKER["telemetry_counters"]),
         "resources": sample_resources().to_dict(),
     }
-    ring = _WORKER.get("trace_spans")
+    ring = _WORKER.get("span_ring")
     if ring:
         # The whole recent window every flush: at-least-once delivery,
         # deduplicated driver-side by per-span sequence number.
@@ -219,7 +214,7 @@ def _record_task_span(task: int, attempt: int, started: float,
                       **attributes) -> None:
     """Ring one finished (or failed) task attempt as a context span."""
     ctx = _WORKER.get("trace_ctx")
-    ring = _WORKER.get("trace_spans")
+    ring = _WORKER.get("span_ring")
     if ctx is None or ring is None:
         return
     _WORKER["trace_seq"] += 1
@@ -405,10 +400,6 @@ class MultiprocessReport:
     #: ledger's ``retry_overhead`` phase.
     retry_wall_seconds: float = 0.0
     attempts_per_task: dict = field(default_factory=dict)
-    #: Context-tagged span dicts for this run (the driver's execution
-    #: span, retry events, and worker task attempts collected over the
-    #: telemetry channel); empty unless a trace context was passed.
-    trace_spans: list = field(default_factory=list)
     #: Per-worker telemetry sections (cumulative counters + final
     #: resource odometer), merged from the telemetry channel; empty
     #: when telemetry was off.  Shape matches
@@ -475,8 +466,11 @@ class MultiprocessEvaluator:
         fault_plan: Optional chaos to inject into worker attempts --
             seeded kills, failures, stragglers (see
             :func:`repro.faults.apply_chaos`).
-        tracer: Optional :class:`repro.obs.Tracer`; receives dispatch
-            and recovery spans on the wall clock.
+        tracer: Optional :class:`repro.obs.Tracer`; receives the
+            ``mp-evaluate`` span, its recovery children (``mp-retry``,
+            ``mp-rebuild-pool``, ``mp-degrade``) and every worker's
+            ``mp-task`` attempt spans, shipped over the telemetry
+            channel, all on one wall clock.
         telemetry: Optional
             :class:`repro.obs.telemetry.TelemetryRegistry`; turns on
             the worker->driver channel -- workers flush cumulative
@@ -517,9 +511,6 @@ class MultiprocessEvaluator:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
-        #: Live span collector for the current traced run; the gather
-        #: loop's telemetry drain feeds it worker span deliveries.
-        self._span_collector: Optional[SpanCollector] = None
 
     def evaluate(
         self,
@@ -538,11 +529,11 @@ class MultiprocessEvaluator:
         simply ignored) and raises
         :class:`~repro.parallel.cancel.DeadlineExceededError`.
 
-        *trace* (a :class:`repro.obs.tracectx.TraceContext`) propagates
-        a query trace across the process boundary: the run records an
-        execution span under it, workers tag every task attempt with
-        the same trace id, and the collected spans come back on
-        :attr:`MultiprocessReport.trace_spans`.
+        *trace* (a :class:`repro.obs.tracectx.TraceContext`) is the
+        optional parent of the run's ``mp-evaluate`` span in
+        :attr:`tracer`; without it the span nests under the tracer's
+        open span.  Workers tag every task attempt with the same trace
+        id, so the whole run is one tree.
         """
         if cancel is not None:
             cancel.check()
@@ -620,29 +611,13 @@ class MultiprocessEvaluator:
         # initargs (a plain multiprocessing.Queue is not); the manager
         # process only exists while telemetry or tracing is on (worker
         # spans ride the same channel as counters).
+        tracing = self.tracer.enabled
         manager = None
         telemetry_queue = None
-        if self.telemetry.enabled or trace is not None:
+        if self.telemetry.enabled or tracing:
             manager = multiprocessing.Manager()
             telemetry_queue = manager.Queue()
-
-        exec_ctx = None
-        collector = None
-        if trace is not None:
-            exec_ctx = fork_context(trace)
-            collector = SpanCollector()
-            self._span_collector = collector
-        exec_start = time.time()
-
-        init_args = (
-            workflow_to_dict(workflow, expressions=self.expressions),
-            workflow.schema,
-            _scheme_specs(plan),
-            self.expressions,
-            self.function_factories,
-            telemetry_queue,
-            exec_ctx.to_wire() if exec_ctx is not None else None,
-        )
+        collector = SpanCollector(self.tracer.ingest) if tracing else None
 
         # Gather: one task per non-empty bucket, with retries,
         # speculation, pool rebuilds and a centralized fallback.
@@ -681,56 +656,53 @@ class MultiprocessEvaluator:
                 registry.release(bucket.segment)
 
         try:
+            # Worker task spans are children of this span, so they
+            # attach however the gather ends below.
             with self.tracer.span(
-                "mp-evaluate", tasks=len(work), processes=self.processes
-            ):
-                row_lists = self._gather_resilient(
-                    work, init_args, report,
-                    telemetry_queue=telemetry_queue,
-                    cancel=cancel,
-                    release=release_bucket,
-                    trace_ctx=exec_ctx,
+                "mp-evaluate", parent=trace,
+                tasks=len(work), processes=self.processes,
+            ) as exec_span:
+                init_args = (
+                    workflow_to_dict(workflow, expressions=self.expressions),
+                    workflow.schema,
+                    _scheme_specs(plan),
+                    self.expressions,
+                    self.function_factories,
+                    telemetry_queue,
+                    exec_span.context().to_wire() if tracing else None,
                 )
-                self._drain_telemetry(telemetry_queue)
-                report.workers = self.telemetry.worker_totals()
-                if row_lists is None:
-                    # Graceful degradation: some task exhausted its
-                    # retry budget.  The centralized oracle computes
-                    # the same answer -- we lose the speedup, never
-                    # the result.
-                    logger.warning(
-                        "multiprocess gather degraded after %d retries; "
-                        "falling back to centralized evaluation",
-                        report.retries,
+                try:
+                    row_lists = self._gather_resilient(
+                        work, init_args, report,
+                        telemetry_queue=telemetry_queue,
+                        cancel=cancel,
+                        release=release_bucket,
+                        exec_span=exec_span,
+                        collector=collector,
                     )
-                    report.degraded = True
-                    with self.tracer.span(
-                        "mp-degrade", retries=report.retries
-                    ):
-                        result = evaluate_centralized(workflow, records)
+                    self._drain_telemetry(telemetry_queue, collector)
+                    report.workers = self.telemetry.worker_totals()
+                    if row_lists is None:
+                        # Graceful degradation: some task exhausted its
+                        # retry budget.  The centralized oracle computes
+                        # the same answer -- we lose the speedup, never
+                        # the result.
+                        logger.warning(
+                            "multiprocess gather degraded after %d "
+                            "retries; falling back to centralized "
+                            "evaluation",
+                            report.retries,
+                        )
+                        report.degraded = True
+                        with self.tracer.span(
+                            "mp-degrade", retries=report.retries
+                        ):
+                            result = evaluate_centralized(workflow, records)
+                finally:
+                    exec_span.set(
+                        retries=report.retries, degraded=report.degraded
+                    )
         finally:
-            if exec_ctx is not None:
-                # The run's execution span closes AS the forked context
-                # (id = exec_ctx.span_id), so worker task spans -- its
-                # children -- attach however the gather ended above.
-                report.trace_spans.extend(collector.spans)
-                report.trace_spans.append({
-                    "name": "mp-evaluate",
-                    "trace_id": exec_ctx.trace_id,
-                    "span_id": exec_ctx.span_id,
-                    "parent_id": exec_ctx.parent_id,
-                    "wall_start": exec_start,
-                    "wall_end": time.time(),
-                    "process": f"pid{os.getpid()}",
-                    "links": [list(link) for link in exec_ctx.links],
-                    "attributes": {
-                        "tasks": len(work),
-                        "processes": self.processes,
-                        "retries": report.retries,
-                        "degraded": report.degraded,
-                    },
-                })
-                self._span_collector = None
             if manager is not None:
                 manager.shutdown()
 
@@ -838,14 +810,17 @@ class MultiprocessEvaluator:
         telemetry_queue=None,
         cancel: CancellationToken | None = None,
         release=None,
-        trace_ctx: Optional[TraceContext] = None,
+        exec_span=None,
+        collector: Optional[SpanCollector] = None,
     ) -> Optional[list[list]]:
         """Run every bucket to completion; ``None`` means degrade.
 
         The loop mirrors a MapReduce master: dispatch, watch, retry
         with backoff, speculate on stragglers, rebuild the pool when a
         worker dies, and give up (gracefully) only when a task's whole
-        budget is spent.
+        budget is spent.  Retry backoffs are recorded as ``mp-retry``
+        children of *exec_span*; worker spans drained from the channel
+        go through *collector*.
         """
         if not work:
             return []
@@ -889,19 +864,13 @@ class MultiprocessEvaluator:
             report.retries += 1
             report.retry_wall_seconds += delay
             retry_at[task] = time.monotonic() + delay
-            with self.tracer.span(
-                "mp-retry", task=task, failures=state.failures,
+            # The span's width is the backoff it costs.
+            now = self.tracer.now()
+            self.tracer.record(
+                exec_span, "mp-retry", now, now + delay,
+                task=task, failures=state.failures,
                 backoff=delay, error=why,
-            ):
-                pass
-            if trace_ctx is not None:
-                now_wall = time.time()
-                report.trace_spans.append(wire_span(
-                    trace_ctx.to_wire(), "mp-retry", now_wall,
-                    now_wall + delay, process=f"pid{os.getpid()}",
-                    task=task, failures=state.failures,
-                    backoff=round(delay, 6), error=why,
-                ))
+            )
             logger.warning(
                 "task %d failed (%s); retry %d/%d in %.3fs",
                 task, why, state.failures, policy.max_attempts - 1, delay,
@@ -955,7 +924,7 @@ class MultiprocessEvaluator:
                     timeout=_POLL_SECONDS,
                     return_when=FIRST_COMPLETED,
                 )
-                self._drain_telemetry(telemetry_queue)
+                self._drain_telemetry(telemetry_queue, collector)
                 broken = False
                 for future in done:
                     task, attempt, submitted, backup = futures.pop(future)
@@ -1050,8 +1019,11 @@ class MultiprocessEvaluator:
             initargs=init_args,
         )
 
-    def _drain_telemetry(self, telemetry_queue) -> None:
-        """Merge every queued worker flush into the live registry.
+    def _drain_telemetry(
+        self, telemetry_queue, collector: Optional[SpanCollector] = None
+    ) -> None:
+        """Merge every queued worker flush into the live registry, and
+        its new worker spans through *collector* into the tracer.
 
         Runs inside the gather poll loop (so in-flight runs are
         inspectable) and once more after the pool drains.  Merge order
@@ -1068,7 +1040,6 @@ class MultiprocessEvaluator:
                 return
             except Exception:  # manager shutting down
                 return
-            collector = self._span_collector
             if collector is not None and isinstance(delta, dict):
                 try:
                     collector.merge(

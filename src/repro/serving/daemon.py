@@ -57,10 +57,11 @@ from repro.cube.records import Record
 from repro.local.measure_table import MeasureTable, ResultSet
 from repro.local.sortscan import BlockEvaluator, evaluate_centralized
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
+from repro.mapreduce.counters import JobReport
 from repro.obs.ledger import LedgerBook
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.obs.tracectx import NULL_QUERY_TRACER, TraceContext
-from repro.obs.tracer import Tracer
+from repro.obs.tracectx import TraceContext
+from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.optimizer import Optimizer, Plan, QueryPlan
 from repro.parallel.cancel import CancellationToken, DeadlineExceededError
 from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
@@ -417,15 +418,10 @@ class _Worker:
         """Run one group; returns the result and the wall seconds of
         each execution phase (planning/map/shuffle/reduce).
 
-        A fresh per-run :class:`~repro.obs.tracer.Tracer` marks the
-        map/reduce phase boundaries (the engine already emits those
-        spans); the boundaries tile the run's wall time exactly, so
-        the latency ledger attributes execution exhaustively.  Each
-        worker runs one group at a time, so swapping the evaluator's
-        tracer per run is race-free.
+        The job report's phase stamps mark the map/reduce boundaries;
+        they tile the run's wall time exactly, so the latency ledger
+        attributes execution exhaustively.
         """
-        tracer = Tracer()
-        self.evaluator.tracer = tracer
         run_start = time.perf_counter()
         outcome = self.evaluator.evaluate(
             workflow,
@@ -434,23 +430,17 @@ class _Worker:
             cancel=cancel,
         )
         run_end = time.perf_counter()
-        return outcome.result, self._phase_walls(tracer, run_start, run_end)
+        return outcome.result, self._phase_walls(
+            outcome.job, run_start, run_end
+        )
 
     @staticmethod
     def _phase_walls(
-        tracer: Tracer, run_start: float, run_end: float
+        job: JobReport, run_start: float, run_end: float
     ) -> dict[str, float]:
-        maps = tracer.find("map")
-        reduces = tracer.find("reduce")
-        if not maps or not reduces:
-            # No phase spans (should not happen): charge it all to
-            # reduce rather than lose the time.
-            return {"reduce": max(0.0, run_end - run_start)}
-        map_start = min(span.wall_start for span in maps)
-        map_end = max(span.wall_end for span in maps)
-        reduce_start = max(
-            map_end, min(span.wall_start for span in reduces)
-        )
+        map_start = job.wall_map_start
+        map_end = job.wall_map_end
+        reduce_start = max(map_end, job.wall_reduce_start)
         return {
             "planning": max(0.0, map_start - run_start),
             "map": max(0.0, map_end - map_start),
@@ -508,7 +498,7 @@ class QueryService:
         if cache is not None:
             cache.attach_telemetry(self.telemetry)
         #: Per-query span recorder (opt-in); the ledger is always on.
-        self.tracer = tracer if tracer is not None else NULL_QUERY_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Per-tenant SLO burn tracking (None: untracked).
         self.slo = slo
         #: Flight recorder for triggered bundle dumps (None: off).
@@ -1172,7 +1162,7 @@ class QueryService:
         exec_end = self.tracer.now()
         if exec_ctx is not None:
             # Phase children tile the execution interval sequentially
-            # (the durations come from the worker's phase tracer).
+            # (the durations come from the job report's phase stamps).
             cursor = exec_wall
             for phase in ("planning", "map", "shuffle", "reduce"):
                 width = phases.get(phase, 0.0)

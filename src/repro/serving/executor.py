@@ -40,7 +40,6 @@ from repro.local.sortscan import BlockEvaluator
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.dfs import DistributedFile
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.obs.tracectx import NULL_QUERY_TRACER
 from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.optimizer import QueryPlan
 from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
@@ -168,7 +167,10 @@ class BatchEvaluator:
     Wraps a :class:`~repro.parallel.executor.ParallelEvaluator` for the
     shared jobs.  *cache* enables the cross-run measure cache;
     *group_retries* bounds in-line retries per failing group (on top of
-    the engine's own task-level fault tolerance).
+    the engine's own task-level fault tolerance).  *tracer* records one
+    trace per query -- a root span named after it -- with each share
+    group's ``execute`` span (linked to the other members' roots) and
+    its ``batch-group`` attempts nested below.
     """
 
     def __init__(
@@ -179,7 +181,6 @@ class BatchEvaluator:
         cache: MeasureCache | None = None,
         group_retries: int = 1,
         telemetry=None,
-        query_tracer=None,
     ):
         config = config or ExecutionConfig()
         if config.early_aggregation:
@@ -193,11 +194,6 @@ class BatchEvaluator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
-        )
-        #: Per-query trace roots + share-group execution spans (the
-        #: batch-mode mirror of the daemon's trace plane).
-        self.query_tracer = (
-            query_tracer if query_tracer is not None else NULL_QUERY_TRACER
         )
         self.inner = ParallelEvaluator(
             cluster, config, tracer=tracer, telemetry=telemetry,
@@ -235,11 +231,11 @@ class BatchEvaluator:
         """
         contexts: dict = {}
         trace_started = 0.0
-        if self.query_tracer.enabled:
-            trace_started = self.query_tracer.now()
-            contexts = {
-                name: self.query_tracer.mint(name) for name in queries
-            }
+        if self.tracer.enabled:
+            # Per-query trace roots, the batch-mode mirror of the
+            # daemon's trace plane; share groups execute under them.
+            trace_started = self.tracer.now()
+            contexts = {name: self.tracer.mint(name) for name in queries}
         with self.tracer.span("evaluate-batch", queries=len(queries)):
             input_file = self._resolve_input(data)
             if plan is None:
@@ -308,9 +304,9 @@ class BatchEvaluator:
                     for outcome in failures
                     for query in outcome.group.queries
                 }
-                end = self.query_tracer.now()
+                end = self.tracer.now()
                 for name, ctx in contexts.items():
-                    self.query_tracer.close(
+                    self.tracer.close(
                         ctx, name, trace_started, end,
                         status="error" if name in failed else "ok",
                         jobless=name in jobless,
@@ -427,21 +423,22 @@ class BatchEvaluator:
         exec_ctx = None
         exec_start = 0.0
         if member_ctxs:
-            exec_ctx = self.query_tracer.fork(
+            exec_ctx = self.tracer.fork(
                 member_ctxs[0],
                 links=[
                     (ctx.trace_id, ctx.span_id)
                     for ctx in member_ctxs[1:]
                 ],
             )
-            exec_start = self.query_tracer.now()
+            exec_start = self.tracer.now()
         attempts = 0
         last_error = ""
         while attempts <= self.group_retries:
             attempts += 1
             try:
                 with self.tracer.span(
-                    "batch-group", index=index, attempt=attempts,
+                    "batch-group", parent=exec_ctx,
+                    index=index, attempt=attempts,
                     queries=",".join(group.queries),
                 ):
                     outcome = self.inner.evaluate(
@@ -456,7 +453,7 @@ class BatchEvaluator:
                     index, attempts, last_error,
                 )
                 if exec_ctx is not None:
-                    self.query_tracer.event(
+                    self.tracer.event(
                         exec_ctx, "group-retry",
                         attempt=attempts, error=last_error,
                     )
@@ -465,17 +462,17 @@ class BatchEvaluator:
                 group, outcome, tables, unit_components
             )
             if exec_ctx is not None:
-                self.query_tracer.close(
+                self.tracer.close(
                     exec_ctx, "execute", exec_start,
-                    self.query_tracer.now(),
+                    self.tracer.now(),
                     queries=",".join(group.queries),
                     group=index, attempts=attempts,
                 )
             return GroupOutcome(group, outcome, attempts)
         if exec_ctx is not None:
-            self.query_tracer.close(
+            self.tracer.close(
                 exec_ctx, "execute", exec_start,
-                self.query_tracer.now(),
+                self.tracer.now(),
                 queries=",".join(group.queries),
                 group=index, attempts=attempts, error=last_error,
             )

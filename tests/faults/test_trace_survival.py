@@ -11,7 +11,7 @@ import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
 from repro.local.sortscan import evaluate_centralized
-from repro.obs.tracectx import QueryTracer
+from repro.obs.tracer import Tracer
 from repro.obs.traceview import collect_trace, find_orphans
 from repro.parallel.multiprocess import MultiprocessEvaluator
 from repro.query.builder import WorkflowBuilder
@@ -30,18 +30,20 @@ def small_workflow(tiny_schema):
 
 
 def _traced_run(small_workflow, tiny_records, fault_plan, retry_policy):
-    tracer = QueryTracer()
+    tracer = Tracer()
     root = tracer.mint("q-chaos")
     evaluator = MultiprocessEvaluator(
         processes=2, fault_plan=fault_plan, retry_policy=retry_policy,
+        tracer=tracer,
     )
     started = tracer.now()
     result, report = evaluator.evaluate(
         small_workflow, tiny_records, num_partitions=4, trace=root,
     )
-    for span in report.trace_spans:
-        tracer.ingest(span)
     tracer.close(root, "q-chaos", started, tracer.now())
+    # Every interval is recorded once, into the one tracer.
+    assert len(tracer.find("mp-evaluate")) == 1
+    assert len(tracer.find("mp-retry")) == report.retries
     return result, report, tracer.to_dicts()
 
 

@@ -40,9 +40,9 @@ class TestJsonl:
     def test_round_trips_event_dicts(self, tmp_path):
         tracer = traced_run()
         path = tmp_path / "events.jsonl"
-        count = write_jsonl(tracer.events, str(path))
+        count = write_jsonl(tracer.spans, str(path))
         lines = path.read_text().splitlines()
-        assert count == len(lines) == len(tracer.events)
+        assert count == len(lines) == len(tracer.spans)
         parsed = [json.loads(line) for line in lines]
         assert [p["name"] for p in parsed] == tracer.names()
         by_name = {p["name"]: p for p in parsed}
@@ -53,7 +53,7 @@ class TestJsonl:
     def test_accepts_open_stream(self):
         tracer = traced_run()
         stream = io.StringIO()
-        count = write_jsonl(tracer.events, stream)
+        count = write_jsonl(tracer.spans, stream)
         assert count == len(stream.getvalue().splitlines())
 
 
@@ -61,7 +61,7 @@ class TestChromeTrace:
     def test_valid_json_with_metadata(self, tmp_path):
         tracer = traced_run()
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(tracer.events, str(path))
+        count = write_chrome_trace(tracer.spans, str(path))
         data = json.loads(path.read_text())
         assert set(data) == {"traceEvents", "displayTimeUnit"}
         assert len(data["traceEvents"]) == count
@@ -69,7 +69,7 @@ class TestChromeTrace:
         assert phases == {"M", "X"}
 
     def test_simulated_timestamps_in_microseconds(self):
-        events = chrome_trace_events(traced_run().events)
+        events = chrome_trace_events(traced_run().spans)
         sim = {
             e["name"]: e for e in events
             if e["ph"] == "X" and e["pid"] == 1
@@ -80,7 +80,7 @@ class TestChromeTrace:
         assert sim["shuffle"]["dur"] == 1.0 * 1e6
 
     def test_task_tracks_get_one_thread_per_slot(self):
-        events = chrome_trace_events(traced_run().events)
+        events = chrome_trace_events(traced_run().spans)
         thread_names = {
             e["tid"]: e["args"]["name"]
             for e in events
@@ -98,7 +98,7 @@ class TestChromeTrace:
         assert 0 not in tasks.values()
 
     def test_wall_process_rebased_to_zero(self):
-        events = chrome_trace_events(traced_run().events)
+        events = chrome_trace_events(traced_run().spans)
         wall = [e for e in events if e["ph"] == "X" and e["pid"] == 2]
         assert wall, "expected wall-clock events"
         assert min(e["ts"] for e in wall) == 0.0
@@ -116,7 +116,7 @@ class TestChromeTrace:
         tracer = Tracer(clock=FakeClock())
         with tracer.span("plan") as span:
             span.set(key="ok", loads=[1, 2, 3])
-        events = chrome_trace_events(tracer.events)
+        events = chrome_trace_events(tracer.spans)
         plan = next(e for e in events if e.get("name") == "plan"
                     and e["ph"] == "X")
         assert plan["args"] == {"key": "ok"}
@@ -126,7 +126,7 @@ class TestProgressSink:
     def test_prints_shallow_spans_only(self):
         stream = io.StringIO()
         tracer = Tracer(
-            clock=FakeClock(), on_event=progress_sink(stream, max_depth=1)
+            clock=FakeClock(), on_span=progress_sink(stream, max_depth=1)
         )
         with tracer.span("job"):
             with tracer.span("map") as map_span:
@@ -152,7 +152,7 @@ class TestChromeTraceConcurrency:
             tracer.record_span("task 0", 0.0, 2.0, track="map", slot=0)
             tracer.record_span("task 0", 0.5, 1.5, track="map", slot=1)
             job.set_sim(0.0, 2.0)
-        events = chrome_trace_events(tracer.events)
+        events = chrome_trace_events(tracer.spans)
         attempts = [
             e for e in events if e["ph"] == "X" and e["name"] == "task 0"
         ]
@@ -165,7 +165,7 @@ class TestChromeTraceConcurrency:
             tracer.record_span("task 0", 0.0, 1.0, track="map", slot=0)
             tracer.record_span("task 1", 1.0, 2.0, track="map", slot=0)
             job.set_sim(0.0, 2.0)
-        events = chrome_trace_events(tracer.events)
+        events = chrome_trace_events(tracer.spans)
         tids = {
             e["name"]: e["tid"]
             for e in events
@@ -179,7 +179,7 @@ class TestChromeTraceConcurrency:
             tracer.record_span("task m", 0.0, 1.0, track="map", slot=0)
             tracer.record_span("task r", 1.0, 2.0, track="reduce", slot=0)
             job.set_sim(0.0, 2.0)
-        events = chrome_trace_events(tracer.events)
+        events = chrome_trace_events(tracer.spans)
         rows = {
             e["name"]: e["tid"]
             for e in events
@@ -200,7 +200,7 @@ class TestProgressSinkDepth:
     def nested_run(self, stream, max_depth):
         tracer = Tracer(
             clock=FakeClock(),
-            on_event=progress_sink(stream, max_depth=max_depth),
+            on_span=progress_sink(stream, max_depth=max_depth),
         )
         with tracer.span("d0"):
             with tracer.span("d1"):
@@ -227,7 +227,7 @@ class TestProgressSinkDepth:
         stream = io.StringIO()
         tracer = Tracer(
             clock=FakeClock(),
-            on_event=progress_sink(stream, max_depth=99),
+            on_span=progress_sink(stream, max_depth=99),
         )
         with tracer.span("job"):
             tracer.record_span("task 0", 0.0, 1.0, track="map", slot=0)

@@ -1,4 +1,4 @@
-"""Tests for the cross-process trace context and per-query recorder.
+"""Tests for the trace plane's wire format and the tracer's context API.
 
 All clocks are injected fakes; span-id uniqueness is structural (pid
 prefix + process-local counter), so no test depends on timing.
@@ -10,17 +10,14 @@ import pytest
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.tracectx import (
-    NULL_QUERY_TRACER,
-    NullQueryTracer,
-    QueryTracer,
     SpanCollector,
     TraceContext,
-    TraceSpan,
     context_from_wire,
     fork_context,
     new_span_id,
     wire_span,
 )
+from repro.obs.tracer import Tracer
 
 
 class FakeClock:
@@ -73,25 +70,27 @@ class TestTraceContext:
 
 
 class TestQueryTracer:
+    """The context API: explicit parenting for per-query trace trees."""
+
     def test_close_records_the_context_itself(self):
-        tracer = QueryTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         root = tracer.mint("q1")
         span = tracer.close(root, "query", 0.0, 2.0, status="ok")
         assert span.span_id == root.span_id
         assert span.parent_id is None
         assert span.trace_id == "q1"
         assert span.attributes == {"status": "ok"}
-        assert span.duration_ms == pytest.approx(2000.0)
+        assert span.wall_duration == pytest.approx(2.0)
 
     def test_record_makes_a_child(self):
-        tracer = QueryTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         root = tracer.mint("q1")
         child = tracer.record(root, "planning", 0.0, 1.0)
         assert child.parent_id == root.span_id
         assert child.span_id != root.span_id
 
     def test_interleaved_queries_do_not_cross_link(self):
-        tracer = QueryTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         a, b = tracer.mint("qa"), tracer.mint("qb")
         tracer.record(a, "map", 0.0, 1.0)
         tracer.record(b, "map", 0.0, 1.0)
@@ -104,7 +103,7 @@ class TestQueryTracer:
 
     def test_event_is_instantaneous_at_clock_now(self):
         clock = FakeClock(5.0)
-        tracer = QueryTracer(clock=clock)
+        tracer = Tracer(clock=clock)
         span = tracer.event(tracer.mint("q1"), "shed", reason="queue-full")
         assert span.wall_start == span.wall_end == 5.0
         assert span.attributes == {"reason": "queue-full"}
@@ -112,15 +111,15 @@ class TestQueryTracer:
     def test_sink_and_flight_see_every_span(self):
         seen = []
         flight = FlightRecorder(capacity=8)
-        tracer = QueryTracer(clock=FakeClock(), sink=seen.append,
-                             flight=flight)
+        tracer = Tracer(clock=FakeClock(), on_span=seen.append,
+                        flight=flight)
         tracer.close(tracer.mint("q1"), "query", 0.0, 1.0)
         assert len(seen) == 1
-        assert seen[0]["trace_id"] == "q1"
+        assert seen[0].trace_id == "q1"
         assert len(flight) == 1
 
     def test_ingest_absorbs_wire_spans_verbatim(self):
-        tracer = QueryTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         ctx = tracer.fork(tracer.mint("q1"))
         shipped = wire_span(ctx.to_wire(), "mp-task", 1.0, 2.0,
                             process="w123", task=4)
@@ -132,73 +131,55 @@ class TestQueryTracer:
         assert tracer.find("mp-task") == [span]
 
     def test_close_carries_links(self):
-        tracer = QueryTracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock())
         primary = tracer.mint("q1")
         exec_ctx = tracer.fork(primary, links=[("q2", "b.9")])
         span = tracer.close(exec_ctx, "execute", 0.0, 1.0)
         assert span.links == (("q2", "b.9"),)
         assert span.parent_id == primary.span_id
 
-
-class TestTraceSpan:
-    def test_dict_round_trip(self):
-        span = TraceSpan(
-            name="execute", trace_id="q1", span_id="a.2",
-            parent_id="a.1", wall_start=1.0, wall_end=3.5,
-            process="daemon", links=(("q2", "b.9"),),
-            attributes={"group": 0},
-        )
-        data = span.to_dict()
-        assert json.loads(json.dumps(data)) == data
-        assert TraceSpan.from_dict(data) == span
-
-    def test_dict_omits_unset_optionals(self):
-        data = TraceSpan(name="x", trace_id="q", span_id="a.1",
-                         parent_id=None, wall_start=0.0,
-                         wall_end=1.0).to_dict()
-        assert "process" not in data
-        assert "links" not in data
-        assert "attributes" not in data
-
-
-class TestNullQueryTracer:
-    def test_mint_still_yields_a_context(self):
-        ctx = NULL_QUERY_TRACER.mint("q1")
-        assert isinstance(ctx, TraceContext)
-        assert NULL_QUERY_TRACER.fork(ctx) is ctx
-
-    def test_everything_else_is_a_noop(self):
-        tracer = NullQueryTracer()
-        ctx = tracer.mint("q1")
-        assert tracer.close(ctx, "query", 0.0, 1.0) is None
-        assert tracer.record(ctx, "map", 0.0, 1.0) is None
-        assert tracer.event(ctx, "shed") is None
-        assert tracer.ingest({"name": "x"}) is None
-        assert tracer.find("query") == []
-        assert tracer.for_trace("q1") == []
-        assert tracer.to_dicts() == []
-        assert tracer.enabled is False
-        assert QueryTracer(clock=FakeClock()).enabled is True
+    def test_stack_spans_nest_under_a_context(self):
+        # A stack span given a context joins that query's trace, and
+        # the spans opened inside it follow; both APIs share one list
+        # and one callback.
+        seen = []
+        tracer = Tracer(clock=FakeClock(), on_span=seen.append)
+        root = tracer.mint("q1")
+        with tracer.span("batch-group", parent=root) as group:
+            with tracer.span("job"):
+                tracer.record_span("shuffle", 0.0, 1.0)
+            tracer.record(group, "retry", 0.0, 0.5)
+        tracer.close(root, "q1", 0.0, 2.0)
+        assert {span.trace_id for span in tracer.spans} == {"q1"}
+        assert group.parent_id == root.span_id
+        (job,) = tracer.find("job")
+        assert job.parent_id == group.span_id
+        assert tracer.find("shuffle")[0].parent_id == job.span_id
+        assert tracer.find("retry")[0].parent_id == group.span_id
+        assert seen == tracer.spans
+        assert len(tracer.spans) == 5
 
 
 class TestSpanCollector:
     def test_reshipped_window_is_deduped(self):
-        collector = SpanCollector()
+        received = []
+        collector = SpanCollector(received.append)
         window = [(1, {"span_id": "w.1"}), (2, {"span_id": "w.2"})]
         assert collector.merge("w1", window) == 2
         # At-least-once channel: the whole window arrives again, grown.
         window.append((3, {"span_id": "w.3"}))
         assert collector.merge("w1", window) == 1
-        assert [s["span_id"] for s in collector.spans] == [
-            "w.1", "w.2", "w.3"]
+        assert [s["span_id"] for s in received] == ["w.1", "w.2", "w.3"]
 
     def test_workers_tracked_independently(self):
-        collector = SpanCollector()
+        received = []
+        collector = SpanCollector(received.append)
         collector.merge("w1", [(5, {"span_id": "a"})])
         assert collector.merge("w2", [(1, {"span_id": "b"})]) == 1
-        assert len(collector.spans) == 2
+        assert len(received) == 2
 
     def test_empty_merge_is_harmless(self):
-        collector = SpanCollector()
+        received = []
+        collector = SpanCollector(received.append)
         assert collector.merge("w1", []) == 0
-        assert collector.spans == []
+        assert received == []

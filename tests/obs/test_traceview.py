@@ -7,16 +7,22 @@ partner trace joined by links.
 
 import io
 import json
+from pathlib import Path
 
+from repro.obs.export import chrome_trace_events, write_chrome_trace
+from repro.obs.tracer import Span
 from repro.obs.traceview import (
     collect_trace,
     find_orphans,
     iter_spans,
     list_traces,
     render_trace,
-    trace_chrome_events,
-    write_trace_chrome,
 )
+
+#: A span file written by ``repro serve --trace-spans`` before the two
+#: span records were merged (no simulated stamps, no depth): old files
+#: must keep loading and rendering.
+LEGACY_SPAN_FILE = Path(__file__).parent / "data" / "serve_spans_v1.jsonl"
 
 
 def span(name, trace, span_id, parent=None, start=0.0, end=1.0,
@@ -146,8 +152,10 @@ class TestRender:
 
 class TestChromeExport:
     def test_one_viewer_process_per_process_tag(self):
-        events = trace_chrome_events(
-            collect_trace(shared_group_spans(), "q1"))
+        events = chrome_trace_events([
+            Span.from_dict(data)
+            for data in collect_trace(shared_group_spans(), "q1")
+        ])
         meta = [e for e in events if e["ph"] == "M"]
         slices = [e for e in events if e["ph"] == "X"]
         assert {m["args"]["name"] for m in meta} == {"daemon", "w9"}
@@ -160,8 +168,32 @@ class TestChromeExport:
 
     def test_write_round_trips_as_json(self, tmp_path):
         path = tmp_path / "trace.json"
-        count = write_trace_chrome(shared_group_spans(), str(path))
+        count = write_chrome_trace(
+            [Span.from_dict(data) for data in shared_group_spans()],
+            str(path),
+        )
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         assert len(data["traceEvents"]) == count
         assert data["displayTimeUnit"] == "ms"
+
+
+class TestLegacySpanFile:
+    def test_old_serve_span_file_still_renders(self):
+        spans = list(iter_spans(str(LEGACY_SPAN_FILE)))
+        assert list_traces(spans) == {
+            "q1": {"root": "weblog_ctr", "spans": 8},
+            "q2": {"root": "weblog", "spans": 3},
+        }
+        assert find_orphans(spans) == []
+        # q2 reaches the shared execution in q1's trace via its link.
+        lines = render_trace(spans, "q2").splitlines()
+        assert lines[0] == "trace q2 · 8 spans"
+        assert "⇢shared" in render_trace(spans, "q2")
+        records = [Span.from_dict(data) for data in spans]
+        assert [span.to_dict() for span in records] == spans
+        events = chrome_trace_events(records)
+        processes = {
+            e["args"]["name"] for e in events if e["name"] == "process_name"
+        }
+        assert processes == {"daemon", "slot0"}

@@ -14,7 +14,7 @@ import pytest
 from repro.obs.flight import FlightRecorder
 from repro.obs.ledger import PHASES
 from repro.obs.slo import SloPolicy, SloTracker
-from repro.obs.tracectx import QueryTracer
+from repro.obs.tracer import Tracer
 from repro.obs.traceview import collect_trace, find_orphans, render_trace
 from repro.serving import (
     Arrival,
@@ -32,7 +32,7 @@ def _service(catalog, records, **kwargs):
         ServiceLimits(admission_window_ms=25.0, max_inflight=2),
     )
     kwargs.setdefault("cluster_factory", lambda: fresh_cluster())
-    kwargs.setdefault("tracer", QueryTracer())
+    kwargs.setdefault("tracer", Tracer())
     return QueryService(catalog, records, **kwargs)
 
 
@@ -227,9 +227,9 @@ class TestBatchEvaluatorTracing:
     ):
         from repro.serving import BatchEvaluator
 
-        tracer = QueryTracer()
+        tracer = Tracer()
         outcome = BatchEvaluator(
-            fresh_cluster(), query_tracer=tracer
+            fresh_cluster(), tracer=tracer
         ).evaluate(batch_queries, batch_records)
         assert set(outcome.results) == set(batch_queries)
 
@@ -247,6 +247,12 @@ class TestBatchEvaluatorTracing:
         assert len(executes) == len(outcome.groups)
         if any(len(o.group.queries) > 1 for o in outcome.groups):
             assert any(s.get("links") for s in executes)
+        # Each group's attempt span hangs under its execution span.
+        attempts = [s for s in spans if s["name"] == "batch-group"]
+        assert len(attempts) == len(outcome.groups)
+        assert {s["parent_id"] for s in attempts} == {
+            s["span_id"] for s in executes
+        }
 
 
 class TestDeadlineTrigger:

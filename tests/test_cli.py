@@ -335,6 +335,44 @@ class TestTrace:
             json.loads(line)
         capsys.readouterr()
 
+    def test_span_file_reads_back_as_one_trace(self, tmp_path, capsys):
+        # `trace --events` writes a span file `trace --spans` can read:
+        # one trace, no orphans, and the run's tree renders and exports.
+        from repro.io import workflow_to_script
+        from repro.workload import all_queries, paper_schema
+
+        schema = paper_schema(days=2, temporal_base="minute")
+        query = tmp_path / "Q1.cq"
+        query.write_text(workflow_to_script(all_queries(schema)["Q1"]))
+        events = tmp_path / "spans.jsonl"
+        assert main(
+            ["trace", str(query), "--schema", "paper", "--days", "2",
+             "--records", "2000", "--machines", "4",
+             "--out", str(tmp_path / "t.json"), "--events", str(events)]
+        ) == 0
+        capsys.readouterr()
+
+        assert main(["trace", "--spans", str(events)]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert listing[0].endswith(" spans across 1 traces")
+        trace_id, _, _, root = listing[1].split()
+        assert trace_id != "?"
+        assert root == "root=evaluate-query"
+
+        chrome = tmp_path / "tree.json"
+        assert main(
+            ["trace", "--spans", str(events), "--query", trace_id,
+             "--chrome", str(chrome)]
+        ) == 0
+        tree = capsys.readouterr().out.splitlines()
+        assert tree[0].startswith(f"trace {trace_id} · ")
+        assert tree[1].lstrip().startswith("evaluate-query")
+        children = {line.split()[0] for line in tree[2:]}
+        assert {"optimize", "job", "map", "reduce"} <= children
+        data = json.loads(chrome.read_text())
+        slices = {e["name"] for e in data["traceEvents"] if e["ph"] == "X"}
+        assert {"evaluate-query", "optimize", "job", "map", "reduce"} <= slices
+
 
 class TestStats:
     def test_stats_summarizes_manifest(

@@ -87,10 +87,10 @@ def build_service(catalog, records, machines: int, tight: bool,
     )
     extras = {}
     if traced:
-        from repro.obs import FlightRecorder, QueryTracer
+        from repro.obs import FlightRecorder, Tracer
 
         extras = {
-            "tracer": QueryTracer(),
+            "tracer": Tracer(),
             "flight": FlightRecorder(),
         }
     return QueryService(
@@ -108,7 +108,7 @@ def build_service(catalog, records, machines: int, tight: bool,
 def check_traces(service, responses, phase: str,
                  violations: list[str]) -> None:
     """The CI tracing invariants, asserted against a finished phase."""
-    from repro.obs import collect_trace, find_orphans
+    from repro.obs import Span, chrome_trace_events, collect_trace, find_orphans
 
     spans = service.tracer.to_dicts()
     orphans = find_orphans(spans)
@@ -144,6 +144,25 @@ def check_traces(service, responses, phase: str,
         f"{phase}: every executed query's tree reaches an execute span",
         violations,
     )
+    if executed:
+        # The Chrome view of one executed query: one trace-viewer
+        # process per recorded process tag (daemon, execution slot).
+        tree = collect_trace(spans, executed[0].trace_id)
+        events = chrome_trace_events([Span.from_dict(s) for s in tree])
+        processes = {s.get("process", "") for s in tree}
+        named = {
+            e["args"]["name"]: e["pid"]
+            for e in events if e["name"] == "process_name"
+        }
+        drawn = {e["pid"] for e in events if e["ph"] == "X"}
+        check(
+            set(named) == processes
+            and drawn == set(named.values())
+            and len(drawn) == len(processes),
+            f"{phase}: the Chrome export of {executed[0].trace_id} draws "
+            f"one pid per process ({', '.join(sorted(processes))})",
+            violations,
+        )
     # Every admitted (ok) query has a closed ledger; shed-at-admission
     # queries never opened one.
     ok_ledgers = [
