@@ -124,16 +124,22 @@ class Workflow:
         """Whether mappers can ship partial aggregates instead of records.
 
         Requires every basic measure to be distributive or algebraic,
-        and every composite whose edges are *all* parent/child to have a
-        basic measure at a finer granularity **in its own connected
+        and every composite to be :meth:`anchored_without_records`.
+        """
+        return all(
+            fn.supports_partial_aggregation for fn in self.basic_aggregates()
+        ) and self.anchored_without_records()
+
+    def anchored_without_records(self) -> bool:
+        """Whether every composite's regions can be anchored from tables.
+
+        A composite whose edges are *all* parent/child needs a basic
+        measure at a finer granularity **in its own connected
         component** (the parallel evaluator redistributes each component
         separately) -- without raw records, such a measure's regions can
-        only be anchored from a finer table.
+        only be anchored from a finer table.  Early aggregation and the
+        measure cache's derivation from cached basics both rely on it.
         """
-        if not all(
-            fn.supports_partial_aggregation for fn in self.basic_aggregates()
-        ):
-            return False
         for component in connected_components(self):
             basics = component.basic_measures()
             for measure in component.composite_measures():

@@ -42,16 +42,14 @@ __all__ = ["AdmissionController", "AdmissionStats", "PendingGroup"]
 
 
 @dataclass
-class PendingGroup:
+class PendingGroup(ShareGroup):
     """A share group still forming inside the admission window."""
 
-    units: list[BatchUnit]
-    workflow: Workflow
-    plan: Plan
     #: Arrival time of the group's first member (window anchor).
     opened_at: float
-    #: Daemon-side member contexts, parallel to :attr:`units`.
-    members: list[object] = field(default_factory=list)
+    #: Daemon-side state of each unit's request, parallel to
+    #: :attr:`units` (``members()`` stays the share group's own).
+    riders: list[object] = field(default_factory=list)
     #: Consecutive arrivals that considered this group and went
     #: elsewhere; resets when a member joins.
     misses: int = 0
@@ -67,9 +65,6 @@ class PendingGroup:
 
     def expires_at(self, window: float) -> float:
         return self.opened_at + window
-
-    def to_share_group(self) -> ShareGroup:
-        return ShareGroup(list(self.units), self.workflow, self.plan)
 
 
 @dataclass
@@ -235,7 +230,7 @@ class AdmissionController:
         if best is not None:
             gain, group, workflow, plan = best
             group.units.append(unit)
-            group.members.append(member)
+            group.riders.append(member)
             group.workflow = workflow
             group.plan = plan
             group.solo_load += solo
@@ -254,7 +249,7 @@ class AdmissionController:
             workflow=unit.component,
             plan=unit.plan,
             opened_at=now,
-            members=[member],
+            riders=[member],
             solo_load=solo,
             group_id=self._group_serial,
         )

@@ -13,10 +13,12 @@ offered load exceeds capacity.  The life of one submitted query:
    exceeds ``limits.max_pending`` (or the ready queue is at depth),
    the query is shed with ``reason="queue_full"`` -- explicit load
    shedding instead of unbounded latency.
-3. **Cache fast path.**  Components whose measures are already
-   materialized for this dataset are answered immediately from the
-   :class:`~repro.serving.cache.MeasureCache` (or derived centrally
-   from cached basics) -- no job, microsecond latency.
+3. **Cache fast path.**  Each component is classified by the batch
+   planner's :func:`~repro.serving.planner.classify_component`; one
+   whose measures are already materialized for this dataset (or
+   derivable centrally from cached basics) is answered immediately by
+   the batch executor's :func:`~repro.serving.executor.load_component`
+   -- no job, microsecond latency.
 4. **Admission window.**  Execute components are held up to the
    window by the :class:`~repro.serving.admission.AdmissionController`
    looking for partners whose merged plan wins the Formula 2/4 test;
@@ -55,7 +57,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cube.records import Record
 from repro.local.measure_table import MeasureTable, ResultSet
-from repro.local.sortscan import BlockEvaluator, evaluate_centralized
+from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
 from repro.mapreduce.counters import JobReport
 from repro.obs.ledger import LedgerBook
@@ -68,20 +70,26 @@ from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
 from repro.query.workflow import Workflow, connected_components
 from repro.serving.admission import AdmissionController, PendingGroup
 from repro.serving.cache import MeasureCache
+from repro.serving.executor import (
+    load_component,
+    split_by_query,
+    store_component,
+)
 from repro.serving.groups import (
     QUERY_SEPARATOR,
     BatchUnit,
     prefix_workflow,
 )
 from repro.serving.incremental import AppendReport, IncrementalMaintainer
-from repro.serving.planner import _derivable
+from repro.serving.planner import (
+    DISPOSITION_EXECUTE,
+    ComponentPlan,
+    check_catalog,
+    classify_component,
+)
 from repro.serving.queueing import BoundedPriorityQueue
 from repro.serving.quotas import TenantQuotas
-from repro.serving.signature import (
-    DatasetHasher,
-    cache_key,
-    partition_digest,
-)
+from repro.serving.signature import DatasetHasher, partition_digest
 
 __all__ = [
     "BreakerConfig",
@@ -290,16 +298,26 @@ class _Member:
     """One pending request component riding a share group."""
 
     pending: "_PendingRequest"
-    #: The component with original (unprefixed) measure names.
-    component: Workflow
-    #: Original measure name -> cache key ("" fingerprint disables).
-    keys: dict[str, str]
-    unit: Optional[BatchUnit] = None
+    #: The component's disposition, cache keys and (once it executes)
+    #: its unit; ``query`` is the request's internal id.
+    component: ComponentPlan
     #: Daemon clock when the component entered the admission window
     #: (the ledger's admission_hold phase starts here).
     offered_at: Optional[float] = None
     #: Same instant on the trace wall clock (admission-span start).
     offer_wall: float = 0.0
+
+    def execute_as(self, solo: Plan) -> None:
+        """Attach the component's execute unit: its measures under the
+        request's ``qN/`` prefix, priced by the name-free *solo* plan."""
+        query = self.component.query
+        self.component.unit = BatchUnit(
+            query,
+            prefix_workflow(
+                self.component.workflow, query + QUERY_SEPARATOR
+            ),
+            solo,
+        )
 
 
 class _PendingRequest:
@@ -514,18 +532,7 @@ class QueryService:
         )
         self.optimizer = Optimizer(config.optimizer)
 
-        schema = next(iter(self.catalog.values())).schema
-        for name, workflow in self.catalog.items():
-            if QUERY_SEPARATOR in name:
-                raise ValueError(
-                    f"query name {name!r} must not contain "
-                    f"{QUERY_SEPARATOR!r}"
-                )
-            if workflow.schema != schema:
-                raise ValueError(
-                    f"query {name!r} uses a different schema; the daemon "
-                    "serves one dataset"
-                )
+        schema = check_catalog(self.catalog)
         self.schema = schema
         #: Incrementally maintained dataset identity: appends extend the
         #: hasher in O(delta) and the fingerprint stays exactly equal to
@@ -671,29 +678,25 @@ class QueryService:
         classify_start = self.clock()
         ledger.add("planning", classify_start - now)
 
-        fast: list[tuple[_Member, str]] = []
+        fast: list[_Member] = []
         execute: list[_Member] = []
         for component, solo_plan in components:
             member = _Member(
                 pending,
-                component,
-                self._keys_for(component),
+                classify_component(
+                    self.cache, self.fingerprint, pending.internal,
+                    component,
+                ),
             )
-            disposition = self._classify(member)
             pending.remaining += 1
-            if disposition == "execute":
-                prefixed = prefix_workflow(
-                    component, pending.internal + QUERY_SEPARATOR
-                )
-                member.unit = BatchUnit(
-                    pending.internal, prefixed, solo_plan
-                )
+            if member.component.disposition == DISPOSITION_EXECUTE:
+                member.execute_as(solo_plan)
                 execute.append(member)
             else:
-                fast.append((member, disposition))
+                fast.append(member)
 
-        for member, disposition in fast:
-            self._serve_fast(member, disposition)
+        for member in fast:
+            self._serve_fast(member)
         offer_at = self.clock()
         # Classification plus the cache fast path: lookups dominate.
         ledger.add("cache_lookup", offer_at - classify_start)
@@ -702,7 +705,7 @@ class QueryService:
             member.offered_at = offer_at
             member.offer_wall = offer_wall
             self._idle.clear()
-            self.admission.offer(member.unit, member, now=now)
+            self.admission.offer(member.component.unit, member, now=now)
         self.telemetry.set_gauge("serve.held", float(self.admission.held))
 
         if pending.complete and not execute:
@@ -829,68 +832,23 @@ class QueryService:
         self._solo_plans[name] = memo
         return memo
 
-    def _keys_for(self, component: Workflow) -> dict[str, str]:
-        if self.cache is None:
-            return {}
-        return {
-            measure.name: cache_key(self.fingerprint, measure)
-            for measure in component.measures
-        }
-
-    def _classify(self, member: _Member) -> str:
-        """cache | derive | execute, mirroring the batch planner."""
-        if self.cache is None:
-            return "execute"
-        cached = {
-            name
-            for name, key in member.keys.items()
-            if self.cache.contains(key)
-        }
-        if cached == set(member.keys):
-            return "cache"
-        basics = {m.name for m in member.component.basic_measures()}
-        if basics and basics <= cached and _derivable(member.component):
-            return "derive"
-        return "execute"
-
-    def _serve_fast(self, member: _Member, disposition: str) -> None:
+    def _serve_fast(self, member: _Member) -> None:
         """Answer a cached/derived component without any job.
 
-        A vanished or corrupt entry demotes the component to a solo
-        execute unit (the same degradation the batch executor uses).
+        A vanished or corrupt entry demotes the component to an execute
+        unit offered to admission.
         """
-        component = member.component
-        loaded: dict[str, MeasureTable] = {}
-        measures = (
-            component.measures
-            if disposition == "cache"
-            else component.basic_measures()
-        )
-        for measure in measures:
-            table = self.cache.get(
-                member.keys[measure.name], measure.granularity
+        tables = load_component(self.cache, member.component)
+        if tables is None:
+            logger.warning(
+                "serve: cache entries for %s vanished; executing",
+                list(member.component.names),
             )
-            if table is None:
-                logger.warning(
-                    "serve: cache entry for %s vanished; executing solo",
-                    measure.name,
-                )
-                self._demote_to_execute(member)
-                return
-            loaded[measure.name] = table
-        if disposition == "derive":
-            result = BlockEvaluator(component).evaluate(
-                basic_tables=loaded
-            )
-            loaded = dict(result.tables)
-            for measure in component.composite_measures():
-                self.cache.put(
-                    member.keys[measure.name],
-                    loaded[measure.name],
-                    measure_name=measure.name,
-                )
+            self._demote_to_execute(member)
+            return
+        disposition = member.component.disposition
         member.pending.served_by.append(disposition)
-        member.pending.component_done(loaded)
+        member.pending.component_done(tables)
         self.telemetry.inc(f"serve.{disposition}_served")
 
     def _demote_to_execute(self, member: _Member) -> None:
@@ -902,14 +860,11 @@ class QueryService:
             )
             if component.names == member.component.names
         )
-        prefixed = prefix_workflow(
-            member.component, pending.internal + QUERY_SEPARATOR
-        )
-        member.unit = BatchUnit(pending.internal, prefixed, solo)
+        member.execute_as(solo)
         member.offered_at = self.clock()
         member.offer_wall = self.tracer.now()
         self._idle.clear()
-        self.admission.offer(member.unit, member)
+        self.admission.offer(member.component.unit, member)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -936,7 +891,7 @@ class QueryService:
         self.telemetry.set_gauge("serve.queue_depth", float(len(self.queue)))
 
     def _enqueue_group(self, group: PendingGroup, force: bool = False) -> None:
-        members = [m for m in group.members if m is not None]
+        members = [m for m in group.riders if m is not None]
         priority = min(
             (m.pending.request.priority for m in members), default=0
         )
@@ -1046,7 +1001,7 @@ class QueryService:
     async def _execute_group(
         self, worker: _Worker, group: PendingGroup
     ) -> None:
-        members = [m for m in group.members if m is not None]
+        members = [m for m in group.riders if m is not None]
         entry = self.clock()
         queued_end = self.tracer.now()
         for member in members:
@@ -1186,13 +1141,11 @@ class QueryService:
 
         # Split merged "qN/measure" tables back per member request.
         split_start = self.clock()
-        by_internal: dict[str, dict[str, MeasureTable]] = {}
-        for name, table in result.items():
-            internal, _, original = name.partition(QUERY_SEPARATOR)
-            by_internal.setdefault(internal, {})[original] = table
+        by_internal = split_by_query(result)
         for member in members:
-            self._store_member(
-                member, by_internal.get(member.pending.internal, {})
+            store_component(
+                self.cache, member.component,
+                by_internal[member.pending.internal],
             )
         split_seconds = self.clock() - split_start
         for member in members:
@@ -1209,22 +1162,13 @@ class QueryService:
                     "result_split", split_start,
                     split_start + split_seconds,
                 )
-            tables = by_internal.get(pending.internal, {})
+            tables = by_internal[pending.internal]
             pending.served_by.append("fallback" if fallback else "group")
             if len(members) > 1:
                 pending.group_queries = group_names
             pending.component_done(tables)
             if pending.complete:
                 self._finish(pending)
-
-    def _store_member(
-        self, member: _Member, tables: Mapping[str, MeasureTable]
-    ) -> None:
-        if self.cache is None or not member.keys:
-            return
-        for name, key in member.keys.items():
-            if name in tables:
-                self.cache.put(key, tables[name], measure_name=name)
 
     # -- completion -------------------------------------------------------
 

@@ -12,6 +12,14 @@ over one dataset:
   reduce over the merged workflow, then the merged output is split back
   into per-query tables by the ``query/`` name prefix.
 
+Those steps are the module functions :func:`load_component`,
+:func:`split_by_query` and :func:`store_component`, which ``repro
+serve`` (:class:`~repro.serving.daemon.QueryService`) calls as well:
+both paths load, derive, split and store one way.  Each keeps its own
+answer to a cache entry that vanished after classification -- the
+batch runs the component as a solo job, the daemon offers it to
+admission.
+
 Per-query answers are bit-identical to standalone runs: a share group
 evaluates under a key feasible for every member (Theorems 1-2), each
 block evaluates over the same globally-ordered record subsequence a
@@ -50,6 +58,7 @@ from repro.serving.groups import QUERY_SEPARATOR, ShareGroup
 from repro.serving.planner import (
     DISPOSITION_CACHE,
     DISPOSITION_DERIVE,
+    DISPOSITION_EXECUTE,
     BatchPlan,
     BatchPlanner,
     ComponentPlan,
@@ -60,9 +69,78 @@ __all__ = [
     "BatchExecutionError",
     "BatchResult",
     "GroupOutcome",
+    "load_component",
+    "split_by_query",
+    "store_component",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def load_component(
+    cache: MeasureCache,
+    component: ComponentPlan,
+    tracer=NULL_TRACER,
+) -> Optional[dict[str, MeasureTable]]:
+    """The tables of a ``cache`` or ``derive`` component, with no job.
+
+    A ``cache`` component reads every measure back.  A ``derive``
+    component reads its basics and recomputes the composites centrally:
+    cached basics equal the exact centralized tables (the parallel
+    invariant) and composite operators are deterministic functions of
+    their source tables, so derivation is bit-identical to a full run.
+    The derived composites are stored back.  Returns ``None`` when an
+    entry vanished or went corrupt since classification; the caller
+    decides how to execute the component instead.
+    """
+    workflow = component.workflow
+    derive = component.disposition == DISPOSITION_DERIVE
+    loaded: dict[str, MeasureTable] = {}
+    for measure in (
+        workflow.basic_measures() if derive else workflow.measures
+    ):
+        table = cache.get(component.keys[measure.name], measure.granularity)
+        if table is None:
+            return None
+        loaded[measure.name] = table
+    if not derive:
+        return loaded
+    result = BlockEvaluator(workflow, tracer=tracer).evaluate(
+        basic_tables=loaded
+    )
+    for measure in workflow.composite_measures():
+        cache.put(
+            component.keys[measure.name],
+            result.tables[measure.name],
+            measure_name=component.query + QUERY_SEPARATOR + measure.name,
+        )
+    return dict(result.tables)
+
+
+def split_by_query(result: ResultSet) -> dict[str, dict[str, MeasureTable]]:
+    """A merged result's ``query/measure`` tables, regrouped per query
+    under their original measure names."""
+    by_query: dict[str, dict[str, MeasureTable]] = {}
+    for name, table in result.items():
+        query, _, original = name.partition(QUERY_SEPARATOR)
+        by_query.setdefault(query, {})[original] = table
+    return by_query
+
+
+def store_component(
+    cache: Optional[MeasureCache],
+    component: ComponentPlan,
+    tables: Mapping[str, MeasureTable],
+) -> None:
+    """Store an executed component's tables under its cache keys."""
+    if cache is None or not component.keys:
+        return
+    for measure in component.workflow.measures:
+        cache.put(
+            component.keys[measure.name],
+            tables[measure.name],
+            measure_name=component.query + QUERY_SEPARATOR + measure.name,
+        )
 
 
 class BatchExecutionError(RuntimeError):
@@ -254,10 +332,21 @@ class BatchEvaluator:
             # Cached / derived components first: no jobs, no shuffle.
             for planned in plan.queries:
                 for component in planned.components:
-                    if component.disposition == DISPOSITION_CACHE:
-                        self._load_cached(component, input_file, tables)
-                    elif component.disposition == DISPOSITION_DERIVE:
-                        self._derive(component, input_file, tables)
+                    if component.disposition == DISPOSITION_EXECUTE:
+                        continue
+                    loaded = load_component(
+                        self.cache, component, self.tracer
+                    )
+                    if loaded is None:
+                        logger.warning(
+                            "cache entries for %s:%s disappeared; "
+                            "re-executing component",
+                            component.query,
+                            list(component.names),
+                        )
+                        self._execute_solo(component, input_file, tables)
+                    else:
+                        tables[component.query].update(loaded)
                 if planned.fully_cached and planned.components:
                     jobless.append(planned.name)
 
@@ -326,70 +415,6 @@ class BatchEvaluator:
 
     # -- dispositions -----------------------------------------------------
 
-    def _load_cached(
-        self,
-        component: ComponentPlan,
-        input_file: DistributedFile,
-        tables: dict[str, dict[str, MeasureTable]],
-    ) -> None:
-        """Serve a fully cached component; fall back to a solo job if an
-        entry vanished or went corrupt between planning and execution."""
-        assert self.cache is not None
-        loaded: dict[str, MeasureTable] = {}
-        for measure in component.workflow.measures:
-            table = self.cache.get(
-                component.keys[measure.name], measure.granularity
-            )
-            if table is None:
-                logger.warning(
-                    "cache entry for %s/%s disappeared; re-executing "
-                    "component",
-                    component.query,
-                    measure.name,
-                )
-                self._execute_solo(component, input_file, tables)
-                return
-            loaded[measure.name] = table
-        tables[component.query].update(loaded)
-
-    def _derive(
-        self,
-        component: ComponentPlan,
-        input_file: DistributedFile,
-        tables: dict[str, dict[str, MeasureTable]],
-    ) -> None:
-        """Recompute composites centrally from cached basic tables.
-
-        Cached basics equal the exact centralized tables (the parallel
-        invariant), and composite operators are deterministic functions
-        of their source tables, so derivation is bit-identical to a
-        full run.  Newly derived composites are stored back."""
-        assert self.cache is not None
-        basic_tables: dict[str, MeasureTable] = {}
-        for measure in component.workflow.basic_measures():
-            table = self.cache.get(
-                component.keys[measure.name], measure.granularity
-            )
-            if table is None:
-                logger.warning(
-                    "cached basics for %s:%s disappeared; re-executing",
-                    component.query,
-                    list(component.names),
-                )
-                self._execute_solo(component, input_file, tables)
-                return
-            basic_tables[measure.name] = table
-        result = BlockEvaluator(
-            component.workflow, tracer=self.tracer
-        ).evaluate(basic_tables=basic_tables)
-        tables[component.query].update(result.tables)
-        for measure in component.workflow.composite_measures():
-            self.cache.put(
-                component.keys[measure.name],
-                result.tables[measure.name],
-                measure_name=f"{component.query}/{measure.name}",
-            )
-
     def _execute_solo(
         self,
         component: ComponentPlan,
@@ -399,7 +424,7 @@ class BatchEvaluator:
         """Degradation path: run one component as its own job."""
         outcome = self.inner.evaluate(component.workflow, input_file)
         tables[component.query].update(outcome.result.tables)
-        self._store_component(component, tables[component.query])
+        store_component(self.cache, component, tables[component.query])
 
     # -- shared jobs ------------------------------------------------------
 
@@ -487,27 +512,18 @@ class BatchEvaluator:
     ) -> None:
         """Route merged ``query/measure`` tables back to their queries."""
         counters = outcome.job.counters
-        for name, table in outcome.result.items():
-            query, _, original = name.partition(QUERY_SEPARATOR)
-            tables[query][original] = table
-            counters.extra[f"batch.rows.{query}"] += len(table)
-            counters.extra[f"batch.measures.{query}"] += 1
+        for query, split in split_by_query(outcome.result).items():
+            tables[query].update(split)
+            counters.extra[f"batch.rows.{query}"] += sum(
+                len(table) for table in split.values()
+            )
+            counters.extra[f"batch.measures.{query}"] += len(split)
         # Store this group's entries NOW: a later group's failure must
         # not cost us what already completed.
         for unit in group.units:
             component = unit_components.get(id(unit))
             if component is not None:
-                self._store_component(component, tables[unit.query])
-
-    def _store_component(self, component: ComponentPlan, query_tables) -> None:
-        if self.cache is None or not component.keys:
-            return
-        for measure in component.workflow.measures:
-            self.cache.put(
-                component.keys[measure.name],
-                query_tables[measure.name],
-                measure_name=f"{component.query}/{measure.name}",
-            )
+                store_component(self.cache, component, tables[unit.query])
 
     # -- helpers ----------------------------------------------------------
 

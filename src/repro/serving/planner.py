@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from repro.cube.records import Record
+from repro.cube.records import Record, Schema
 from repro.mapreduce.dfs import DistributedFile
 from repro.optimizer.optimizer import Optimizer
-from repro.query.measures import Relationship, WorkflowError
+from repro.query.measures import WorkflowError
 from repro.query.workflow import Workflow, connected_components
 from repro.serving.cache import MeasureCache
 from repro.serving.groups import (
@@ -43,7 +43,14 @@ from repro.serving.groups import (
 )
 from repro.serving.signature import cache_key, dataset_fingerprint
 
-__all__ = ["BatchPlan", "BatchPlanner", "ComponentPlan", "PlannedQuery"]
+__all__ = [
+    "BatchPlan",
+    "BatchPlanner",
+    "ComponentPlan",
+    "PlannedQuery",
+    "check_catalog",
+    "classify_component",
+]
 
 #: Component dispositions, in decreasing order of luck.
 DISPOSITION_CACHE = "cache"
@@ -167,33 +174,78 @@ class BatchPlan:
         return "\n".join(lines)
 
 
-def _derivable(component: Workflow) -> bool:
-    """Whether composites can be recomputed from cached basic tables.
+def check_catalog(queries: Mapping[str, Workflow]) -> Optional[Schema]:
+    """The one schema every query of *queries* is over.
 
-    Mirrors the early-aggregation anchoring rule: a composite whose
-    edges are all parent/child (ALIGN) has no raw records to anchor its
-    regions, so it needs a basic measure at a finer granularity in the
-    same component.
+    Raises :class:`WorkflowError` when a query name contains
+    :data:`~repro.serving.groups.QUERY_SEPARATOR` (merged workflows
+    prefix measure names with it) or when two queries use different
+    schemas (queries evaluated together share one dataset).
     """
-    basics = component.basic_measures()
-    for measure in component.composite_measures():
-        if all(
-            edge.relationship is Relationship.ALIGN
-            for edge in measure.inputs
-        ) and not any(
-            measure.granularity.is_generalization_of(basic.granularity)
-            for basic in basics
-        ):
-            return False
-    return True
+    schema = None
+    for name, workflow in queries.items():
+        if QUERY_SEPARATOR in name:
+            raise WorkflowError(
+                f"query name {name!r} must not contain "
+                f"{QUERY_SEPARATOR!r}"
+            )
+        if schema is None:
+            schema = workflow.schema
+        elif workflow.schema != schema:
+            raise WorkflowError(
+                f"query {name!r} uses a different schema; queries "
+                "evaluated together must share one dataset"
+            )
+    return schema
+
+
+def classify_component(
+    cache: Optional[MeasureCache],
+    fingerprint: str,
+    query: str,
+    component: Workflow,
+) -> ComponentPlan:
+    """Disposition of one query component against the measure cache.
+
+    Probes every measure's cache key with :meth:`MeasureCache.contains`
+    (an absent key counts as a miss; a present one is counted when it
+    is read back).  *query* names the component's owner -- the prefix
+    of its :class:`~repro.serving.groups.BatchUnit` if it executes.
+    """
+    if cache is None:
+        return ComponentPlan(
+            query, component, DISPOSITION_EXECUTE,
+            reason="no cache attached",
+        )
+    keys = {
+        measure.name: cache_key(fingerprint, measure)
+        for measure in component.measures
+    }
+    cached = {name for name, key in keys.items() if cache.contains(key)}
+    if cached == set(keys):
+        return ComponentPlan(
+            query, component, DISPOSITION_CACHE, keys,
+            reason="all measures cached",
+        )
+    basics = {m.name for m in component.basic_measures()}
+    if basics and basics <= cached and component.anchored_without_records():
+        return ComponentPlan(
+            query, component, DISPOSITION_DERIVE, keys,
+            reason="all basic measures cached; composites derivable",
+        )
+    missing = sorted(set(keys) - cached)
+    return ComponentPlan(
+        query, component, DISPOSITION_EXECUTE, keys,
+        reason=f"uncached: {missing}" if cached else "nothing cached",
+    )
 
 
 class BatchPlanner:
     """Plans a batch of queries against one dataset.
 
     *optimizer* prices candidate keys and merged groups; *cache* (when
-    given) is probed -- via stat-free :meth:`MeasureCache.contains` --
-    to prune already-materialized components before key derivation.
+    given) is probed by :func:`classify_component` to prune
+    already-materialized components before key derivation.
     """
 
     def __init__(
@@ -219,20 +271,7 @@ class BatchPlanner:
         flow that just computed it); it must equal
         ``dataset_fingerprint(data, schema)`` or cache keys will miss.
         """
-        schema = None
-        for name, workflow in queries.items():
-            if QUERY_SEPARATOR in name:
-                raise WorkflowError(
-                    f"query name {name!r} must not contain "
-                    f"{QUERY_SEPARATOR!r}"
-                )
-            if schema is None:
-                schema = workflow.schema
-            elif workflow.schema != schema:
-                raise WorkflowError(
-                    f"query {name!r} uses a different schema; a batch "
-                    "must share one dataset"
-                )
+        schema = check_catalog(queries)
 
         if isinstance(data, DistributedFile):
             n_records = data.num_records
@@ -251,7 +290,9 @@ class BatchPlanner:
         for name, workflow in queries.items():
             components: list[ComponentPlan] = []
             for component in connected_components(workflow):
-                component_plan = self._classify(name, component, fingerprint)
+                component_plan = classify_component(
+                    self.cache, fingerprint, name, component
+                )
                 if component_plan.disposition == DISPOSITION_EXECUTE:
                     prefixed = prefix_workflow(
                         component, name + QUERY_SEPARATOR
@@ -280,37 +321,4 @@ class BatchPlanner:
             fingerprint=fingerprint,
             n_records=n_records,
             num_reducers=num_reducers,
-        )
-
-    def _classify(
-        self, query: str, component: Workflow, fingerprint: str
-    ) -> ComponentPlan:
-        """Disposition of one component against the cache."""
-        if self.cache is None:
-            return ComponentPlan(
-                query, component, DISPOSITION_EXECUTE,
-                reason="no cache attached",
-            )
-        keys = {
-            measure.name: cache_key(fingerprint, measure)
-            for measure in component.measures
-        }
-        cached = {
-            name for name, key in keys.items() if self.cache.contains(key)
-        }
-        if cached == set(keys):
-            return ComponentPlan(
-                query, component, DISPOSITION_CACHE, keys,
-                reason="all measures cached",
-            )
-        basics = {m.name for m in component.basic_measures()}
-        if basics and basics <= cached and _derivable(component):
-            return ComponentPlan(
-                query, component, DISPOSITION_DERIVE, keys,
-                reason="all basic measures cached; composites derivable",
-            )
-        missing = sorted(set(keys) - cached)
-        return ComponentPlan(
-            query, component, DISPOSITION_EXECUTE, keys,
-            reason=f"uncached: {missing}" if cached else "nothing cached",
         )

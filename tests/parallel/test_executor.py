@@ -15,6 +15,14 @@ from repro.parallel.executor import (
     ParallelEvaluator,
 )
 from repro.query.builder import WorkflowBuilder
+from repro.query.workflow import connected_components
+from repro.serving.cache import MeasureCache
+from repro.serving.planner import (
+    DISPOSITION_DERIVE,
+    DISPOSITION_EXECUTE,
+    classify_component,
+)
+from repro.serving.signature import cache_key
 
 
 @pytest.fixture(scope="module")
@@ -340,30 +348,67 @@ class TestSamplingPartitionerGuard:
             )
 
 
+def _disposition_with_cached_basics(workflow, records):
+    """What the measure cache's classifier makes of *workflow* once
+    every basic measure's exact table is cached (composites are not)."""
+    cache = MeasureCache()
+    tables = evaluate_centralized(workflow, records).tables
+    for measure in workflow.basic_measures():
+        cache.put(cache_key("fp", measure), tables[measure.name])
+    return {
+        classify_component(cache, "fp", "q", component).disposition
+        for component in connected_components(workflow)
+    }
+
+
+def _parent_only(builder):
+    builder.basic("coarse", over={"t": "span"}, field="v",
+                  aggregate="sum")
+    builder.composite(
+        "spread", over={"x": "value", "t": "tick"}
+    ).from_parent("coarse")
+
+
+def _parent_chain(builder):
+    """Two parent/child-only composites stacked on one coarser basic."""
+    builder.basic("coarse", over={"t": "span"}, field="v",
+                  aggregate="sum")
+    builder.composite(
+        "mid", over={"x": "four", "t": "span"}
+    ).from_parent("coarse")
+    builder.composite(
+        "spread", over={"x": "value", "t": "tick"}
+    ).from_parent("mid")
+
+
 class TestEarlyAggregationAnchoring:
     def test_pure_align_without_finer_basic_rejected_up_front(
         self, small_cluster, tiny_schema, tiny_records
     ):
         """A parent/child-only composite cannot be anchored from partial
-        states; the capability check must say so before the job runs."""
-        builder = WorkflowBuilder(tiny_schema)
-        builder.basic("coarse", over={"t": "span"}, field="v",
-                      aggregate="sum")
-        builder.composite(
-            "spread", over={"x": "value", "t": "tick"}
-        ).from_parent("coarse")
-        workflow = builder.build()
-        assert not workflow.supports_early_aggregation()
-        evaluator = ParallelEvaluator(
-            small_cluster, ExecutionConfig(early_aggregation=True)
-        )
-        with pytest.raises(ValueError, match="early aggregation"):
-            evaluator.evaluate(workflow, tiny_records)
-        # The non-early path handles it fine.
-        outcome = ParallelEvaluator(small_cluster).evaluate(
-            workflow, tiny_records
-        )
-        assert outcome.result == evaluate_centralized(workflow, tiny_records)
+        states; the capability check must say so before the job runs,
+        and the cache must not try to derive it from cached basics."""
+        for build in (_parent_only, _parent_chain):
+            builder = WorkflowBuilder(tiny_schema)
+            build(builder)
+            workflow = builder.build()
+            assert not workflow.supports_early_aggregation()
+            assert not workflow.anchored_without_records()
+            assert _disposition_with_cached_basics(
+                workflow, tiny_records
+            ) == {DISPOSITION_EXECUTE}
+            evaluator = ParallelEvaluator(
+                small_cluster, ExecutionConfig(early_aggregation=True)
+            )
+            with pytest.raises(ValueError, match="early aggregation"):
+                evaluator.evaluate(workflow, tiny_records)
+            # The non-early path handles it fine.
+            outcome = ParallelEvaluator(small_cluster).evaluate(
+                workflow, tiny_records
+            )
+            assert outcome.result == evaluate_centralized(
+                workflow, tiny_records
+            )
 
     def test_pure_align_with_finer_basic_in_component_supported(
         self, small_cluster, tiny_schema, tiny_records
@@ -379,6 +424,9 @@ class TestEarlyAggregationAnchoring:
         builder.composite("spread", over={"x": "value"}).from_parent("top")
         workflow = builder.build()
         assert workflow.supports_early_aggregation()
+        assert _disposition_with_cached_basics(
+            workflow, tiny_records
+        ) == {DISPOSITION_DERIVE}
         outcome = ParallelEvaluator(
             small_cluster, ExecutionConfig(early_aggregation=True)
         ).evaluate(workflow, tiny_records)

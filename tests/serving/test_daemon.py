@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import pytest
 from repro.faults import ArrivalChaos, apply_arrival_chaos
 from repro.local import evaluate_centralized
 from repro.obs.manifest import SCHEMA_VERSION, RunManifest
+from repro.query import WorkflowBuilder
 from repro.serving import (
     Arrival,
     BatchEvaluator,
@@ -330,6 +332,114 @@ class TestCacheFastPath:
                 solo_results[response.name]
             )
         assert warm_report.cache["hits"] > 0
+
+
+def _warm_with_q2_basic(cache, batch_schema, batch_records):
+    """Materialize only Q2's basic measure, under a different name."""
+    builder = WorkflowBuilder(batch_schema)
+    builder.basic(
+        "any_name",
+        over={"a1": "value", "t1": "minute"},
+        field="a2",
+        aggregate="sum",
+    )
+    BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+        {"warmup": builder.build()}, batch_records
+    )
+
+
+class TestServeDispositions:
+    """The daemon's cache / derive / execute decisions, pinned."""
+
+    def test_cached_basics_derive_then_cache(
+        self, batch_schema, batch_queries, batch_records, solo_results
+    ):
+        cache = MeasureCache()
+        _warm_with_q2_basic(cache, batch_schema, batch_records)
+        catalog = {"Q2": batch_queries["Q2"]}
+
+        (derived,), report = serve_arrivals(
+            _service(catalog, batch_records, cache=cache),
+            _burst(["Q2"]), speed=0,
+        )
+        assert derived.ok
+        assert derived.served_by == ["derive"]
+        assert report.groups_dispatched == 0
+        assert _rows(derived.result) == _rows(solo_results["Q2"])
+
+        (cached,), _ = serve_arrivals(
+            _service(catalog, batch_records, cache=cache),
+            _burst(["Q2"]), speed=0,
+        )
+        assert cached.served_by == ["cache"]
+        assert _rows(cached.result) == _rows(solo_results["Q2"])
+
+    def test_vanished_entry_demotes_to_a_group(
+        self, batch_queries, batch_records, solo_results, monkeypatch
+    ):
+        cache = MeasureCache()
+        catalog = {"Q2": batch_queries["Q2"]}
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            catalog, batch_records
+        )
+        real_get = cache.get
+        missed: list[str] = []
+
+        def get_missing_once(key, granularity):
+            if not missed:
+                missed.append(key)
+                return None
+            return real_get(key, granularity)
+
+        monkeypatch.setattr(cache, "get", get_missing_once)
+        (response,), report = serve_arrivals(
+            _service(catalog, batch_records, cache=cache),
+            _burst(["Q2"]), speed=0,
+        )
+        assert missed
+        assert response.ok
+        assert "group" in response.served_by
+        assert report.groups_dispatched == 1
+        assert _rows(response.result) == _rows(solo_results["Q2"])
+
+    def test_batch_plan_and_daemon_agree(
+        self, tmp_path, batch_schema, batch_queries, batch_records
+    ):
+        warm = MeasureCache(tmp_path / "warm")
+        _warm_with_q2_basic(warm, batch_schema, batch_records)
+        BatchEvaluator(fresh_cluster(), cache=warm).evaluate(
+            {name: batch_queries[name] for name in ("Q1", "Q3")},
+            batch_records,
+        )
+        shutil.copytree(tmp_path / "warm", tmp_path / "batch")
+        shutil.copytree(tmp_path / "warm", tmp_path / "serve")
+
+        batch_cache = MeasureCache(tmp_path / "batch")
+        evaluator = BatchEvaluator(fresh_cluster(), cache=batch_cache)
+        plan = evaluator.plan(batch_queries, batch_records)
+        evaluator.evaluate(batch_queries, batch_records, plan=plan)
+
+        served_cache = MeasureCache(tmp_path / "serve")
+        responses, _ = serve_arrivals(
+            _service(batch_queries, batch_records, cache=served_cache),
+            _burst(sorted(batch_queries), gap=0.0), speed=0,
+        )
+        as_served = {"cache": "cache", "derive": "derive",
+                     "execute": "group"}
+        dispositions = set()
+        for response in responses:
+            (planned,) = [
+                q for q in plan.queries if q.name == response.name
+            ]
+            expected = sorted(
+                as_served[c.disposition] for c in planned.components
+            )
+            assert sorted(response.served_by) == expected, response.name
+            dispositions.update(expected)
+        assert dispositions == {"cache", "derive", "group"}
+        # Both fresh instances over copies of one warm directory: their
+        # lifetime tallies are the two paths' deltas, planning included.
+        assert served_cache.stats == batch_cache.stats
 
 
 class TestManifest:

@@ -5,7 +5,11 @@ configuration, both driven by seeded loadgen traces (bit-reproducible):
 
 1. **Low load.**  A gentle trace well inside capacity: every query must
    complete (zero shed, zero errors) and every answer must match the
-   centralized oracle bit-for-bit.
+   centralized oracle bit-for-bit.  The same trace is then replayed
+   warm over phase 1's measure cache: no group may be dispatched,
+   every component is served by ``cache``/``derive``, answers stay
+   bit-identical, no entry reads back corrupt, and ``repro batch``'s
+   planner classifies every served query's components as ``cache``.
 2. **Overload.**  An offered rate far past capacity with a tight queue:
    the daemon must shed explicitly (nonzero ``Overloaded`` responses),
    keep answering what it admits correctly, and drain cleanly -- all
@@ -39,7 +43,9 @@ import sys
 import time
 
 from repro.local.sortscan import evaluate_centralized
+from repro.mapreduce import ClusterConfig, SimulatedCluster
 from repro.serving import (
+    BatchEvaluator,
     MeasureCache,
     QueryService,
     ServiceLimits,
@@ -73,10 +79,8 @@ def check(condition: bool, message: str, violations: list[str]) -> None:
         violations.append(message)
 
 
-def build_service(catalog, records, machines: int, tight: bool,
+def build_service(catalog, records, cache, machines: int, tight: bool,
                   traced: bool = False):
-    from repro.mapreduce import ClusterConfig, SimulatedCluster
-
     limits = (
         ServiceLimits(
             admission_window_ms=15.0, max_inflight=1,
@@ -100,7 +104,7 @@ def build_service(catalog, records, machines: int, tight: bool,
             ClusterConfig(machines=machines)
         ),
         limits=limits,
-        cache=MeasureCache(),
+        cache=cache,
         **extras,
     )
 
@@ -203,8 +207,7 @@ def append_smoke(args, violations: list[str]) -> None:
     """
     import asyncio
 
-    from repro.mapreduce import ClusterConfig, SimulatedCluster
-    from repro.serving import QueryRequest, QueryService, ServiceLimits
+    from repro.serving import QueryRequest
     from repro.workload import (
         session_stream,
         streaming_query,
@@ -336,8 +339,9 @@ def main(argv=None) -> int:
     gentle = generate_arrivals(
         sorted(catalog), rate=10.0, duration=1.0, seed=args.seed,
     )
+    cache = MeasureCache()
     service = build_service(
-        catalog, records, args.machines, tight=False,
+        catalog, records, cache, args.machines, tight=False,
         traced=args.check_traces,
     )
     started = time.perf_counter()
@@ -369,13 +373,61 @@ def main(argv=None) -> int:
     if args.check_traces:
         check_traces(service, responses, "low-load traces", violations)
 
+    # -- phase 1, warm: the same trace over phase 1's cache -----------------
+    print("phase 1 warm: replay over phase 1's cache (must run no job)")
+    served = {
+        name: catalog[name] for name in sorted({r.name for r in completed})
+    }
+    service = build_service(
+        catalog, records, cache, args.machines, tight=False,
+        traced=args.check_traces,
+    )
+    responses, report = serve_arrivals(service, gentle, speed=0)
+    print(
+        f"  {len(gentle)} arrivals: {report.completed} completed, "
+        f"{report.groups_dispatched} groups, cache over both replays "
+        f"{report.cache}"
+    )
+    check(
+        report.groups_dispatched == 0,
+        "warm replay dispatches no group", violations,
+    )
+    check(
+        all(
+            r.ok and set(r.served_by) <= {"cache", "derive"}
+            for r in responses
+        ),
+        "every warm component served by cache or derive", violations,
+    )
+    check(
+        all(
+            list(r.result.as_rows()) == list(oracles[r.name].as_rows())
+            for r in responses
+            if r.ok
+        ),
+        "warm answers bit-identical to the oracle", violations,
+    )
+    check(cache.stats.corrupt == 0, "zero corrupt cache entries", violations)
+    plan = BatchEvaluator(
+        SimulatedCluster(ClusterConfig(machines=args.machines)),
+        cache=cache,
+    ).plan(served, records)
+    check(
+        all(c.disposition == "cache" for c in plan.components()),
+        f"batch planner classifies all {len(plan.components())} "
+        f"components of {len(served)} served queries as cache",
+        violations,
+    )
+    if args.check_traces:
+        check_traces(service, responses, "warm traces", violations)
+
     # -- phase 2: overload --------------------------------------------------
     print("phase 2: overload (must shed explicitly and drain cleanly)")
     flood = generate_arrivals(
         sorted(catalog), rate=400.0, duration=0.5, seed=args.seed + 1,
     )
     service = build_service(
-        catalog, records, args.machines, tight=True,
+        catalog, records, MeasureCache(), args.machines, tight=True,
         traced=args.check_traces,
     )
     started = time.perf_counter()
