@@ -91,6 +91,16 @@ def row_tuples(matrix: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*matrix.T.tolist()))
 
 
+def peak_magnitude(matrix: np.ndarray) -> int:
+    """The largest ``|value|`` in a non-empty int matrix, exactly.
+
+    ``np.abs`` wraps ``-2**63`` to itself, so ``np.abs(m).max()`` can
+    report a negative peak and wave through a matrix whose reductions
+    overflow; the extremes, converted to Python ints first, cannot.
+    """
+    return max(int(matrix.max()), -int(matrix.min()))
+
+
 def wire_dtype(low: int, high: int) -> np.dtype:
     """The smallest candidate dtype whose range covers ``[low, high]``."""
     for candidate in _WIRE_DTYPES:
@@ -611,8 +621,7 @@ class RecordBatch:
         matrix = self.matrix
         if matrix is None:
             return False
-        peak = int(np.abs(matrix).max())
-        return peak <= (2**62) // max(1, len(self))
+        return peak_magnitude(matrix) <= (2**62) // max(1, len(self))
 
     # -- transport ----------------------------------------------------------
 

@@ -203,11 +203,12 @@ class BlockScheme:
             -- far cheaper than per-block tuple concatenation after the
             fact.  With ``flat=False`` returns
             ``[(block key, ascending row index array)]``; with
-            ``flat=True`` returns ``(keys, rows, counts)`` -- the block
-            keys, one flat row-index array (block-major, ascending
-            within each block), and per-block replica counts -- skipping
-            the per-block slice objects entirely for consumers that
-            immediately re-flatten.  With ``raw=True`` returns the
+            ``flat=True`` returns ``(keys, rows, counts, key matrix)`` --
+            the block keys, one flat row-index array (block-major,
+            ascending within each block), per-block replica counts and
+            the keys again as an int64 ``(blocks, width)`` array --
+            skipping the per-block slice objects entirely for consumers
+            that immediately re-flatten.  With ``raw=True`` returns the
             *unsorted* ``(key matrix, source rows, varying columns)``
             replica table so early aggregation can fold the block
             grouping into its own per-measure sort instead of sorting
@@ -225,7 +226,9 @@ class BlockScheme:
                     )
                 if flat:
                     empty = np.empty(0, dtype=np.int64)
-                    return [], empty, empty
+                    return [], empty, empty, np.empty(
+                        (0, base + len(steps)), dtype=np.int64
+                    )
                 return []
             coords_by_step = [
                 to_array(batch.column(index)) if to_array is not None else None
@@ -297,10 +300,11 @@ class BlockScheme:
             # Plain python ints (np.int64 repr differs, which would
             # change stable_hash partitioning), converted in bulk --
             # see :func:`repro.cube.batches.row_tuples`.
-            block_keys = row_tuples(sorted_keys[starts])
+            key_matrix = sorted_keys[starts]
+            block_keys = row_tuples(key_matrix)
             if flat:
                 counts = np.diff(np.append(starts, len(sorted_keys)))
-                return block_keys, sorted_rows, counts
+                return block_keys, sorted_rows, counts, key_matrix
             stops = np.append(starts[1:], len(sorted_keys))
             return [
                 (key, sorted_rows[start:stop])

@@ -48,6 +48,21 @@ def segment_counts(starts: np.ndarray, total: int) -> np.ndarray:
     return np.diff(np.append(starts, total))
 
 
+def take_blocks(counts: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Entry indices of *blocks*, in that order, block-major.
+
+    The entries are a block-major stream whose block ``i`` holds
+    ``counts[i]`` of them: how a bucket's rows are regrouped when its
+    blocks are reordered or a subset is selected.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    taken = counts[blocks]
+    shift = (np.cumsum(counts) - counts)[blocks] - (np.cumsum(taken) - taken)
+    return np.repeat(shift, taken) + np.arange(
+        int(taken.sum()), dtype=np.int64
+    )
+
+
 def row_boundaries(sorted_rows: np.ndarray) -> np.ndarray:
     """Boundary mask over lexicographically sorted matrix rows.
 

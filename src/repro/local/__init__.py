@@ -1,7 +1,6 @@
 """Local (single-node) evaluation of composite subset measure queries."""
 
 from repro.local.lifting import (
-    bucket_evaluator,
     lift_batch,
     lift_workflow,
     unlift_outputs,
@@ -40,7 +39,6 @@ __all__ = [
     "VectorizedBlockEvaluator",
     "align_candidates",
     "batched_partial_states",
-    "bucket_evaluator",
     "choose_attribute_order",
     "compute_composite",
     "evaluate_centralized",

@@ -13,25 +13,30 @@ the sort key, so contiguous scan state resets at block boundaries by
 construction.  Stripping the leading coordinate from the output gives
 back each block's own result (:func:`unlift_outputs`).
 
-Both parallel backends reduce this way: the simulated engine's reduce
-hook over tagged record tuples or merged partial states, the process
-backend's worker tasks over tagged records or a lifted
-:class:`~repro.cube.batches.RecordBatch` (:func:`lift_batch`).
+Both parallel backends reduce this way, through one helper,
+:func:`evaluate_bucket`: a bucket's rows arrive block-major as one
+:class:`~repro.cube.batches.RecordBatch` (the simulated engine's
+columnar shuffle, the process backend's shared-memory bucket), which
+gains the ordinal as its leading column (:func:`lift_batch`) and goes
+to the lifted vectorized evaluator, or as per-block lists of records,
+tagged ``(ordinal,) + record``, or of early-aggregation partial
+states, merged into lifted basic tables, for its scalar half.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.cube.batches import Column, RecordBatch
 from repro.cube.domains import UniformHierarchy
 from repro.cube.records import Attribute, Schema
 from repro.cube.regions import Granularity
 from repro.local.measure_table import ResultSet
-from repro.local.sortscan import BlockEvaluator, choose_attribute_order
+from repro.local.sortscan import choose_attribute_order
 from repro.local.vectorized import VectorizedBlockEvaluator
 from repro.query.measures import Edge, Measure
 from repro.query.workflow import Workflow
@@ -94,24 +99,17 @@ def _lifted_attribute_order(workflow: Workflow) -> tuple[int, ...]:
     return (0,) + tuple(index + 1 for index in order)
 
 
-def bucket_evaluator(workflow: Workflow, tracer=None) -> BlockEvaluator:
-    """A :class:`BlockEvaluator` over whole buckets of *workflow* blocks."""
-    return BlockEvaluator(
-        lift_workflow(workflow),
-        tracer=tracer,
-        attribute_order=_lifted_attribute_order(workflow),
-    )
-
-
 def vectorized_bucket_evaluator(
-    workflow: Workflow,
+    workflow: Workflow, tracer=None
 ) -> VectorizedBlockEvaluator:
     """A :class:`VectorizedBlockEvaluator` over whole buckets of
-    *workflow* blocks; its scalar half is :func:`bucket_evaluator`'s
-    evaluator, ordered the same way."""
+    *workflow* blocks.  It and its scalar half sort each block exactly
+    as the unlifted workflow would be sorted alone, behind the
+    ordinal."""
     return VectorizedBlockEvaluator(
         lift_workflow(workflow),
         attribute_order=_lifted_attribute_order(workflow),
+        tracer=tracer,
     )
 
 
@@ -171,3 +169,96 @@ def unlift_outputs(
                     continue
             outputs.append((name, region, value))
     return rows
+
+
+def evaluate_bucket(
+    evaluators: Sequence[VectorizedBlockEvaluator],
+    filters: Sequence[Optional[Mapping[str, Callable]]],
+    keys: Sequence[tuple],
+    sizes: Sequence[int],
+    rows,
+    outputs: list,
+    *,
+    indices: Optional[np.ndarray] = None,
+    stats=None,
+    check: Optional[Callable[[], None]] = None,
+    basic_tables: Optional[Callable[[int, list], Mapping]] = None,
+) -> list[tuple[int, list[int], list[int]]]:
+    """Evaluate one reducer bucket, one lifted call per component.
+
+    The bucket's blocks are *keys* (full block keys, component index
+    first) holding *sizes* rows each.  *rows* holds those rows
+    block-major: a :class:`~repro.cube.batches.RecordBatch` (entry
+    ``i`` is its row ``indices[i]``, or row ``i`` without *indices*),
+    which gains the ordinal column and goes to the vectorized
+    evaluator, or one record list per block, whose records are tagged
+    ``(ordinal,) + record`` for the evaluator's scalar half.  With
+    *basic_tables*, the lists hold partial states instead, and
+    ``basic_tables(c, lists)`` turns component ``c``'s lists into its
+    lifted basic tables for the scalar half.  Components run in
+    ascending index order through ``evaluators[c]`` (as built by
+    :func:`vectorized_bucket_evaluator`), their rows unlifted into
+    *outputs* through ``filters[c]`` (see :func:`unlift_outputs`);
+    *check* runs before each component and may raise to stop the
+    bucket, and *stats* collects the local work counters.
+
+    Returns one ``(component, block positions in keys, rows produced
+    per block)`` triple per component, in evaluation order.
+    """
+    by_component: dict[int, list[int]] = {}
+    for position, key in enumerate(keys):
+        by_component.setdefault(key[0], []).append(position)
+    batched = isinstance(rows, RecordBatch)
+    if batched:
+        sizes = np.asarray(sizes, dtype=np.int64)
+    done = []
+    for component_index in sorted(by_component):
+        if check is not None:
+            check()
+        positions = by_component[component_index]
+        evaluator = evaluators[component_index]
+        if batched:
+            counts = sizes[positions]
+            selected = indices
+            if len(positions) < len(keys):
+                selected = kernels.take_blocks(sizes, positions)
+                if indices is not None:
+                    selected = indices[selected]
+            result = evaluator.evaluate(
+                lift_batch(
+                    evaluator.workflow.schema,
+                    np.repeat(
+                        np.arange(len(positions), dtype=np.int64), counts
+                    ),
+                    rows if selected is None else rows.take(selected),
+                ),
+                stats=stats,
+                blocks=len(positions),
+            )
+        elif basic_tables is not None:
+            result = evaluator.scalar.evaluate(
+                basic_tables=basic_tables(
+                    component_index, [rows[position] for position in positions]
+                ),
+                stats=stats,
+                blocks=len(positions),
+            )
+        else:
+            result = evaluator.scalar.evaluate(
+                [
+                    (ordinal,) + record
+                    for ordinal, position in enumerate(positions)
+                    for record in rows[position]
+                ],
+                stats=stats,
+                blocks=len(positions),
+            )
+        produced = unlift_outputs(
+            result,
+            filters[component_index],
+            lambda ordinal: keys[positions[ordinal]][1:],
+            len(positions),
+            outputs,
+        )
+        done.append((component_index, positions, produced))
+    return done

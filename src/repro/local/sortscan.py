@@ -11,10 +11,11 @@ contiguous in the sorted stream and can be aggregated with O(1) state
 tables in the same scan, so the pass count never grows.
 
 This evaluator doubles as the paper's centralized baseline
-(:func:`evaluate_centralized`) and as the subroutine every reducer of
-the parallel algorithm runs -- once per bucket of blocks over a lifted
-workflow (:mod:`repro.local.lifting`) in the simulated engine, once per
-block in the multiprocess workers.
+(:func:`evaluate_centralized`) and as the scalar half of the evaluator
+every reducer of the parallel algorithm runs once per bucket of blocks
+over a lifted workflow (:mod:`repro.local.lifting`): it computes the
+composite measures, and the basic ones whenever the vectorized path
+cannot be exact.
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ class BlockEvaluator:
     Construct once per workflow; :meth:`evaluate` may be called many
     times (once per block).  The attribute order and coordinate mappers
     are resolved up front; *attribute_order* overrides the planner's
-    choice (:func:`repro.local.lifting.bucket_evaluator` keeps the
-    unlifted workflow's order behind the block ordinal).
+    choice (:func:`repro.local.lifting.vectorized_bucket_evaluator`
+    keeps the unlifted workflow's order behind the block ordinal).
     """
 
     def __init__(

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cube.batches import RecordBatch, row_tuples
+from repro.cube.batches import RecordBatch, peak_magnitude, row_tuples
 from repro import kernels
 from repro.cube.domains import ALL, ALL_VALUE
 from repro.cube.records import Record
@@ -35,7 +35,12 @@ from repro.cube.regions import Granularity
 from repro.query.measures import Relationship
 from repro.query.workflow import Workflow
 from repro.local.measure_table import MeasureTable, ResultSet
-from repro.local.sortscan import BlockEvaluator, LocalStats
+from repro.local.sortscan import (
+    BlockEvaluator,
+    LocalStats,
+    is_prefix_compatible,
+)
+from repro.obs.tracer import NULL_TRACER
 
 #: Basic aggregates with a vectorized grouped implementation.
 VECTORIZED_AGGREGATES = frozenset({"sum", "count", "min", "max", "avg"})
@@ -113,10 +118,14 @@ def _sorted_runs(
 
 
 def _grouped_aggregate(
-    coords: np.ndarray, values: np.ndarray, name: str
+    coords: np.ndarray,
+    values: np.ndarray,
+    name: str,
+    runs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(unique coords, aggregated values) for one basic measure."""
-    order, boundary = _sorted_runs(coords)
+    """(unique coords, aggregated values) for one basic measure, given
+    the :func:`_sorted_runs` of its *coords*."""
+    order, boundary = runs
     sorted_values = values[order]
     starts = np.flatnonzero(boundary)
     unique = coords[order[starts]]
@@ -144,21 +153,26 @@ class VectorizedBlockEvaluator:
     Falls back to the scalar :class:`BlockEvaluator` whenever the
     workflow uses unsupported basic aggregates; composite measures
     always run through the shared operators, so results are identical
-    either way.  *attribute_order* is handed to that scalar half
-    (:func:`repro.local.lifting.vectorized_bucket_evaluator` keeps the
-    unlifted workflow's order behind the block ordinal).
+    either way.  *attribute_order* and *tracer* are handed to that
+    scalar half (:func:`repro.local.lifting.vectorized_bucket_evaluator`
+    keeps the unlifted workflow's order behind the block ordinal), and
+    the vectorized basic phase reports what the scalar one would: the
+    same :class:`LocalStats` counters and the same ``block-sort`` /
+    ``block-scan`` spans.
     """
 
     def __init__(
         self,
         workflow: Workflow,
         attribute_order: Sequence[int] | None = None,
+        tracer=None,
     ):
         self.workflow = workflow
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The exact scalar evaluator every fallback (and the composite
         #: phase) runs through.
         self.scalar = BlockEvaluator(
-            workflow, attribute_order=attribute_order
+            workflow, tracer=tracer, attribute_order=attribute_order
         )
         self.accelerated = vectorized_supports(workflow)
         # Pure-ALIGN composites anchor their regions on the raw records;
@@ -171,72 +185,109 @@ class VectorizedBlockEvaluator:
             )
             for measure in workflow.measures
         )
+        basics = list(workflow.basic_measures())
+        # How the scalar scan would split the basic measures.
+        self._contiguous = sum(
+            is_prefix_compatible(
+                measure.granularity, self.scalar.attribute_order
+            )
+            for measure in basics
+        )
+        self._hashed = len(basics) - self._contiguous
 
     def evaluate(
         self,
         records,
         stats: LocalStats | None = None,
+        blocks: int = 1,
     ) -> ResultSet:
-        """Evaluate one block given records or a :class:`RecordBatch`."""
-        if isinstance(records, RecordBatch):
-            return self._evaluate_batch(records, stats)
-        if not self.accelerated:
-            return self.scalar.evaluate(records, stats=stats)
-        block = records if isinstance(records, list) else list(records)
+        """Evaluate one block given records or a :class:`RecordBatch`.
+
+        *blocks* only labels the spans, as in
+        :meth:`BlockEvaluator.evaluate`.
+        """
         if stats is None:
             stats = LocalStats()
+        if isinstance(records, RecordBatch):
+            return self._evaluate_batch(records, stats, blocks)
+        if not self.accelerated:
+            return self.scalar.evaluate(records, stats=stats, blocks=blocks)
+        block = records if isinstance(records, list) else list(records)
         if not block:
-            return self.scalar.evaluate([], stats=stats)
+            return self.scalar.evaluate([], stats=stats, blocks=blocks)
 
         matrix = np.asarray(block)
         if not np.issubdtype(matrix.dtype, np.integer):
             # Float (or object) fact values: casting to int64 would
             # silently truncate them, so take the scalar path instead.
-            return self.scalar.evaluate(block, stats=stats)
-        if matrix.size and int(np.abs(matrix).max()) > (2**62) // max(
+            return self.scalar.evaluate(block, stats=stats, blocks=blocks)
+        if matrix.size and peak_magnitude(matrix) > (2**62) // max(
             1, len(block)
         ):
             # Conservative overflow guard: int64 reductions wrap
             # silently; huge values go through arbitrary-precision
             # Python ints on the scalar path instead.
-            return self.scalar.evaluate(block, stats=stats)
-        return self._evaluate_matrix(matrix, block, stats)
+            return self.scalar.evaluate(block, stats=stats, blocks=blocks)
+        return self._evaluate_matrix(matrix, block, stats, blocks)
 
     def _evaluate_batch(
-        self, batch: RecordBatch, stats: LocalStats | None
+        self, batch: RecordBatch, stats: LocalStats, blocks: int
     ) -> ResultSet:
-        if stats is None:
-            stats = LocalStats()
         if not self.accelerated or not len(batch) or not (
             batch.reduction_safe()
         ):
-            return self.scalar.evaluate(batch.to_records(), stats=stats)
+            return self.scalar.evaluate(
+                batch.to_records(), stats=stats, blocks=blocks
+            )
         block = batch.to_records() if self._needs_anchor_records else None
-        return self._evaluate_matrix(batch.matrix, block, stats)
+        return self._evaluate_matrix(batch.matrix, block, stats, blocks)
 
     def _evaluate_matrix(
-        self, matrix: np.ndarray, block: list | None, stats: LocalStats
+        self,
+        matrix: np.ndarray,
+        block: list | None,
+        stats: LocalStats,
+        blocks: int,
     ) -> ResultSet:
-        stats.records += len(matrix)
-        tables: dict[str, MeasureTable] = {}
         schema = self.workflow.schema
-        for measure in self.workflow.basic_measures():
-            coords = _coordinate_columns(measure.granularity, matrix)
-            values = matrix[:, schema.field_index(measure.field)]
-            unique, aggregated = _grouped_aggregate(
-                coords, values, measure.aggregate.name
-            )
-            tables[measure.name] = MeasureTable(
-                measure.granularity,
-                {
-                    tuple(int(c) for c in row): value.item()
-                    for row, value in zip(unique, aggregated)
-                },
+        basics = list(self.workflow.basic_measures())
+        size = len(matrix)
+        with self.tracer.span("block-sort") as sort_span:
+            coords = [
+                _coordinate_columns(measure.granularity, matrix)
+                for measure in basics
+            ]
+            runs = [_sorted_runs(columns) for columns in coords]
+            sort_span.set(records=size, blocks=blocks)
+        stats.sorted_records += size
+        with self.tracer.span("block-scan") as scan_span:
+            stats.contiguous_measures += self._contiguous
+            stats.hashed_measures += self._hashed
+            stats.records += size
+            tables: dict[str, MeasureTable] = {}
+            for measure, columns, measure_runs in zip(basics, coords, runs):
+                unique, aggregated = _grouped_aggregate(
+                    columns,
+                    matrix[:, schema.field_index(measure.field)],
+                    measure.aggregate.name,
+                    measure_runs,
+                )
+                tables[measure.name] = MeasureTable(
+                    measure.granularity,
+                    dict(
+                        zip(map(tuple, unique.tolist()), aggregated.tolist())
+                    ),
+                )
+            scan_span.set(
+                records=size,
+                blocks=blocks,
+                contiguous=stats.contiguous_measures,
+                hashed=stats.hashed_measures,
             )
         # Composite phase: identical code path to the scalar evaluator;
         # records ride along so pure-ALIGN measures can anchor regions.
         return self.scalar.evaluate(
-            records=block, basic_tables=tables, stats=stats
+            records=block, basic_tables=tables, stats=stats, blocks=blocks
         )
 
 
@@ -294,7 +345,7 @@ def batched_partial_states(
     total = len(rows)
     if total == 0:
         return [], []
-    if matrix.size and int(np.abs(matrix).max()) > (2**62) // total:
+    if matrix.size and peak_magnitude(matrix) > (2**62) // total:
         return None
 
     schema = component.schema

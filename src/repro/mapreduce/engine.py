@@ -16,10 +16,20 @@ The scatter/gather contract mirrors Hadoop's:
 * ``reducer(key, values, ctx) -> iterable[output]`` -- sees each group
   once, with pairs of equal key guaranteed to meet in the same task, and
   charges its internal sort/scan work through *ctx*;
-* ``reduce_task(groups, ctx) -> iterable[output]`` -- the whole-task
-  alternative to ``reducer``: sees all of a reduce task's key-sorted
-  ``(key, values)`` groups at once, so groups can share one sort and
-  one scan (Section III-D's composite key).
+* ``reduce_task(bucket, ctx) -> iterable[output]`` -- the whole-task
+  alternative to ``reducer``: sees all of a reduce task's input at once
+  as a :class:`ShuffleBucket`, so groups can share one sort and one
+  scan (Section III-D's composite key).
+
+A batched map task (``map_batch``) may ship pairs or, for records
+routed as arrays, one columnar output: :class:`BlockRows`, its block
+keys with per-block row indices into the task's int matrix.  The engine
+partitions it once per block, never per replica, and charges every row
+as one ``(key, record)`` pair, so the simulated clock cannot tell the
+two apart.  A reducer's :class:`ShuffleBucket` iterates as the
+key-sorted ``(key, values)`` groups of everything it received, and
+when every entry is columnar also offers the whole bucket as arrays
+(:meth:`ShuffleBucket.columnar`).
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from repro import kernels
 from repro.faults.scheduler import PhaseFaultStats
 from repro.mapreduce.cluster import SimulatedCluster, makespan
 from repro.mapreduce.counters import JobCounters, JobReport, PhaseBreakdown
@@ -77,6 +90,150 @@ class JobResult:
 
 
 @dataclass
+class BlockRows:
+    """Records routed into blocks, as arrays: a columnar map output.
+
+    Attributes:
+        keys: The block keys, plain-int tuples (a partitioner hashing
+            ``repr`` would misplace NumPy scalars), ascending.
+        key_matrix: The same keys as an int64 ``(blocks, width)`` array.
+        counts: Rows per block.
+        rows: Row indices into *matrix* and *records*, block-major.
+        matrix: The map task's records as an int64 matrix.
+        records: The map task's records; materialised groups hold these.
+    """
+
+    keys: list
+    key_matrix: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    matrix: np.ndarray
+    records: Sequence
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def split(self, parts: np.ndarray) -> list[tuple[int, "BlockRows"]]:
+        """These rows split by reducer: *parts* holds each block's
+        reducer, and each distinct one gets ``(reducer, its blocks)``,
+        blocks still in key order."""
+        order = np.argsort(parts, kind="stable")
+        counts = self.counts[order]
+        rows = self.rows[kernels.take_blocks(self.counts, order)]
+        row_edges = np.append(0, np.cumsum(counts)).tolist()
+        sorted_parts = parts[order]
+        edges = (
+            [0]
+            + (np.flatnonzero(np.diff(sorted_parts)) + 1).tolist()
+            + [len(order)]
+        )
+        picks = order.tolist()
+        return [
+            (
+                int(sorted_parts[low]),
+                BlockRows(
+                    [self.keys[i] for i in picks[low:high]],
+                    self.key_matrix[order[low:high]],
+                    counts[low:high],
+                    rows[row_edges[low]:row_edges[high]],
+                    self.matrix,
+                    self.records,
+                ),
+            )
+            for low, high in zip(edges, edges[1:])
+        ]
+
+    def pairs(self) -> list[tuple]:
+        """The ``(key, record)`` pairs these rows stand for."""
+        records = self.records
+        row_list = self.rows.tolist()
+        pairs = []
+        offset = 0
+        for key, count in zip(self.keys, self.counts.tolist()):
+            pairs.extend(
+                (key, records[row]) for row in row_list[offset:offset + count]
+            )
+            offset += count
+        return pairs
+
+
+@dataclass
+class BucketColumns:
+    """A columnar bucket grouped by block, as one reducer sees it.
+
+    Attributes:
+        keys: The distinct block keys, plain-int tuples, ascending.
+        counts: Rows per block.
+        matrix: The blocks' rows, block-major; a block's rows keep
+            their arrival order (map task, then row), as the values of
+            a :func:`~repro.mapreduce.sorter.sort_group_pairs` group do.
+    """
+
+    keys: list
+    counts: np.ndarray
+    matrix: np.ndarray
+
+
+class ShuffleBucket:
+    """One reduce task's input: what each map task shipped it, in order.
+
+    Each entry is one map task's share: a list of ``(key, value)``
+    pairs or a :class:`BlockRows`.  Iterating yields the
+    :func:`~repro.mapreduce.sorter.sort_group_pairs` groups of every
+    pair the entries stand for, built on first use; iterate as often as
+    needed.
+    """
+
+    def __init__(self):
+        self.entries: list = []
+        self._groups: Optional[list] = None
+
+    def __len__(self) -> int:
+        return sum(len(entry) for entry in self.entries)
+
+    def __iter__(self):
+        if self._groups is None:
+            pairs: list = []
+            for entry in self.entries:
+                pairs.extend(
+                    entry.pairs() if isinstance(entry, BlockRows) else entry
+                )
+            self._groups = sort_group_pairs(pairs)
+        return iter(self._groups)
+
+    def columnar(self) -> Optional[BucketColumns]:
+        """The bucket as arrays, or ``None`` unless it holds only
+        :class:`BlockRows`.
+
+        One stable lexsort of the entries' block keys merges equal
+        keys in arrival order, exactly the order the groups hold.
+        """
+        entries = self.entries
+        if not entries or not all(
+            isinstance(entry, BlockRows) for entry in entries
+        ):
+            return None
+        if len(entries) == 1:
+            (only,) = entries
+            return BucketColumns(
+                only.keys, only.counts, only.matrix[only.rows]
+            )
+        keys = [key for entry in entries for key in entry.keys]
+        key_matrix = np.concatenate([entry.key_matrix for entry in entries])
+        counts = np.concatenate([entry.counts for entry in entries])
+        matrix = np.concatenate(
+            [entry.matrix[entry.rows] for entry in entries]
+        )
+        order = np.lexsort(key_matrix.T[::-1])
+        starts = np.flatnonzero(kernels.row_boundaries(key_matrix[order]))
+        return BucketColumns(
+            [keys[i] for i in order[starts].tolist()],
+            np.add.reduceat(counts[order], starts),
+            matrix[kernels.take_blocks(counts, order)],
+        )
+
+
+@dataclass
 class MapBatchOutput:
     """What a batched map-side fast path produced for one map task.
 
@@ -89,6 +246,8 @@ class MapBatchOutput:
     Attributes:
         pairs: The final key/value pairs to partition (post-combine when
             *combined* is set).
+        blocks: Rows routed as arrays instead of pairs; each counts as
+            one ``(key, record)`` pair charged ``record_bytes``.
         emitted_pairs: How many pairs the scalar mapper would have
             emitted before combining (drives map CPU accounting).
         combine_inputs: Pairs that entered the combine stage (0 when no
@@ -103,6 +262,7 @@ class MapBatchOutput:
     combine_inputs: int = 0
     combine_bytes: int = 0
     combined: bool = False
+    blocks: Optional[BlockRows] = None
 
 
 def stable_hash(key) -> int:
@@ -162,9 +322,8 @@ class MapReduceJob:
             batched implementation cannot represent.
         reduce_task: Whole-task reduce function, the reduce-side mirror
             of *map_batch*: called once per reduce task with that task's
-            :func:`~repro.mapreduce.sorter.sort_group_pairs` groups and
-            the :class:`TaskContext`.  Exactly one of *reducer* and
-            *reduce_task* must be given.
+            :class:`ShuffleBucket` and the :class:`TaskContext`.
+            Exactly one of *reducer* and *reduce_task* must be given.
         record_bytes: Serialized size of one map *input* record.
         value_bytes: Size function for map output values; defaults to
             ``record_bytes`` (values are copies of input records in the
@@ -204,18 +363,20 @@ class MapReduceJob:
         remote: bool,
         timing: TimingModel,
         counters: JobCounters,
-        buckets: list[list],
+        buckets: list[ShuffleBucket],
     ) -> float:
         value_size = self.value_bytes or (lambda _value: self.record_bytes)
         batch_output = (
             self.map_batch(records) if self.map_batch is not None else None
         )
         counters.map_input_records += len(records)
+        blocks = None
         if batch_output is not None:
             # Batched fast path: the implementation reports the
             # scalar-equivalent pair counts, so the charges below mirror
             # the scalar branch exactly.
             pairs = batch_output.pairs
+            blocks = batch_output.blocks
             emitted_pairs = batch_output.emitted_pairs
             combine_seconds = 0.0
             if batch_output.combined and batch_output.combine_inputs:
@@ -247,11 +408,30 @@ class MapReduceJob:
                 counters.combine_output_records += len(pairs)
 
         out_bytes = 0
+        shares: dict[int, list] = {}
         for key, value in pairs:
             index = self.partitioner(key, self.num_reducers)
-            buckets[index].append((key, value))
+            share = shares.get(index)
+            if share is None:
+                share = shares[index] = []
+            share.append((key, value))
             out_bytes += KEY_BYTES + value_size(value)
-        counters.map_output_records += len(pairs)
+        for index, share in shares.items():
+            buckets[index].entries.append(share)
+        shipped = len(pairs)
+        if blocks is not None and len(blocks):
+            # One partitioner call per block, on its plain-int key.
+            parts = np.fromiter(
+                (self.partitioner(key, self.num_reducers)
+                 for key in blocks.keys),
+                dtype=np.int64,
+                count=len(blocks.keys),
+            )
+            for index, share in blocks.split(parts):
+                buckets[index].entries.append(share)
+            shipped += len(blocks)
+            out_bytes += len(blocks) * (KEY_BYTES + self.record_bytes)
+        counters.map_output_records += shipped
         counters.map_output_bytes += out_bytes
 
         read_bytes = len(records) * self.record_bytes
@@ -267,7 +447,7 @@ class MapReduceJob:
 
     def _run_reduce_task(
         self,
-        pairs: list,
+        bucket: ShuffleBucket,
         cluster: SimulatedCluster,
         counters: JobCounters,
         outputs: list,
@@ -275,12 +455,19 @@ class MapReduceJob:
         """Execute one reducer; returns its phase durations and load."""
         timing = cluster.timing
         value_size = self.value_bytes or (lambda _value: self.record_bytes)
-        in_bytes = sum(KEY_BYTES + value_size(v) for _k, v in pairs)
+        size = 0
+        in_bytes = 0
+        for entry in bucket.entries:
+            size += len(entry)
+            if isinstance(entry, BlockRows):
+                in_bytes += len(entry) * (KEY_BYTES + self.record_bytes)
+            else:
+                in_bytes += sum(KEY_BYTES + value_size(v) for _k, v in entry)
         shuffle_seconds = timing.network_transfer(in_bytes)
 
         sort_stats = spill_stats(
-            len(pairs),
-            record_bytes=max(1, in_bytes // max(1, len(pairs))),
+            size,
+            record_bytes=max(1, in_bytes // max(1, size)),
             memory_bytes=cluster.config.memory_per_task,
         )
         counters.spilled_records += sort_stats.spilled_records
@@ -288,15 +475,14 @@ class MapReduceJob:
         fsort_bytes = in_bytes
         if self.combined_sort:
             fsort_bytes = int(in_bytes * COMBINED_SORT_KEY_OVERHEAD)
-        fsort_seconds = timing.sort(len(pairs), fsort_bytes)
+        fsort_seconds = timing.sort(size, fsort_bytes)
 
         context = TaskContext(timing)
-        groups = sort_group_pairs(pairs)
-        counters.reduce_input_records += len(pairs)
+        counters.reduce_input_records += size
         if self.reduce_task is not None:
-            outputs.extend(self.reduce_task(groups, context))
+            outputs.extend(self.reduce_task(bucket, context))
         else:
-            for key, values in groups:
+            for key, values in bucket:
                 produced = self.reducer(key, values, context)
                 if produced:
                     outputs.extend(produced)
@@ -308,7 +494,7 @@ class MapReduceJob:
             fsort_seconds,
             context.group_sort_seconds,
             context.eval_seconds,
-            len(pairs),
+            size,
         )
 
     # -- whole job -----------------------------------------------------------------
@@ -344,7 +530,7 @@ class MapReduceJob:
             if chaos
             else cluster.failed_machines
         )
-        buckets: list[list] = [[] for _ in range(self.num_reducers)]
+        buckets = [ShuffleBucket() for _ in range(self.num_reducers)]
 
         with tracer.span("job", job=self.name) as job_span:
             wall_map_start = time.perf_counter()
@@ -422,13 +608,13 @@ class MapReduceJob:
                 outputs: list = []
                 shuffle, fsort, gsort, evaluate, loads = [], [], [], [], []
                 telemetry.phase("reduce", 0, len(buckets))
-                for index, pairs in enumerate(buckets):
+                for index, bucket in enumerate(buckets):
                     counters.reduce_tasks += 1
                     durations = self._run_reduce_task(
-                        pairs, cluster, counters, outputs
+                        bucket, cluster, counters, outputs
                     )
                     telemetry.phase("reduce", index + 1, len(buckets))
-                    telemetry.mark("reduce.rows", len(pairs))
+                    telemetry.mark("reduce.rows", durations[4])
                     # Under chaos, dispatch-to-a-dead-machine is priced
                     # by real attempt accounting, not the flat 2x.
                     retry = (

@@ -6,10 +6,14 @@ One MapReduce job evaluates the whole composite query:
    measure families need not share a key) and the optimizer picks a
    feasible distribution key and clustering factor per component;
 2. mappers replicate each record into every block whose extended range
-   needs it, once per component (overlapping redistribution);
+   needs it, once per component (overlapping redistribution); a map
+   task whose records form an int matrix ships them as arrays -- block
+   keys plus per-block row indices -- instead of one pair per replica;
 3. each reducer sorts and scans its whole bucket once per component
    under a composite (block ordinal, local order) key -- the ordinal
    is a leading coordinate of every region, so blocks stay isolated --
+   in one call of the component's lifted vectorized evaluator (its
+   scalar half when the bucket holds record pairs or partial states),
    and filters each block's outputs to its owned region range, so
 4. the final answer is the plain union of local results -- no combination
    step, and any duplicate is a hard error.
@@ -36,7 +40,7 @@ import numpy as np
 
 from repro.cube.batches import RecordBatch
 from repro.cube.records import Record, estimated_record_bytes
-from repro.local.lifting import bucket_evaluator, unlift_outputs
+from repro.local.lifting import evaluate_bucket, vectorized_bucket_evaluator
 from repro.local.measure_table import MeasureTable, ResultSet
 from repro.local.sortscan import LocalStats
 from repro.local.vectorized import (
@@ -45,7 +49,13 @@ from repro.local.vectorized import (
 )
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.dfs import DistributedFile
-from repro.mapreduce.engine import KEY_BYTES, MapBatchOutput, MapReduceJob
+from repro.mapreduce.engine import (
+    KEY_BYTES,
+    BlockRows,
+    MapBatchOutput,
+    MapReduceJob,
+    ShuffleBucket,
+)
 from repro.optimizer.optimizer import (
     Optimizer,
     OptimizerConfig,
@@ -267,9 +277,11 @@ class ParallelEvaluator:
         vectorized block router, and -- under early aggregation --
         produces the partial states with grouped reduceat aggregation,
         falling back to the scalar combiner for components it cannot
-        compute bit-identically.  Tasks whose records are not
-        integer-columnar return ``None``, which the engine answers with
-        the scalar mapper path.
+        compute bit-identically.  Without early aggregation, a task
+        whose records form an int matrix ships them as one
+        :class:`~repro.mapreduce.engine.BlockRows` instead of pairs.
+        Tasks whose records are not routable return ``None``, which the
+        engine answers with the scalar mapper path.
         """
         schema = plan.subplans[0][0].schema
         routers = [
@@ -290,6 +302,11 @@ class ParallelEvaluator:
                 return None
             stats.batch_tasks += 1
             stats.batch_records += len(batch)
+            if not early and batch.matrix is not None:
+                blocks = _route_block_rows(routers, batch, records)
+                return MapBatchOutput(
+                    pairs=[], emitted_pairs=len(blocks), blocks=blocks
+                )
             pairs: list = []
             emitted = 0
             for index, router in enumerate(routers):
@@ -313,7 +330,7 @@ class ParallelEvaluator:
                 if fused is None:
                     # Scalar-combiner fallback (unsupported aggregate or
                     # overflow risk): re-route grouped, per-block lists.
-                    full_keys, flat_rows, counts = router(
+                    full_keys, flat_rows, counts, _matrix = router(
                         batch, (index,), flat=True
                     )
                     stats.scalar_groups += len(full_keys)
@@ -393,20 +410,25 @@ class ParallelEvaluator:
 
         All of a reduce task's blocks of one component are evaluated in
         a single call of a lifted evaluator
-        (:func:`repro.local.lifting.bucket_evaluator`): every record --
+        (:func:`repro.local.lifting.evaluate_bucket`): every record --
         or, under early aggregation, every partial state's region -- is
         tagged with its block's ordinal in the bucket, which leads the
         sort key and is a coordinate of every region, so no measure can
-        cross a block.  The ordinal is stripped from the output, the
-        owned-region filter runs only under keys with an annotated
-        component, and the virtual clock is charged block by block in
-        block order, exactly as a per-block loop would charge it.
+        cross a block.  A columnar bucket goes to the vectorized
+        evaluator as one batch.  The ordinal is stripped from the
+        output, the owned-region filter runs only under keys with an
+        annotated component, and the virtual clock is charged block by
+        block in block order, exactly as a per-block loop would charge
+        it.
         """
+        schema = plan.subplans[0][0].schema
         evaluators = []
         filters = []
         basics_by_component = []
         for component, subplan in plan.subplans:
-            evaluator = bucket_evaluator(component, tracer=self.tracer)
+            evaluator = vectorized_bucket_evaluator(
+                component, tracer=self.tracer
+            )
             evaluators.append(evaluator)
             # Without an annotation every block owns all it computes.
             filters.append(
@@ -424,54 +446,49 @@ class ParallelEvaluator:
             )
         early = self.config.early_aggregation
         value_width = _PARTIAL_STATE_BYTES if early else record_bytes
+        check = cancel.check if cancel is not None else None
+
+        def partial_tables(component_index, blocks):
+            return _merge_partials(
+                basics_by_component[component_index], blocks
+            )
 
         def reduce_task(groups, ctx):
-            buckets: list[list] = [[] for _ in evaluators]
-            for block_key, values in groups:
-                # A set, not a counter: fault-tolerant retries may re-run
-                # a block, but it still counts once toward calibration.
-                served_blocks.add(block_key)
-                buckets[block_key[0]].append((block_key[1:], values))
-            outputs = []
-            for component_index, blocks in enumerate(buckets):
-                if not blocks:
-                    continue
-                if cancel is not None:
-                    cancel.check()
-                evaluator = evaluators[component_index]
-                stats = LocalStats()
-                if early:
-                    result = evaluator.evaluate(
-                        basic_tables=_merge_partials(
-                            basics_by_component[component_index],
-                            [values for _key, values in blocks],
-                        ),
-                        stats=stats,
-                        blocks=len(blocks),
-                    )
-                else:
-                    result = evaluator.evaluate(
-                        [
-                            (ordinal,) + record
-                            for ordinal, (_key, values) in enumerate(blocks)
-                            for record in values
-                        ],
-                        stats=stats,
-                        blocks=len(blocks),
-                    )
-                local_stats.merge(stats)
-
-                rows = unlift_outputs(
-                    result,
-                    filters[component_index],
-                    lambda ordinal: blocks[ordinal][0],
-                    len(blocks),
-                    outputs,
-                )
-                for (_key, values), produced in zip(blocks, rows):
-                    size = len(values)
+            columns = None
+            if isinstance(groups, ShuffleBucket):
+                columns = groups.columnar()
+            if columns is not None:
+                keys = columns.keys
+                sizes = columns.counts.tolist()
+                rows = RecordBatch(schema, columns.matrix)
+            else:
+                keys, rows = [], []
+                for block_key, values in groups:
+                    keys.append(block_key)
+                    rows.append(values)
+                sizes = [len(values) for values in rows]
+            # A set, not a counter: fault-tolerant retries may re-run a
+            # block, but it still counts once toward calibration.
+            served_blocks.update(keys)
+            outputs: list = []
+            stats = LocalStats()
+            done = evaluate_bucket(
+                evaluators,
+                filters,
+                keys,
+                sizes,
+                rows,
+                outputs,
+                stats=stats,
+                check=check,
+                basic_tables=partial_tables if early else None,
+            )
+            local_stats.merge(stats)
+            for _component, positions, produced in done:
+                for position, made in zip(positions, produced):
+                    size = sizes[position]
                     ctx.charge_sort(size, size * value_width)
-                    ctx.charge_eval(size if early else size + produced)
+                    ctx.charge_eval(size if early else size + made)
             return outputs
 
         return reduce_task
@@ -725,18 +742,49 @@ def union_outputs(workflow: Workflow, outputs) -> ResultSet:
     Fails loudly on any duplicated region -- the invariant a feasible
     distribution scheme guarantees.  Shared by both backends: each
     gathers one row list per reduce task, every row already filtered to
-    the region its block owns.
+    the region its block owns.  Rows go straight into the tables; a
+    duplicate shows as fewer regions than rows, and only then are the
+    rows walked again to name the first one.
     """
+    rows = outputs if isinstance(outputs, list) else list(outputs)
     tables = {
         measure.name: MeasureTable(measure.granularity)
         for measure in workflow.measures
     }
-    for name, coords, value in outputs:
-        table = tables[name]
-        if coords in table:
-            raise DuplicateResultError(
-                f"measure {name!r} produced region {coords!r} from two "
-                "different blocks; the distribution scheme is not feasible"
-            )
-        table[coords] = value
+    sinks = {name: table.values for name, table in tables.items()}
+    for name, coords, value in rows:
+        sinks[name][coords] = value
+    if sum(map(len, sinks.values())) != len(rows):
+        seen: set = set()
+        for name, coords, _value in rows:
+            if (name, coords) in seen:
+                raise DuplicateResultError(
+                    f"measure {name!r} produced region {coords!r} from two "
+                    "different blocks; the distribution scheme is not "
+                    "feasible"
+                )
+            seen.add((name, coords))
     return ResultSet(tables)
+
+
+def _route_block_rows(routers, batch: RecordBatch, records) -> BlockRows:
+    """Every component's blocks of one int-matrix batch, as arrays.
+
+    Each router returns its component's blocks in key order, and the
+    component index leads every key, so the concatenation is in key
+    order too.
+    """
+    keys, rows, counts, key_matrices = zip(
+        *(
+            router(batch, (index,), flat=True)
+            for index, router in enumerate(routers)
+        )
+    )
+    return BlockRows(
+        [key for component_keys in keys for key in component_keys],
+        np.concatenate(key_matrices),
+        np.concatenate(counts),
+        np.concatenate(rows),
+        batch.matrix,
+        records,
+    )

@@ -67,16 +67,16 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.cube.batches import RecordBatch, estimated_pickle_bytes
+from repro.cube.batches import (
+    RecordBatch,
+    estimated_pickle_bytes,
+    row_tuples,
+)
 from repro.cube.records import Record, Schema
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
-from repro.local.lifting import (
-    lift_batch,
-    unlift_outputs,
-    vectorized_bucket_evaluator,
-)
+from repro.local.lifting import evaluate_bucket, vectorized_bucket_evaluator
 from repro.local.measure_table import ResultSet
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
@@ -234,71 +234,46 @@ def _record_task_span(task: int, attempt: int, started: float,
 def _reduce_bucket(bucket) -> list:
     """Evaluate one reducer bucket; runs inside a worker process.
 
-    A record-list bucket's blocks are grouped by component, their
-    records tagged ``(ordinal,) + record`` and evaluated in one call of
-    the component's lifted scalar evaluator.
+    A record-list bucket's blocks are evaluated per component in one
+    call of the component's lifted scalar evaluator
+    (:func:`~repro.local.lifting.evaluate_bucket`).
     """
     if isinstance(bucket, ShmBucket):
         return _reduce_shm_bucket(bucket)
-    by_component: dict[int, list] = defaultdict(list)
-    for block_key, records in bucket:
-        by_component[block_key[0]].append((block_key[1:], records))
     rows: list = []
-    for component_index, blocks in sorted(by_component.items()):
-        result = _WORKER["evaluators"][component_index].scalar.evaluate(
-            [
-                (ordinal,) + record
-                for ordinal, (_key, records) in enumerate(blocks)
-                for record in records
-            ]
-        )
-        unlift_outputs(
-            result,
-            _WORKER["filters"][component_index],
-            lambda ordinal: blocks[ordinal][0],
-            len(blocks),
-            rows,
-        )
+    evaluate_bucket(
+        _WORKER["evaluators"],
+        _WORKER["filters"],
+        [block_key for block_key, _records in bucket],
+        [len(records) for _block_key, records in bucket],
+        [records for _block_key, records in bucket],
+        rows,
+    )
     return rows
 
 
 def _evaluate_shm_view(view) -> list:
     """Evaluate an attached shm bucket, one call per component.
 
-    Each component's blocks are selected by key column 0; their payload
-    rows, fancy-indexed out of the mapped batch, gain the block ordinal
-    as a leading column and go to the lifted vectorized evaluator in
-    one batch, which falls back to the scalar path internally whenever
-    it cannot produce bit-identical results.  Separated from
-    :func:`_reduce_shm_bucket` so that when this frame returns, every
-    array view into the shared mapping is dead and the caller's
-    ``close()`` can actually unmap the segment.
+    The bucket's payload rows, fancy-indexed out of the mapped batch,
+    go to each component's lifted vectorized evaluator in one batch
+    (:func:`~repro.local.lifting.evaluate_bucket`), which falls back to
+    the scalar path internally whenever it cannot produce bit-identical
+    results.  Separated from :func:`_reduce_shm_bucket` so that when
+    this frame returns, every array view into the shared mapping is
+    dead and the caller's ``close()`` can actually unmap the segment.
     """
-    batch = view.batch(_WORKER["schema"])
     keys, counts, indices = view.block_arrays()
-    components = keys[:, 0]
-    entry_components = np.repeat(components, counts)
     rows: list = []
-    for component_index in np.unique(components).tolist():
-        evaluator = _WORKER["evaluators"][component_index]
-        mine = components == component_index
-        sizes = counts[mine]
-        ordinals = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        result = evaluator.evaluate(
-            lift_batch(
-                evaluator.workflow.schema,
-                ordinals,
-                batch.take(indices[entry_components == component_index]),
-            )
-        )
-        block_keys = keys[mine, 1:].tolist()
-        unlift_outputs(
-            result,
-            _WORKER["filters"][component_index],
-            lambda ordinal: tuple(block_keys[ordinal]),
-            len(sizes),
-            rows,
-        )
+    evaluate_bucket(
+        _WORKER["evaluators"],
+        _WORKER["filters"],
+        row_tuples(keys),
+        counts,
+        view.batch(_WORKER["schema"]),
+        rows,
+        indices=indices,
+    )
     return rows
 
 

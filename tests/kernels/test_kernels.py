@@ -57,6 +57,20 @@ class TestNumpyReference:
         starts = np.array([0, 2, 3], dtype=np.int64)
         assert kernels.segment_counts(starts, 7).tolist() == [2, 1, 4]
 
+    @pytest.mark.parametrize("blocks", [[2, 0, 3], [3, 1], [], [1, 1]])
+    def test_take_blocks_regroups_block_major_entries(self, blocks):
+        counts = [2, 0, 3, 1]
+        stream = [
+            (block, n) for block, count in enumerate(counts)
+            for n in range(count)
+        ]
+        taken = kernels.take_blocks(
+            np.array(counts), np.array(blocks, dtype=np.int64)
+        )
+        assert [stream[i] for i in taken.tolist()] == [
+            entry for block in blocks for entry in stream if entry[0] == block
+        ]
+
     def test_row_boundaries(self):
         rows = np.array([[0, 0], [0, 0], [0, 1], [2, 1]], dtype=np.int64)
         assert kernels.row_boundaries(rows).tolist() == [

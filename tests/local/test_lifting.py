@@ -2,8 +2,8 @@
 
 from repro.local.lifting import (
     BLOCK_ATTRIBUTE,
-    bucket_evaluator,
     lift_workflow,
+    vectorized_bucket_evaluator,
 )
 from repro.local.sortscan import (
     BlockEvaluator,
@@ -52,7 +52,9 @@ class TestLiftWorkflow:
             for ordinal, half in enumerate(halves)
             for record in half
         ]
-        together = bucket_evaluator(tiny_workflow).evaluate(tagged)
+        together = vectorized_bucket_evaluator(tiny_workflow).scalar.evaluate(
+            tagged
+        )
         alone = [
             BlockEvaluator(tiny_workflow).evaluate(half) for half in halves
         ]
@@ -74,7 +76,7 @@ class TestAttributeOrder:
         assert len(schema.attributes) + 1 > _EXHAUSTIVE_LIMIT
         for workflow in all_queries(schema).values():
             order = choose_attribute_order(workflow)
-            evaluator = bucket_evaluator(workflow)
+            evaluator = vectorized_bucket_evaluator(workflow).scalar
             assert evaluator.attribute_order == (0,) + tuple(
                 index + 1 for index in order
             )
@@ -85,7 +87,7 @@ class TestAttributeOrder:
         for workflow in all_queries(schema).values():
             plain, lifted = LocalStats(), LocalStats()
             BlockEvaluator(workflow).evaluate(records, stats=plain)
-            bucket_evaluator(workflow).evaluate(
+            vectorized_bucket_evaluator(workflow).scalar.evaluate(
                 [(0,) + record for record in records], stats=lifted
             )
             assert lifted.contiguous_measures == plain.contiguous_measures

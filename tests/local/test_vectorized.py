@@ -91,13 +91,39 @@ class TestEquality:
 
 class TestStats:
     def test_record_counting(self, tiny_workflow, tiny_records):
-        from repro.local.sortscan import LocalStats
+        from repro.local.sortscan import BlockEvaluator, LocalStats
 
         stats = LocalStats()
         evaluate_vectorized(tiny_workflow, tiny_records, stats=stats)
         assert stats.records == len(tiny_records)
         assert stats.basic_rows > 0
         assert stats.composite_rows > 0
+        # Every counter, sort and scan split included, is what the
+        # scalar evaluator reports for the same block.
+        scalar = LocalStats()
+        BlockEvaluator(tiny_workflow).evaluate(tiny_records, stats=scalar)
+        assert stats == scalar
+        assert stats.sorted_records == len(tiny_records)
+        assert stats.contiguous_measures + stats.hashed_measures == 2
+
+    def test_spans_match_the_scalar_evaluator(
+        self, tiny_schema, tiny_workflow, tiny_records
+    ):
+        from repro.cube.batches import RecordBatch
+        from repro.local.sortscan import BlockEvaluator
+        from repro.obs import Tracer
+
+        vectorized, scalar = Tracer(), Tracer()
+        VectorizedBlockEvaluator(tiny_workflow, tracer=vectorized).evaluate(
+            RecordBatch.from_records(tiny_schema, tiny_records), blocks=3
+        )
+        BlockEvaluator(tiny_workflow, tracer=scalar).evaluate(
+            tiny_records, blocks=3
+        )
+        for name in ("block-sort", "block-scan", "block-composites"):
+            assert [span.attributes for span in vectorized.find(name)] == [
+                span.attributes for span in scalar.find(name)
+            ], name
 
 
 class TestFloatFacts:
