@@ -90,10 +90,6 @@ class Hierarchy:
         """The most specific level (raw record values live here)."""
         return self.levels[0]
 
-    @property
-    def all_level(self) -> Level:
-        return self.levels[-1]
-
     def level(self, name: str) -> Level:
         """Return the level called *name*, raising :class:`DomainError`."""
         try:

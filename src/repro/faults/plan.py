@@ -253,19 +253,6 @@ class FaultPlan:
             if crash.at <= at
         )
 
-    @property
-    def is_chaotic(self) -> bool:
-        """Whether the plan injects anything at all."""
-        return bool(
-            self.machine_crashes
-            or self.kill_attempts
-            or self.fail_attempts
-            or self.task_failure_probability
-            or self.worker_kill_probability
-            or self.straggler_probability
-            or self.lost_partition_probability
-        )
-
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:

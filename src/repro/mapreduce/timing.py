@@ -82,9 +82,6 @@ class TimingModel:
             seconds *= self.config.remote_read_penalty
         return seconds
 
-    def disk_write(self, nbytes: int) -> float:
-        return nbytes / self.config.disk_bandwidth
-
     def network_transfer(self, nbytes: int) -> float:
         return nbytes / self.config.network_bandwidth
 

@@ -25,7 +25,9 @@ its edges' values with a scalar :class:`~repro.query.functions.Expression`
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.cube.regions import Granularity
@@ -139,6 +141,42 @@ class Measure:
         if self.combine is not None:
             return self.combine
         return IDENTITY
+
+    @cached_property
+    def signature(self) -> str:
+        """A name-independent structural hash of this measure's definition.
+
+        Two measures get the same signature exactly when they compute the
+        same thing: same granularity, same aggregate/combine functions,
+        and structurally identical source subgraphs (recursively,
+        ignoring every measure name along the way).  Computed once per
+        measure: the measure is frozen, so its structure cannot change.
+        """
+        levels = ",".join(self.granularity.levels)
+        if self.is_basic:
+            text = f"basic|{levels}|{self.field}|{self.aggregate.name}"
+        else:
+            edges = []
+            for edge in self.inputs:
+                window = (
+                    f"{edge.window.attribute}:{edge.window.low}:"
+                    f"{edge.window.high}"
+                    if edge.window is not None
+                    else "-"
+                )
+                aggregate = (
+                    edge.aggregate.name if edge.aggregate is not None else "-"
+                )
+                edges.append(
+                    f"{edge.relationship.value}|{window}|{aggregate}|"
+                    f"{edge.source.signature}"
+                )
+            combine = self.effective_combine
+            text = (
+                f"composite|{levels}|{combine.name}/{combine.arity}|"
+                + ";".join(edges)
+            )
+        return hashlib.sha256(text.encode()).hexdigest()[:32]
 
     # -- validation ---------------------------------------------------------
 

@@ -8,6 +8,7 @@ all queries are required, not just the final measure").
 
 from __future__ import annotations
 
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator, Sequence
 
@@ -88,6 +89,39 @@ class Workflow:
         """Measures ordered so every source precedes its dependents."""
         return self._order
 
+    @cached_property
+    def shape(self) -> tuple[str, ...]:
+        """The name-free structure: the sorted measure signatures.
+
+        Two workflows with equal shapes get equal plans from the
+        optimizer at the same record and reducer counts; the shape of
+        several workflows' union is the sorted concatenation of theirs.
+        """
+        return tuple(sorted(measure.signature for measure in self.measures))
+
+    @cached_property
+    def components(self) -> tuple["Workflow", ...]:
+        """The weakly connected components (see
+        :func:`connected_components`), computed once per workflow."""
+        parent: dict[str, str] = {name: name for name in self.names}
+
+        def find(name: str) -> str:
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
+        for measure in self.measures:
+            for source in measure.source_measures():
+                parent[find(measure.name)] = find(source.name)
+
+        groups: dict[str, list] = {}
+        for measure in self.measures:
+            groups.setdefault(find(measure.name), []).append(measure)
+        return tuple(
+            Workflow(self.schema, members) for members in groups.values()
+        )
+
     # -- structure queries -----------------------------------------------------
 
     def basic_measures(self) -> tuple[Measure, ...]:
@@ -140,7 +174,7 @@ class Workflow:
         only be anchored from a finer table.  Early aggregation and the
         measure cache's derivation from cached basics both rely on it.
         """
-        for component in connected_components(self):
+        for component in self.components:
             basics = component.basic_measures()
             for measure in component.composite_measures():
                 if all(
@@ -191,34 +225,17 @@ class Workflow:
         return f"Workflow({len(self.measures)} measures: {self.names})"
 
 
-def connected_components(workflow: Workflow) -> list[Workflow]:
+def connected_components(workflow: Workflow) -> tuple[Workflow, ...]:
     """Split a workflow into its weakly connected components.
 
     Measures with no dependency path between them need not share a
     distribution key: the parallel evaluator redistributes each component
     under its own (finer, hence better-balanced) key within one job.
     The components preserve the original measure order; their
-    concatenation is the original measure set.
+    concatenation is the original measure set.  The value is cached on
+    the workflow (:attr:`Workflow.components`).
     """
-    parent: dict[str, str] = {name: name for name in workflow.names}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    for measure in workflow.measures:
-        for source in measure.source_measures():
-            union(measure.name, source.name)
-
-    groups: dict[str, list] = {}
-    for measure in workflow.measures:
-        groups.setdefault(find(measure.name), []).append(measure)
-    return [Workflow(workflow.schema, members) for members in groups.values()]
+    return workflow.components
 
 
 def subworkflow(workflow: Workflow, names: Iterable[str]) -> Workflow:

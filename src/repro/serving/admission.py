@@ -20,9 +20,16 @@ merge wins.  A group leaves the window and dispatches when:
   failed to join it (more waiting is unlikely to pay);
 * it hits ``max_group_size`` members (dispatch immediately).
 
-Merged plans are memoized by the members' structural measure
-signatures, so a steady stream of the same tenant queries prices each
-merge shape once -- the optimizer does not re-run per arrival.
+The controller is the daemon's one plan memo.  A plan depends only on
+the workflow's name-free :attr:`~repro.query.workflow.Workflow.shape`
+(its sorted measure signatures), the record count and the reducer
+count, so solo plans (:meth:`AdmissionController.solo_plan`) and
+merged plans alike are memoized by shape -- a merge's shape is the
+sorted concatenation of its members' -- and a steady stream of the
+same tenant queries prices each shape once.  The reducer count is
+fixed for the controller's lifetime; :meth:`~AdmissionController.
+set_record_count` is the one way to change the record count, and it
+clears the memo.
 """
 
 from __future__ import annotations
@@ -31,12 +38,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.distribution.keys import DistributionError
 from repro.optimizer.optimizer import Optimizer, Plan
-from repro.query.measures import WorkflowError
 from repro.query.workflow import Workflow
-from repro.serving.groups import BatchUnit, ShareGroup
-from repro.serving.signature import measure_signature
+from repro.serving.groups import BatchUnit, ShareGroup, plan_merge
 
 __all__ = ["AdmissionController", "AdmissionStats", "PendingGroup"]
 
@@ -53,8 +57,6 @@ class PendingGroup(ShareGroup):
     #: Consecutive arrivals that considered this group and went
     #: elsewhere; resets when a member joins.
     misses: int = 0
-    #: Sum of the members' solo predicted loads (the sharing baseline).
-    solo_load: float = 0.0
     #: Serial id unique within one controller (trace span attribute).
     group_id: int = 0
     #: Daemon clock when the group left the window for the ready
@@ -128,9 +130,15 @@ class AdmissionController:
         self.stats = AdmissionStats()
         self._group_serial = 0
         self._open: list[PendingGroup] = []
-        #: Structural-shape -> (plan | None, error) memo for merges.
-        self._merge_memo: dict[tuple, tuple[Optional[Plan], str]] = {}
-        self._signature_memo: dict[int, tuple] = {}
+        #: Workflow shape -> its plan at ``n_records`` (``None``: no
+        #: feasible shared key), for solo components and merges alike.
+        self._plans: dict[tuple[str, ...], Optional[Plan]] = {}
+
+    def set_record_count(self, n_records: int) -> None:
+        """Price every later plan at *n_records*; forgets every plan
+        priced at the old count."""
+        self.n_records = n_records
+        self._plans.clear()
 
     # -- introspection ----------------------------------------------------
 
@@ -143,57 +151,29 @@ class AdmissionController:
     def open_groups(self) -> int:
         return len(self._open)
 
-    # -- the merge test ---------------------------------------------------
+    # -- pricing --------------------------------------------------------
 
-    def _shape(self, unit: BatchUnit) -> tuple:
-        """Name-free structural key of one unit's measures."""
-        memo = self._signature_memo.get(id(unit))
-        if memo is None:
-            memo = tuple(
-                sorted(
-                    measure_signature(measure)
-                    for measure in unit.component.measures
-                )
+    def solo_plan(self, component: Workflow) -> Plan:
+        """The plan for *component* evaluated alone, priced once per
+        shape."""
+        if component.shape not in self._plans:
+            self._plans[component.shape] = self.optimizer.plan(
+                component, self.n_records, self.num_reducers
             )
-            self._signature_memo[id(unit)] = memo
-        return memo
+        return self._plans[component.shape]
 
-    def _plan_joined(
+    def _merged_plan(
         self, group: PendingGroup, unit: BatchUnit
-    ) -> tuple[Optional[Workflow], Optional[Plan], str]:
-        """Price *unit* joining *group*; memoized by structure."""
-        shape = tuple(
-            sorted(self._shape(member) for member in group.units)
-            + [self._shape(unit)]
-        )
-        memoized = self._merge_memo.get(shape)
-        workflow = None
-        if memoized is not None:
-            plan, error = memoized
-            if plan is None:
-                return None, None, error
-            # The memoized plan is name-free; only the merged workflow
-            # (which carries the prefixed names) must be rebuilt.
-            workflow = Workflow(
-                group.workflow.schema,
-                list(group.workflow.measures)
-                + list(unit.component.measures),
+    ) -> Optional[Plan]:
+        """The plan for *unit* joining *group*, priced once per shape."""
+        shape = tuple(sorted(group.workflow.shape + unit.component.shape))
+        if shape not in self._plans:
+            _workflow, plan, _error = plan_merge(
+                self.optimizer, group.workflow, unit.component,
+                self.n_records, self.num_reducers,
             )
-            return workflow, plan, ""
-        try:
-            workflow = Workflow(
-                group.workflow.schema,
-                list(group.workflow.measures)
-                + list(unit.component.measures),
-            )
-            plan = self.optimizer.plan(
-                workflow, self.n_records, self.num_reducers
-            )
-        except (DistributionError, WorkflowError, ValueError) as exc:
-            self._merge_memo[shape] = (None, str(exc))
-            return None, None, str(exc)
-        self._merge_memo[shape] = (plan, "")
-        return workflow, plan, ""
+            self._plans[shape] = plan
+        return self._plans[shape]
 
     # -- arrivals ---------------------------------------------------------
 
@@ -212,11 +192,11 @@ class AdmissionController:
         now = self.clock() if now is None else now
         self.stats.offered += 1
         solo = unit.plan.predicted_max_load
-        best = None  # (gain, group, workflow, plan)
+        best = None  # (gain, group, plan)
         for group in self._open:
             if len(group.units) >= self.max_group_size:
                 continue
-            workflow, plan, error = self._plan_joined(group, unit)
+            plan = self._merged_plan(group, unit)
             if plan is None:
                 self.stats.merges_infeasible += 1
                 continue
@@ -224,16 +204,18 @@ class AdmissionController:
                 group.plan.predicted_max_load + solo
             ) - plan.predicted_max_load
             if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, group, workflow, plan)
+                best = (gain, group, plan)
             elif gain <= 0:
                 self.stats.merges_rejected += 1
         if best is not None:
-            gain, group, workflow, plan = best
+            gain, group, plan = best
             group.units.append(unit)
             group.riders.append(member)
-            group.workflow = workflow
+            group.workflow = Workflow(
+                group.workflow.schema,
+                group.workflow.measures + unit.component.measures,
+            )
             group.plan = plan
-            group.solo_load += solo
             group.misses = 0
             self.stats.merges_accepted += 1
             self.stats.predicted_savings += gain
@@ -250,7 +232,6 @@ class AdmissionController:
             plan=unit.plan,
             opened_at=now,
             riders=[member],
-            solo_load=solo,
             group_id=self._group_serial,
         )
         self._open.append(opened)
@@ -293,9 +274,3 @@ class AdmissionController:
         self._open = []
         self.stats.dispatched_flush += len(ready)
         return ready
-
-    def next_deadline(self) -> Optional[float]:
-        """The earliest window expiry among open groups (idle sleep aid)."""
-        if not self._open:
-            return None
-        return min(group.expires_at(self.window) for group in self._open)

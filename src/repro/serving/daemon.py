@@ -571,10 +571,8 @@ class QueryService:
         self._generation = 0
         self._latencies_ms: list[float] = []
         self._report = ServeReport()
-        #: Catalog name -> per-component (workflow, solo plan); plans
-        #: are name-free and the dataset is fixed, so price each query
-        #: shape once for the daemon's lifetime.
-        self._solo_plans: dict[str, list[tuple[Workflow, Plan]]] = {}
+        #: Forms share groups and memoizes every plan, solo and merged,
+        #: by workflow shape (built by :meth:`start`).
         self.admission: Optional[AdmissionController] = None
         self.num_reducers = 0
 
@@ -674,13 +672,9 @@ class QueryService:
             pending.internal, request.name, request.tenant, now
         )
 
-        components = self._components_of(request.name, workflow)
-        classify_start = self.clock()
-        ledger.add("planning", classify_start - now)
-
         fast: list[_Member] = []
         execute: list[_Member] = []
-        for component, solo_plan in components:
+        for component in connected_components(workflow):
             member = _Member(
                 pending,
                 classify_component(
@@ -690,16 +684,21 @@ class QueryService:
             )
             pending.remaining += 1
             if member.component.disposition == DISPOSITION_EXECUTE:
-                member.execute_as(solo_plan)
                 execute.append(member)
             else:
                 fast.append(member)
 
         for member in fast:
             self._serve_fast(member)
-        offer_at = self.clock()
+        plan_start = self.clock()
         # Classification plus the cache fast path: lookups dominate.
-        ledger.add("cache_lookup", offer_at - classify_start)
+        ledger.add("cache_lookup", plan_start - now)
+        for member in execute:
+            member.execute_as(
+                self.admission.solo_plan(member.component.workflow)
+            )
+        offer_at = self.clock()
+        ledger.add("planning", offer_at - plan_start)
         offer_wall = self.tracer.now()
         for member in execute:
             member.offered_at = offer_at
@@ -813,25 +812,6 @@ class QueryService:
 
     # -- classification ---------------------------------------------------
 
-    def _components_of(
-        self, name: str, workflow: Workflow
-    ) -> list[tuple[Workflow, Plan]]:
-        """Per-component solo plans, memoized by catalog name."""
-        memo = self._solo_plans.get(name)
-        if memo is not None:
-            return memo
-        memo = [
-            (
-                component,
-                self.optimizer.plan(
-                    component, len(self.records), self.num_reducers
-                ),
-            )
-            for component in connected_components(workflow)
-        ]
-        self._solo_plans[name] = memo
-        return memo
-
     def _serve_fast(self, member: _Member) -> None:
         """Answer a cached/derived component without any job.
 
@@ -852,15 +832,9 @@ class QueryService:
         self.telemetry.inc(f"serve.{disposition}_served")
 
     def _demote_to_execute(self, member: _Member) -> None:
-        pending = member.pending
-        solo = next(
-            plan
-            for component, plan in self._components_of(
-                pending.request.name, pending.request.workflow
-            )
-            if component.names == member.component.names
+        member.execute_as(
+            self.admission.solo_plan(member.component.workflow)
         )
-        member.execute_as(solo)
         member.offered_at = self.clock()
         member.offer_wall = self.tracer.now()
         self._idle.clear()
@@ -1329,8 +1303,9 @@ class QueryService:
         workers run dry -- so no job ever runs over mixed data or
         stores results under a stale fingerprint.  Then the incremental
         maintainer patches every cached catalog measure forward (old
-        fingerprint to new), the records, worker inputs and priced
-        plans are swapped to the grown dataset, and the gate reopens.
+        fingerprint to new), the records and worker inputs are swapped
+        to the grown dataset, the plan memo is cleared, and the gate
+        reopens.
         Returns the maintenance report, or ``None`` when no cache is
         attached or the delta is empty (the data still grows; there is
         just nothing to patch).
@@ -1387,10 +1362,8 @@ class QueryService:
                     f"serve-input-{worker.index}-g{self._generation}",
                     self.records,
                 )
-            # Solo plans are priced against the record count; reprice.
-            self._solo_plans.clear()
-            if self.admission is not None:
-                self.admission.n_records = len(self.records)
+            # Every plan was priced against the old record count.
+            self.admission.set_record_count(len(self.records))
             self._report.appends += 1
             self._report.appended_records += len(delta)
             self.telemetry.inc("serve.appends")

@@ -210,10 +210,6 @@ class BatchResult:
         return sum(job.job.response_time for job in self.jobs)
 
     @property
-    def total_map_time(self) -> float:
-        return sum(job.job.map_makespan for job in self.jobs)
-
-    @property
     def total_shuffle_bytes(self) -> int:
         return sum(job.job.counters.shuffle_bytes for job in self.jobs)
 

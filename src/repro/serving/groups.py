@@ -26,9 +26,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.distribution.keys import DistributionError
 from repro.optimizer.optimizer import Optimizer, Plan
-from repro.query.measures import WorkflowError
 from repro.query.workflow import Workflow
 
 __all__ = [
@@ -37,6 +35,7 @@ __all__ = [
     "MergeDecision",
     "ShareGroup",
     "form_share_groups",
+    "plan_merge",
     "prefix_workflow",
 ]
 
@@ -65,6 +64,30 @@ def prefix_workflow(workflow: Workflow, prefix: str) -> Workflow:
     return Workflow(
         workflow.schema, [renamed[m.name] for m in workflow.measures]
     )
+
+
+def plan_merge(
+    optimizer: Optimizer,
+    first: Workflow,
+    second: Workflow,
+    n_records: int,
+    num_reducers: int,
+) -> tuple[Optional[Workflow], Optional[Plan], str]:
+    """Price co-evaluating *first* and *second* under one scheme.
+
+    Returns ``(merged workflow, its plan, "")``, or ``(None, None,
+    error)`` when the two cannot share a shuffle (no common feasible
+    key, or clashing measure names).
+    """
+    try:
+        workflow = Workflow(first.schema, first.measures + second.measures)
+        return (
+            workflow,
+            optimizer.plan(workflow, n_records, num_reducers),
+            "",
+        )
+    except ValueError as exc:  # DistributionError, WorkflowError
+        return None, None, str(exc)
 
 
 @dataclass
@@ -211,24 +234,15 @@ def form_share_groups(
     merged_cache: dict[frozenset, tuple] = {}
 
     def plan_merged(a: ShareGroup, b: ShareGroup):
-        """(workflow, plan) for the union of two groups, or an error."""
+        """(workflow, plan, error) for the union of two groups."""
         ids = frozenset(
             id(unit) for group in (a, b) for unit in group.units
         )
-        cached = merged_cache.get(ids)
-        if cached is not None:
-            return cached
-        try:
-            workflow = Workflow(
-                a.workflow.schema,
-                list(a.workflow.measures) + list(b.workflow.measures),
+        if ids not in merged_cache:
+            merged_cache[ids] = plan_merge(
+                optimizer, a.workflow, b.workflow, n_records, num_reducers
             )
-            plan = optimizer.plan(workflow, n_records, num_reducers)
-            result = (workflow, plan, None)
-        except (DistributionError, WorkflowError, ValueError) as exc:
-            result = (None, None, str(exc))
-        merged_cache[ids] = result
-        return result
+        return merged_cache[ids]
 
     round_number = 0
     while len(groups) > 1:
@@ -243,7 +257,7 @@ def form_share_groups(
                 workflow, plan, error = plan_merged(a, b)
                 left = [u.describe() for u in a.units]
                 right = [u.describe() for u in b.units]
-                if error is not None:
+                if plan is None:
                     decision.considered.append(
                         MergeDecision(
                             round_number, left, right, separate, None,

@@ -52,47 +52,11 @@ __all__ = [
 def measure_signature(measure: Measure) -> str:
     """A name-independent structural hash of one measure's definition.
 
-    Two measures get the same signature exactly when they compute the
-    same thing: same granularity, same aggregate/combine functions, and
-    structurally identical source subgraphs (recursively, ignoring every
-    measure name along the way).
+    The value is :attr:`Measure.signature
+    <repro.query.measures.Measure.signature>`, computed once per measure
+    and cached on it.
     """
-    return _signature(measure, {})
-
-
-def _signature(measure: Measure, memo: dict[int, str]) -> str:
-    cached = memo.get(id(measure))
-    if cached is not None:
-        return cached
-    levels = ",".join(measure.granularity.levels)
-    if measure.is_basic:
-        text = (
-            f"basic|{levels}|{measure.field}|{measure.aggregate.name}"
-        )
-    else:
-        edges = []
-        for edge in measure.inputs:
-            window = (
-                f"{edge.window.attribute}:{edge.window.low}:"
-                f"{edge.window.high}"
-                if edge.window is not None
-                else "-"
-            )
-            aggregate = (
-                edge.aggregate.name if edge.aggregate is not None else "-"
-            )
-            edges.append(
-                f"{edge.relationship.value}|{window}|{aggregate}|"
-                f"{_signature(edge.source, memo)}"
-            )
-        combine = measure.effective_combine
-        text = (
-            f"composite|{levels}|{combine.name}/{combine.arity}|"
-            + ";".join(edges)
-        )
-    digest = hashlib.sha256(text.encode()).hexdigest()[:32]
-    memo[id(measure)] = digest
-    return digest
+    return measure.signature
 
 
 def _schema_descriptor(schema: Schema) -> str:

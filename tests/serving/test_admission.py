@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distribution.derive import is_feasible
 from repro.optimizer import Optimizer
 from repro.query import WorkflowBuilder
+from repro.query.workflow import connected_components
 from repro.serving import AdmissionController, BatchUnit, prefix_workflow
 from repro.serving.groups import QUERY_SEPARATOR
-from repro.workload import paper_schema
+from repro.workload import all_queries, paper_schema
 
 N_RECORDS = 10_000
 NUM_REDUCERS = 8
@@ -245,3 +247,51 @@ class TestMemoization:
             name.startswith(("q8/", "q9/"))
             for name in second.workflow.names
         )
+
+    def test_record_count_change_reprices(self, schema, optimizer):
+        """A plan priced at the old record count is never reused."""
+        controller = _controller(optimizer, FakeClock())
+        workflow = _sharable_workflow(schema)
+        before = controller.solo_plan(workflow)
+        controller.set_record_count(2 * N_RECORDS)
+        after = controller.solo_plan(workflow)
+        assert after is not before
+        assert after.predicted_max_load == optimizer.plan(
+            workflow, 2 * N_RECORDS, NUM_REDUCERS
+        ).predicted_max_load
+
+
+class TestChurn:
+    def test_churned_units_dispatch_only_feasible_plans(
+        self, schema, optimizer
+    ):
+        """Units built fresh and dropped after dispatch, as the daemon
+        does: a new unit at a dead unit's address must be priced by its
+        own structure, so every dispatched plan is feasible for the
+        workflow its group will run."""
+        components = [
+            component
+            for workflow in all_queries(schema).values()
+            for component in connected_components(workflow)
+        ]
+        clock = FakeClock()
+        controller = _controller(
+            optimizer, clock, window=0.01, merge_patience=2,
+            max_group_size=3,
+        )
+        dispatched = infeasible = 0
+        for index in range(240):
+            component = components[index % len(components)]
+            controller.offer(_unit(optimizer, f"q{index}", component))
+            clock.now += 0.004
+            for group in controller.due():
+                dispatched += 1
+                infeasible += not is_feasible(
+                    group.plan.key, group.workflow
+                )
+        for group in controller.flush():
+            dispatched += 1
+            infeasible += not is_feasible(group.plan.key, group.workflow)
+        assert controller.stats.merges_accepted > 0
+        assert dispatched > 0
+        assert infeasible == 0

@@ -306,6 +306,102 @@ class TestCircuitBreaker:
         assert report.breaker_trips == 0
 
 
+class TestPlanMemo:
+    """Plans are memoized by workflow shape, never by catalog name or by
+    the address of an object the memo does not keep alive."""
+
+    def test_one_name_two_workflows(self, batch_queries, batch_records):
+        service = _service(batch_queries, batch_records)
+        first, second = batch_queries["Q1"], batch_queries["Q2"]
+
+        async def body():
+            answers = [
+                await service.submit(QueryRequest("same", workflow))
+                for workflow in (first, second)
+            ]
+            await service.drain()
+            return answers
+
+        answers = asyncio.run(body())
+        for workflow, answer in zip((first, second), answers):
+            assert answer.ok
+            assert _rows(answer.result) == _rows(
+                evaluate_centralized(workflow, batch_records)
+            )
+
+    def test_append_reprices_merges(self, batch_queries, batch_records):
+        workflow = batch_queries["Q2"]
+        base, delta = batch_records[:1500], batch_records[1500:]
+        service = _service({"Q2": workflow}, base)
+        dispatched = []
+
+        async def pair():
+            answers = await asyncio.gather(
+                *(
+                    service.submit(QueryRequest("Q2", workflow))
+                    for _ in range(2)
+                )
+            )
+            assert all(answer.ok for answer in answers)
+
+        async def body():
+            await service.start()
+            enqueue = service._enqueue_group
+
+            def recording(group, force=False):
+                dispatched.append(group)
+                enqueue(group, force=force)
+
+            service._enqueue_group = recording
+            await pair()
+            merged_before = [g for g in dispatched if len(g.units) > 1]
+            await service.append(delta)
+            dispatched.clear()
+            await pair()
+            await service.drain()
+            return merged_before
+
+        merged_before = asyncio.run(body())
+        merged_after = [g for g in dispatched if len(g.units) > 1]
+        assert merged_before and merged_after
+        for group in merged_after:
+            fresh = service.optimizer.plan(
+                group.workflow, len(batch_records), service.num_reducers
+            )
+            assert group.plan.predicted_max_load == (
+                fresh.predicted_max_load
+            )
+
+    def test_seeded_burst_matches_oracle_without_fallback(
+        self, batch_queries, batch_records
+    ):
+        oracles = {
+            name: evaluate_centralized(workflow, batch_records)
+            for name, workflow in batch_queries.items()
+        }
+        arrivals = generate_arrivals(
+            sorted(batch_queries), rate=500.0, duration=0.2, seed=29
+        )
+        assert 80 <= len(arrivals) <= 120
+        service = _service(
+            batch_queries,
+            batch_records,
+            limits=ServiceLimits(
+                admission_window_ms=5.0, max_inflight=2,
+                max_queue_depth=64, max_pending=4096,
+            ),
+        )
+        responses, report = serve_arrivals(service, arrivals, speed=0)
+        assert report.fallbacks == 0
+        assert report.breaker_trips == 0
+        assert any(response.ok for response in responses)
+        for response in responses:
+            if response.ok:
+                assert _rows(response.result) == _rows(
+                    oracles[response.name]
+                ), response.name
+
+
 class TestCacheFastPath:
     def test_second_trace_is_served_joblessly_from_cache(
         self, batch_queries, batch_records, solo_results

@@ -27,6 +27,11 @@ installed mid-stream (racing in-flight queries through the quiesce
 gate), and every patched answer must stay bit-identical to a cold
 recompute over the grown prefix with zero corrupt cache entries.
 
+No mode injects a fault, so every mode also requires zero oracle
+fallbacks: a backend error (say a ``DuplicateResultError`` from a group
+run under an infeasible plan) fails the smoke instead of disappearing
+behind the oracle's correct answer.
+
 Run from the repo root (CI gives the job a hard timeout)::
 
     PYTHONPATH=src python tools/serve_smoke.py [--records N] [--seed N]
@@ -307,6 +312,10 @@ def append_smoke(args, violations: list[str]) -> None:
         cache.stats.corrupt == 0 and cache.stats.store_errors == 0,
         "zero corrupt cache entries, zero store errors", violations,
     )
+    check(
+        report.fallbacks == 0, "zero oracle fallbacks across appends",
+        violations,
+    )
     check(report.drained, "clean drain after appends", violations)
 
 
@@ -361,6 +370,11 @@ def main(argv=None) -> int:
     check(report.total_shed == 0, "zero shed at low load", violations)
     check(report.errors == 0, "zero errors at low load", violations)
     check(
+        report.fallbacks == 0,
+        "zero oracle fallbacks at low load (the backend never failed)",
+        violations,
+    )
+    check(
         len(completed) == len(gentle),
         "every low-load arrival completed", violations,
     )
@@ -408,6 +422,7 @@ def main(argv=None) -> int:
         "warm answers bit-identical to the oracle", violations,
     )
     check(cache.stats.corrupt == 0, "zero corrupt cache entries", violations)
+    check(report.fallbacks == 0, "zero oracle fallbacks warm", violations)
     plan = BatchEvaluator(
         SimulatedCluster(ClusterConfig(machines=args.machines)),
         cache=cache,
@@ -461,6 +476,10 @@ def main(argv=None) -> int:
         identical == len(completed),
         f"all {len(completed)} admitted answers bit-identical under "
         "overload",
+        violations,
+    )
+    check(
+        report.fallbacks == 0, "zero oracle fallbacks under overload",
         violations,
     )
     check(report.drained, "clean drain after overload", violations)
