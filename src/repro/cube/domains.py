@@ -180,6 +180,49 @@ class Hierarchy:
         )
         return lambda column: table[column]
 
+    def map_array(self, from_level: str, to_level: str):
+        """Vectorized :meth:`map_value`: int64 column -> int64 column.
+
+        Built once per level pair and kept on the hierarchy: identity
+        for equal levels, the ``ALL`` marker for ``ALL``, integer
+        division for uniform levels, otherwise a lookup table over the
+        *from_level* domain (the base level reuses
+        :meth:`base_mapper_array`).
+        """
+        cache = self.__dict__.setdefault("_array_maps", {})
+        mapper = cache.get((from_level, to_level))
+        if mapper is None:
+            mapper = cache[from_level, to_level] = self._build_map_array(
+                from_level, to_level
+            )
+        return mapper
+
+    def _build_map_array(self, from_level: str, to_level: str):
+        import numpy as np
+
+        src, dst = self.level(from_level), self.level(to_level)
+        if src.depth > dst.depth:
+            raise DomainError(
+                f"cannot map {self.name}.{from_level} down to finer "
+                f"level {to_level}"
+            )
+        if src.depth == 0 or dst.is_all:
+            return self.base_mapper_array(to_level)
+        if src.depth == dst.depth:
+            return lambda column: column
+        if src.unit and dst.unit:
+            ratio = dst.unit // src.unit
+            return lambda column: column // ratio
+        table = np.fromiter(
+            (
+                self.map_value(value, from_level, to_level)
+                for value in range(src.cardinality)
+            ),
+            dtype=np.int64,
+            count=src.cardinality,
+        )
+        return lambda column: table[column]
+
     @property
     def supports_ranges(self) -> bool:
         """Whether range annotations are meaningful on this attribute."""

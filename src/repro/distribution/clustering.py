@@ -356,7 +356,7 @@ class BlockScheme:
 
     # -- block -> ownership filter ------------------------------------------------------
 
-    def make_result_filter(self, granularity: Granularity):
+    def make_result_filter(self, granularity: Granularity) -> ResultFilter:
         """Build ``block_key -> predicate(coords)`` for one measure.
 
         A reducer may compute a measure row from fringe data that another
@@ -364,6 +364,8 @@ class BlockScheme:
         the measure's *granularity*) maps into the block's owned
         coordinate range on every annotated axis.  Non-annotated axes
         need no check: all of a block's records share those coordinates.
+        The returned :class:`ResultFilter` also tests whole arrays of
+        rows at once (:meth:`ResultFilter.mask`).
         """
         checks = []
         for index, (attr, component) in enumerate(
@@ -382,23 +384,62 @@ class BlockScheme:
             checks.append(
                 (index, attr.name, hierarchy, measure_level, component.level)
             )
+        return ResultFilter(self, tuple(checks))
 
-        def filter_for(block_key: tuple[int, ...]):
-            bounds = []
-            for index, attr_name, hierarchy, measure_level, key_level in checks:
-                low, high = self.owned_range(attr_name, block_key[index])
-                bounds.append((index, hierarchy, measure_level, key_level,
-                               low, high))
 
-            def keep(coords: tuple[int, ...]) -> bool:
-                for index, hierarchy, measure_level, key_level, low, high in bounds:
-                    mapped = hierarchy.map_value(
-                        coords[index], measure_level, key_level
-                    )
-                    if not low <= mapped <= high:
-                        return False
-                return True
+class ResultFilter:
+    """One measure's ownership test (see
+    :meth:`BlockScheme.make_result_filter`).
 
-            return keep
+    Calling it with a block key gives that block's
+    ``predicate(coords)``; :meth:`mask` answers the same question for
+    many rows of many blocks in one pass.
+    """
 
-        return filter_for
+    __slots__ = ("scheme", "checks")
+
+    def __init__(self, scheme: BlockScheme, checks: tuple):
+        self.scheme = scheme
+        self.checks = checks
+
+    def __call__(self, block_key: tuple[int, ...]):
+        bounds = []
+        for index, attr_name, hierarchy, measure_level, key_level in self.checks:
+            low, high = self.scheme.owned_range(attr_name, block_key[index])
+            bounds.append((index, hierarchy, measure_level, key_level,
+                           low, high))
+
+        def keep(coords: tuple[int, ...]) -> bool:
+            for index, hierarchy, measure_level, key_level, low, high in bounds:
+                mapped = hierarchy.map_value(
+                    coords[index], measure_level, key_level
+                )
+                if not low <= mapped <= high:
+                    return False
+            return True
+
+        return keep
+
+    def mask(self, block_keys, blocks, coords):
+        """Which rows their blocks own, as a boolean array.
+
+        Row ``i`` holds region ``coords[i]`` (an int matrix at the
+        measure's granularity) computed by block ``block_keys[blocks[i]]``;
+        the answer agrees with ``self(block_key)(coords[i])`` row for row.
+        """
+        import numpy as np
+
+        keep = np.ones(len(coords), dtype=bool)
+        for index, attr_name, hierarchy, measure_level, key_level in self.checks:
+            owned = np.array(
+                [
+                    self.scheme.owned_range(attr_name, key[index])
+                    for key in block_keys
+                ],
+                dtype=np.int64,
+            ).reshape(len(block_keys), 2)[blocks]
+            mapped = hierarchy.map_array(measure_level, key_level)(
+                coords[:, index]
+            )
+            keep &= (owned[:, 0] <= mapped) & (mapped <= owned[:, 1])
+        return keep

@@ -112,15 +112,28 @@ def window_reduce(
     # Per-anchor [start, stop) index ranges into the sorted positions.
     starts = np.searchsorted(positions, positions + low, side="left")
     stops = np.searchsorted(positions, positions + high, side="right")
-    mask = starts < stops
+    return starts < stops, range_reduce(values, starts, stops, op)
+
+
+def range_reduce(
+    values: np.ndarray, starts: np.ndarray, stops: np.ndarray, op: str
+) -> np.ndarray:
+    """Reduce ``values[starts[i]:stops[i]]`` for every range *i*.
+
+    *op* is ``sum``/``count``/``min``/``max``: ``sum`` differences one
+    prefix sum (exact for integers that cannot overflow), ``min``/``max``
+    answer each range from a doubling table.  Entries for empty ranges
+    are meaningless.
+    """
     if op == "count":
-        return mask, (stops - starts).astype(np.int64)
+        return (stops - starts).astype(np.int64)
     if op == "sum":
         prefix = np.zeros(len(values) + 1, dtype=values.dtype)
         np.cumsum(values, out=prefix[1:])
-        return mask, prefix[stops] - prefix[starts]
+        return prefix[stops] - prefix[starts]
     if op in ("min", "max"):
         ufunc = np.minimum if op == "min" else np.maximum
+        mask = starts < stops
         table = _sparse_table(values, ufunc)
         lengths = np.maximum(stops - starts, 1)
         # floor(log2) is exact here: window lengths are far below 2**52.
@@ -132,7 +145,7 @@ def window_reduce(
             left = table[int(level)][starts[rows]]
             right = table[int(level)][stops[rows] - span]
             out[rows] = ufunc(left, right)
-        return mask, out
+        return out
     raise ValueError(f"unknown window reduction {op!r}")
 
 
@@ -156,19 +169,19 @@ def pack_rows(
         return None
     if not rows:
         return np.zeros(0, dtype=np.int64), 0
-    lows = matrix.min(axis=0).astype(np.int64)
-    highs = matrix.max(axis=0).astype(np.int64)
-    spans = highs - lows  # >= 0
-    bits = [int(span).bit_length() for span in spans]
+    matrix = matrix.astype(np.int64, copy=False)
+    lows = matrix.min(axis=0)
+    bits = [
+        span.bit_length() for span in (matrix.max(axis=0) - lows).tolist()
+    ]
     if sum(bits) > 63:
         return None
-    packed = np.zeros(rows, dtype=np.int64)
-    low_bits = 0
-    for index in range(cols):
-        width = bits[index]
-        packed <<= width
-        if width:
-            packed |= matrix[:, index].astype(np.int64) - lows[index]
-        if split and index >= split:
-            low_bits += width
-    return packed, low_bits
+    # Each column's field sits above the fields of the columns after it;
+    # the fields are disjoint, so one weighted row sum packs them.
+    weights = []
+    shift = 0
+    for width in reversed(bits):
+        weights.append(1 << shift)
+        shift += width
+    packed = (matrix - lows) @ np.array(weights[::-1], dtype=np.int64)
+    return packed, sum(bits[split:]) if split else 0

@@ -26,12 +26,13 @@ states, merged into lifted basic tables, for its scalar half.
 from __future__ import annotations
 
 import sys
+from itertools import compress, repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import kernels
-from repro.cube.batches import Column, RecordBatch
+from repro.cube.batches import Column, RecordBatch, row_tuples
 from repro.cube.domains import UniformHierarchy
 from repro.cube.records import Attribute, Schema
 from repro.cube.regions import Granularity
@@ -87,7 +88,7 @@ def lift_workflow(workflow: Workflow) -> Workflow:
     return Workflow(schema, [lifted[m.name] for m in workflow.measures])
 
 
-def _lifted_attribute_order(workflow: Workflow) -> tuple[int, ...]:
+def lifted_attribute_order(workflow: Workflow) -> tuple[int, ...]:
     """The unlifted workflow's attribute order behind the ordinal.
 
     Chosen on the unlifted workflow -- the lifted schema may pass the
@@ -105,11 +106,12 @@ def vectorized_bucket_evaluator(
     """A :class:`VectorizedBlockEvaluator` over whole buckets of
     *workflow* blocks.  It and its scalar half sort each block exactly
     as the unlifted workflow would be sorted alone, behind the
-    ordinal."""
+    ordinal.  The lifted workflow and its attribute order are computed
+    once per workflow (:attr:`Workflow.lifted`); only the evaluator,
+    which holds *tracer*, is built per call."""
+    lifted, attribute_order = workflow.lifted
     return VectorizedBlockEvaluator(
-        lift_workflow(workflow),
-        attribute_order=_lifted_attribute_order(workflow),
-        tracer=tracer,
+        lifted, attribute_order=attribute_order, tracer=tracer
     )
 
 
@@ -129,7 +131,7 @@ def lift_batch(
 
 
 def unlift_outputs(
-    result: ResultSet,
+    result,
     filters: Optional[Mapping[str, Callable]],
     block_key: Callable[[int], tuple],
     num_blocks: int,
@@ -137,19 +139,59 @@ def unlift_outputs(
 ) -> list[int]:
     """Append a lifted bucket result to *outputs* as block results.
 
-    Each ``(measure, region, value)`` row loses its leading ordinal;
-    measures of one granularity share the stripped region tuples, as
-    unlifted tables do.  *filters* maps measure names to
+    *result* is what :meth:`VectorizedBlockEvaluator.evaluate_columns`
+    returns: one :class:`~repro.local.columnar.ColumnTable` per measure,
+    or a :class:`ResultSet` from the scalar half.  Each
+    ``(measure, region, value)`` row loses its leading ordinal.
+    *filters* maps measure names to
     :meth:`~repro.distribution.clustering.BlockScheme.make_result_filter`
-    functions, or is ``None`` for a key with no annotated component,
+    filters, or is ``None`` for a key with no annotated component,
     under which every block owns all it computes.  Otherwise a row
-    survives only inside its block's owned region range: one filter is
-    built per (measure, block) that has rows, and *block_key* (ordinal
-    -> the block's key without its component index) is asked only for
-    those blocks.
+    survives only inside its block's owned region range; *block_key*
+    (ordinal -> the block's key without its component index) names the
+    blocks.  On arrays, the ownership test is one mask per measure.
 
     Returns each block's output row count before the ownership filter.
     """
+    if isinstance(result, ResultSet):
+        return _unlift_tables(result, filters, block_key, num_blocks, outputs)
+    rows = np.zeros(num_blocks, dtype=np.int64)
+    block_keys = None
+    # Measures with equal coordinates share one list of region tuples.
+    regions: list[tuple[np.ndarray, list]] = []
+    for name, table in result.items():
+        coords = table.coords
+        ordinals = coords[:, 0]
+        rows += np.bincount(ordinals, minlength=num_blocks)
+        for seen, tuples in regions:
+            if seen is coords or (
+                seen.shape == coords.shape and np.array_equal(seen, coords)
+            ):
+                break
+        else:
+            tuples = row_tuples(coords[:, 1:])
+            regions.append((coords, tuples))
+        values = table.values.tolist()
+        if filters is not None and len(ordinals):
+            if block_keys is None:
+                block_keys = [block_key(ordinal) for ordinal in range(num_blocks)]
+            keep = filters[name].mask(block_keys, ordinals, coords[:, 1:])
+            if not keep.all():
+                kept = keep.tolist()
+                tuples = compress(tuples, kept)
+                values = compress(values, kept)
+        outputs.extend(zip(repeat(name), tuples, values))
+    return rows.tolist()
+
+
+def _unlift_tables(
+    result: ResultSet,
+    filters: Optional[Mapping[str, Callable]],
+    block_key: Callable[[int], tuple],
+    num_blocks: int,
+    outputs: list,
+) -> list[int]:
+    """:func:`unlift_outputs` for the scalar half's dict tables."""
     rows = [0] * num_blocks
     regions: dict = {}
     for name, table in result.items():
@@ -224,7 +266,7 @@ def evaluate_bucket(
                 selected = kernels.take_blocks(sizes, positions)
                 if indices is not None:
                     selected = indices[selected]
-            result = evaluator.evaluate(
+            result = evaluator.evaluate_columns(
                 lift_batch(
                     evaluator.workflow.schema,
                     np.repeat(

@@ -13,9 +13,10 @@ tables in the same scan, so the pass count never grows.
 This evaluator doubles as the paper's centralized baseline
 (:func:`evaluate_centralized`) and as the scalar half of the evaluator
 every reducer of the parallel algorithm runs once per bucket of blocks
-over a lifted workflow (:mod:`repro.local.lifting`): it computes the
-composite measures, and the basic ones whenever the vectorized path
-cannot be exact.
+over a lifted workflow (:mod:`repro.local.lifting`): it evaluates a
+bucket whenever the vectorized path cannot be exact, and one composite
+measure whenever the columnar operators cannot
+(:mod:`repro.local.columnar`).
 """
 
 from __future__ import annotations
@@ -383,12 +384,6 @@ class BlockEvaluator:
                     f"basic_tables is missing measures {missing}"
                 )
             stats.basic_rows += sum(len(t) for t in tables.values())
-            if records is not None:
-                # Tables carry the aggregates; raw records may still be
-                # supplied to anchor pure-ALIGN composite measures.
-                fallback_coords = (
-                    records if isinstance(records, list) else list(records)
-                )
 
         with self.tracer.span("block-composites") as composite_span:
             composites = 0

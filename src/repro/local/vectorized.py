@@ -1,24 +1,29 @@
-"""NumPy-accelerated basic-measure aggregation.
+"""The NumPy evaluator: one block, or one lifted bucket, on arrays.
 
 The pure-Python scan in :mod:`repro.local.sortscan` processes a few
-hundred thousand records per second; for bulk re-evaluation that is the
-bottleneck.  This module vectorizes the *basic measure* phase: records
-become a 2-D integer array, region coordinates are computed by
-vectorized level mapping, and grouped aggregation runs through
-``np.unique`` + ``np.bincount`` / ``np.add.reduceat``.
-
-Composite measures reuse the ordinary operators (their inputs -- measure
-tables -- are orders of magnitude smaller than the raw records, so
-vectorizing them buys little).
+hundred thousand records per second; for bulk evaluation that is the
+bottleneck.  Here records become a 2-D integer array, region
+coordinates are computed by vectorized level mapping, and grouped
+aggregation runs through one stable sort plus ``np.add.reduceat``
+(the basic phase).  The composite phase stays on arrays too: every
+measure table is a :class:`~repro.local.columnar.ColumnTable`, and
+roll-ups, sibling windows, parent alignment and the built-in
+expressions run as array operations (:mod:`repro.local.columnar`).
+Measured on Q1-Q6 over 6,000 records on 8 simulated machines, the dict
+operators and the per-row output loop took about half of each reducer
+evaluation; that is why they no longer run here.
 
 Supported basic aggregates: ``sum``, ``count``, ``min``, ``max``,
 ``avg``.  Other functions make :func:`vectorized_supports` return
-``False``, and non-integer record values are detected per block; in
-both cases :class:`VectorizedBlockEvaluator` falls back to the scalar
-:class:`~repro.local.sortscan.BlockEvaluator` automatically.
+``False``, and non-integer or overflow-prone record values are
+detected per block; in both cases :class:`VectorizedBlockEvaluator`
+falls back to the scalar :class:`~repro.local.sortscan.BlockEvaluator`
+automatically.  A composite measure whose arrays could not match the
+dict operators exactly (see :mod:`repro.local.columnar` for the gates)
+falls back alone.
 
-Results are bit-identical to the scalar path for integer inputs (sums
-of ints are exact in both), which the test suite asserts.
+Results are bit- and type-identical to the scalar path, which the test
+suite asserts.
 """
 
 from __future__ import annotations
@@ -29,15 +34,23 @@ import numpy as np
 
 from repro.cube.batches import RecordBatch, peak_magnitude, row_tuples
 from repro import kernels
-from repro.cube.domains import ALL, ALL_VALUE
+from repro.cube.domains import ALL
 from repro.cube.records import Record
 from repro.cube.regions import Granularity
-from repro.query.measures import Relationship
 from repro.query.workflow import Workflow
-from repro.local.measure_table import MeasureTable, ResultSet
+from repro.local.columnar import (
+    ColumnTable,
+    CompositePlan,
+    base_granularity,
+    coords_mapper,
+    sorted_runs,
+    unique_rows,
+)
+from repro.local.measure_table import ResultSet
 from repro.local.sortscan import (
     BlockEvaluator,
     LocalStats,
+    compute_composite,
     is_prefix_compatible,
 )
 from repro.obs.tracer import NULL_TRACER
@@ -57,64 +70,11 @@ def vectorized_supports(workflow: Workflow) -> bool:
 def _coordinate_columns(
     granularity: Granularity, matrix: np.ndarray
 ) -> np.ndarray:
-    """Region coordinates for every record row, vectorized per attribute.
-
-    Uniform hierarchies map by integer division; nominal and irregular
-    hierarchies map through a lookup table indexed by base value.
-    """
-    schema = granularity.schema
-    columns = []
-    for index, (attr, level) in enumerate(
-        zip(schema.attributes, granularity.levels)
-    ):
-        base_column = matrix[:, index]
-        if level == ALL:
-            columns.append(np.full(len(matrix), ALL_VALUE, dtype=np.int64))
-            continue
-        hierarchy = attr.hierarchy
-        if level == hierarchy.base.name:
-            columns.append(base_column)
-            continue
-        unit = getattr(hierarchy.level(level), "unit", None)
-        if unit:
-            columns.append(base_column // unit)
-        else:
-            base_name = hierarchy.base.name
-            table = np.fromiter(
-                (
-                    hierarchy.map_value(value, base_name, level)
-                    for value in range(
-                        hierarchy.level(base_name).cardinality
-                    )
-                ),
-                dtype=np.int64,
-            )
-            columns.append(table[base_column])
-    return np.column_stack(columns)
-
-
-def _sorted_runs(
-    coords: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sort order, run-start boundary mask) over matrix rows.
-
-    Bit-packs the coordinate columns into single int64 keys when the
-    value ranges fit 63 bits -- one stable 1-D ``argsort`` plus a 1-D
-    diff then replaces the k-column ``np.lexsort`` and the 2-D row
-    comparison, which is where the grouping sweep spends its time.
-    Stable sorts make both orders identical, so downstream reductions
-    are bit-identical whichever path ran.
-    """
-    packed = kernels.pack_rows(coords)
-    if packed is not None:
-        keys, _low = packed
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundary = np.ones(len(sorted_keys), dtype=bool)
-        boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        return order, boundary
-    order = np.lexsort(coords.T[::-1])
-    return order, kernels.row_boundaries(coords[order])
+    """Region coordinates for every record row, vectorized per attribute
+    (see :func:`~repro.local.columnar.coords_mapper`)."""
+    return coords_mapper(base_granularity(granularity.schema), granularity)(
+        matrix
+    )
 
 
 def _grouped_aggregate(
@@ -124,7 +84,7 @@ def _grouped_aggregate(
     runs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(unique coords, aggregated values) for one basic measure, given
-    the :func:`_sorted_runs` of its *coords*."""
+    the :func:`~repro.local.columnar.sorted_runs` of its *coords*."""
     order, boundary = runs
     sorted_values = values[order]
     starts = np.flatnonzero(boundary)
@@ -150,15 +110,22 @@ def _grouped_aggregate(
 class VectorizedBlockEvaluator:
     """Drop-in accelerated evaluator for supported workflows.
 
-    Falls back to the scalar :class:`BlockEvaluator` whenever the
-    workflow uses unsupported basic aggregates; composite measures
-    always run through the shared operators, so results are identical
-    either way.  *attribute_order* and *tracer* are handed to that
-    scalar half (:func:`repro.local.lifting.vectorized_bucket_evaluator`
-    keeps the unlifted workflow's order behind the block ordinal), and
-    the vectorized basic phase reports what the scalar one would: the
-    same :class:`LocalStats` counters and the same ``block-sort`` /
-    ``block-scan`` spans.
+    On an int matrix whose reductions cannot overflow, every measure
+    table stays a :class:`~repro.local.columnar.ColumnTable` from the
+    basic phase through the composite operators
+    (:meth:`evaluate_columns`); a composite measure whose arrays could
+    not be exact falls back, alone, to
+    :func:`~repro.local.sortscan.compute_composite` over dict forms of
+    its sources, and the ``block-composites`` span counts it as a
+    ``fallbacks`` attribute.  Unsupported basic aggregates and typed or
+    huge values send the whole block to the scalar
+    :class:`BlockEvaluator`, so results are identical either way.
+    *attribute_order* and *tracer* are handed to that scalar half
+    (:func:`repro.local.lifting.vectorized_bucket_evaluator` keeps the
+    unlifted workflow's order behind the block ordinal), and the
+    columnar path reports what the scalar one would: the same
+    :class:`LocalStats` counters and the same ``block-sort`` /
+    ``block-scan`` / ``block-composites`` spans.
     """
 
     def __init__(
@@ -169,23 +136,12 @@ class VectorizedBlockEvaluator:
     ):
         self.workflow = workflow
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: The exact scalar evaluator every fallback (and the composite
-        #: phase) runs through.
+        #: The exact scalar evaluator every fallback runs through.
         self.scalar = BlockEvaluator(
             workflow, tracer=tracer, attribute_order=attribute_order
         )
         self.accelerated = vectorized_supports(workflow)
-        # Pure-ALIGN composites anchor their regions on the raw records;
-        # only then does the composite phase need the scalar tuples back.
-        self._needs_anchor_records = any(
-            not measure.is_basic
-            and all(
-                edge.relationship is Relationship.ALIGN
-                for edge in measure.inputs
-            )
-            for measure in workflow.measures
-        )
-        basics = list(workflow.basic_measures())
+        basics = workflow.basic_measures()
         # How the scalar scan would split the basic measures.
         self._contiguous = sum(
             is_prefix_compatible(
@@ -194,6 +150,15 @@ class VectorizedBlockEvaluator:
             for measure in basics
         )
         self._hashed = len(basics) - self._contiguous
+        base = base_granularity(workflow.schema)
+        self._basic_coords = [
+            coords_mapper(base, measure.granularity) for measure in basics
+        ]
+        self._composites = [
+            CompositePlan(measure)
+            for measure in workflow.topological_order()
+            if not measure.is_basic
+        ]
 
     def evaluate(
         self,
@@ -206,77 +171,83 @@ class VectorizedBlockEvaluator:
         *blocks* only labels the spans, as in
         :meth:`BlockEvaluator.evaluate`.
         """
+        tables = self.evaluate_columns(records, stats=stats, blocks=blocks)
+        if isinstance(tables, ResultSet):
+            return tables
+        return ResultSet(
+            {
+                measure.name: tables[measure.name].to_table(
+                    measure.granularity
+                )
+                for measure in self.workflow.measures
+            }
+        )
+
+    def evaluate_columns(
+        self,
+        records,
+        stats: LocalStats | None = None,
+        blocks: int = 1,
+    ) -> dict[str, ColumnTable] | ResultSet:
+        """:meth:`evaluate`, keeping a columnar run's tables as arrays.
+
+        Returns one :class:`~repro.local.columnar.ColumnTable` per
+        measure, in workflow order, or the scalar evaluator's
+        :class:`ResultSet` when the block took the scalar path.
+        """
         if stats is None:
             stats = LocalStats()
-        if isinstance(records, RecordBatch):
-            return self._evaluate_batch(records, stats, blocks)
-        if not self.accelerated:
-            return self.scalar.evaluate(records, stats=stats, blocks=blocks)
-        block = records if isinstance(records, list) else list(records)
-        if not block:
-            return self.scalar.evaluate([], stats=stats, blocks=blocks)
+        matrix, block = self._int_matrix(records)
+        if matrix is None:
+            return self.scalar.evaluate(block, stats=stats, blocks=blocks)
+        return self._evaluate_matrix(matrix, stats, blocks)
 
+    def _int_matrix(self, records):
+        """``(matrix, None)`` when the columnar path is exact for
+        *records*, else ``(None, records as a list)``."""
+        if isinstance(records, RecordBatch):
+            if self.accelerated and len(records) and records.reduction_safe():
+                return records.matrix, None
+            return None, records.to_records()
+        block = records if isinstance(records, list) else list(records)
+        if not self.accelerated or not block:
+            return None, block
         matrix = np.asarray(block)
         if not np.issubdtype(matrix.dtype, np.integer):
             # Float (or object) fact values: casting to int64 would
             # silently truncate them, so take the scalar path instead.
-            return self.scalar.evaluate(block, stats=stats, blocks=blocks)
-        if matrix.size and peak_magnitude(matrix) > (2**62) // max(
-            1, len(block)
-        ):
+            return None, block
+        if peak_magnitude(matrix) > (2**62) // len(block):
             # Conservative overflow guard: int64 reductions wrap
             # silently; huge values go through arbitrary-precision
             # Python ints on the scalar path instead.
-            return self.scalar.evaluate(block, stats=stats, blocks=blocks)
-        return self._evaluate_matrix(matrix, block, stats, blocks)
-
-    def _evaluate_batch(
-        self, batch: RecordBatch, stats: LocalStats, blocks: int
-    ) -> ResultSet:
-        if not self.accelerated or not len(batch) or not (
-            batch.reduction_safe()
-        ):
-            return self.scalar.evaluate(
-                batch.to_records(), stats=stats, blocks=blocks
-            )
-        block = batch.to_records() if self._needs_anchor_records else None
-        return self._evaluate_matrix(batch.matrix, block, stats, blocks)
+            return None, block
+        return matrix, None
 
     def _evaluate_matrix(
-        self,
-        matrix: np.ndarray,
-        block: list | None,
-        stats: LocalStats,
-        blocks: int,
-    ) -> ResultSet:
+        self, matrix: np.ndarray, stats: LocalStats, blocks: int
+    ) -> dict[str, ColumnTable]:
         schema = self.workflow.schema
-        basics = list(self.workflow.basic_measures())
+        basics = self.workflow.basic_measures()
         size = len(matrix)
         with self.tracer.span("block-sort") as sort_span:
-            coords = [
-                _coordinate_columns(measure.granularity, matrix)
-                for measure in basics
-            ]
-            runs = [_sorted_runs(columns) for columns in coords]
+            coords = [to_coords(matrix) for to_coords in self._basic_coords]
+            runs = [sorted_runs(columns) for columns in coords]
             sort_span.set(records=size, blocks=blocks)
         stats.sorted_records += size
         with self.tracer.span("block-scan") as scan_span:
             stats.contiguous_measures += self._contiguous
             stats.hashed_measures += self._hashed
             stats.records += size
-            tables: dict[str, MeasureTable] = {}
+            tables: dict[str, ColumnTable] = {}
             for measure, columns, measure_runs in zip(basics, coords, runs):
-                unique, aggregated = _grouped_aggregate(
-                    columns,
-                    matrix[:, schema.field_index(measure.field)],
-                    measure.aggregate.name,
-                    measure_runs,
-                )
-                tables[measure.name] = MeasureTable(
-                    measure.granularity,
-                    dict(
-                        zip(map(tuple, unique.tolist()), aggregated.tolist())
-                    ),
+                tables[measure.name] = ColumnTable(
+                    *_grouped_aggregate(
+                        columns,
+                        matrix[:, schema.field_index(measure.field)],
+                        measure.aggregate.name,
+                        measure_runs,
+                    )
                 )
             scan_span.set(
                 records=size,
@@ -284,10 +255,58 @@ class VectorizedBlockEvaluator:
                 contiguous=stats.contiguous_measures,
                 hashed=stats.hashed_measures,
             )
-        # Composite phase: identical code path to the scalar evaluator;
-        # records ride along so pure-ALIGN measures can anchor regions.
-        return self.scalar.evaluate(
-            records=block, basic_tables=tables, stats=stats, blocks=blocks
+        stats.basic_rows += sum(len(table) for table in tables.values())
+        with self.tracer.span("block-composites") as composite_span:
+            fallbacks = 0
+            anchors: dict = {}
+            for plan in self._composites:
+                measure = plan.measure
+                anchor = None
+                if plan.anchors is not None:
+                    anchor = anchors.get(measure.granularity)
+                    if anchor is None:
+                        anchor = anchors[measure.granularity] = unique_rows(
+                            plan.anchors(matrix)
+                        )
+                table = plan.evaluate(tables, anchor)
+                if table is None:
+                    fallbacks += 1
+                    table = self._fallback(plan, tables, anchor)
+                tables[measure.name] = table
+                stats.composite_rows += len(table)
+            attributes = {
+                "measures": len(self._composites),
+                "rows": stats.composite_rows,
+                "blocks": blocks,
+            }
+            if fallbacks:
+                attributes["fallbacks"] = fallbacks
+            composite_span.set(**attributes)
+        return {
+            measure.name: tables[measure.name]
+            for measure in self.workflow.measures
+        }
+
+    def _fallback(
+        self,
+        plan: CompositePlan,
+        tables: dict[str, ColumnTable],
+        anchor: np.ndarray | None,
+    ) -> ColumnTable:
+        """One measure through the dict operator, over dict forms of
+        its sources only."""
+        sources = {
+            name: tables[name].to_table(
+                self.workflow.measure(name).granularity
+            )
+            for name in plan.sources
+        }
+        return ColumnTable.from_table(
+            compute_composite(
+                plan.measure,
+                sources,
+                None if anchor is None else set(row_tuples(anchor)),
+            )
         )
 
 

@@ -498,6 +498,11 @@ class WorkerDelta:
     #: worker's flight ring, redelivered whole each flush and deduped
     #: driver-side by :class:`repro.obs.tracectx.SpanCollector`.
     spans: list = field(default_factory=list)
+    #: Each finished task's share of ``counters``, keyed by a task id
+    #: unique to one evaluation.  A task whose first result was lost
+    #: with a broken pool is re-run and finishes under a second worker;
+    #: :meth:`TelemetryRegistry.aggregate_worker_counters` counts it once.
+    tasks: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -507,6 +512,7 @@ class WorkerDelta:
             "resources": dict(self.resources),
             "histograms": dict(self.histograms),
             "spans": [list(entry) for entry in self.spans],
+            "tasks": {task: dict(share) for task, share in self.tasks.items()},
         }
 
     @classmethod
@@ -518,6 +524,10 @@ class WorkerDelta:
             resources=dict(data.get("resources", {})),
             histograms=dict(data.get("histograms", {})),
             spans=[tuple(entry) for entry in data.get("spans", [])],
+            tasks={
+                str(task): dict(share)
+                for task, share in data.get("tasks", {}).items()
+            },
         )
 
 
@@ -660,11 +670,19 @@ class TelemetryRegistry:
         }
 
     def aggregate_worker_counters(self) -> dict[str, float]:
-        """Each worker counter summed over workers' latest flushes."""
+        """Each worker counter summed over workers' latest flushes, a
+        task that finished under several workers counted once (see
+        :attr:`WorkerDelta.tasks`)."""
         totals: dict[str, float] = {}
-        for delta in self.workers.values():
+        counted: set = set()
+        for _worker, delta in sorted(self.workers.items()):
             for name, value in delta.counters.items():
                 totals[name] = totals.get(name, 0) + value
+            for task, share in delta.tasks.items():
+                if task in counted:
+                    for name, value in share.items():
+                        totals[name] = totals.get(name, 0) - value
+                counted.add(task)
         return totals
 
     def merged_worker_histogram(self, name: str) -> StreamingHistogram:

@@ -50,6 +50,7 @@ what can go wrong with it) differs.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import os
@@ -100,6 +101,10 @@ logger = logging.getLogger(__name__)
 #: How often the gather loop wakes to check retries/stragglers (seconds).
 _POLL_SECONDS = 0.02
 
+#: Numbers this process's evaluations, so telemetry task ids from two
+#: evaluations sharing one registry never collide.
+_EVALUATIONS = itertools.count()
+
 #: Report fields recorded once per run as ``mp.<field>`` counters.
 _RECOVERY_COUNTERS = (
     "attempts",
@@ -122,8 +127,12 @@ def _init_worker(
     function_factories: Sequence[tuple],
     telemetry_queue=None,
     trace_ctx: Optional[dict] = None,
+    evaluation: str = "",
 ) -> None:
-    """Rebuild the workflow, evaluators and filters inside a worker."""
+    """Rebuild the workflow, evaluators and filters inside a worker.
+
+    *evaluation* names the driver's evaluation; with the task index it
+    identifies a finished task in the telemetry flushes."""
     for factory_path, args in function_factories:
         module_name, _, attr = factory_path.rpartition(".")
         module = __import__(module_name, fromlist=[attr])
@@ -170,6 +179,8 @@ def _init_worker(
     _WORKER["telemetry_queue"] = telemetry_queue
     _WORKER["telemetry_seq"] = 0
     _WORKER["telemetry_counters"] = {"tasks": 0, "rows": 0, "blocks": 0}
+    _WORKER["telemetry_tasks"] = {}
+    _WORKER["evaluation"] = evaluation
     # Trace propagation: the driver's execution-span context, received
     # on the wire.  Task-attempt spans parent under it and ride the
     # telemetry channel inside a bounded ring (the worker-side flight
@@ -197,6 +208,7 @@ def _flush_worker_telemetry() -> None:
         "worker": f"w{os.getpid()}",
         "seq": _WORKER["telemetry_seq"],
         "counters": dict(_WORKER["telemetry_counters"]),
+        "tasks": dict(_WORKER.get("telemetry_tasks", {})),
         "resources": sample_resources().to_dict(),
     }
     ring = _WORKER.get("span_ring")
@@ -337,10 +349,17 @@ def _run_task(
         _record_task_span(task, attempt, started, rows=len(rows))
     counters = _WORKER.get("telemetry_counters")
     if _WORKER.get("telemetry_queue") is not None:
-        if counters is not None:
-            counters["tasks"] += 1
-            counters["rows"] += len(rows)
-            counters["blocks"] += _bucket_block_count(bucket)
+        finished = _WORKER["telemetry_tasks"]
+        key = f"{_WORKER['evaluation']}:{task}"
+        if counters is not None and key not in finished:
+            share = {
+                "tasks": 1,
+                "rows": len(rows),
+                "blocks": _bucket_block_count(bucket),
+            }
+            for name, value in share.items():
+                counters[name] += value
+            finished[key] = share
         _flush_worker_telemetry()
     return task, rows
 
@@ -645,6 +664,7 @@ class MultiprocessEvaluator:
                     self.function_factories,
                     telemetry_queue,
                     exec_span.context().to_wire() if tracing else None,
+                    f"{os.getpid()}.{next(_EVALUATIONS)}",
                 )
                 try:
                     row_lists = self._gather_resilient(

@@ -122,6 +122,16 @@ class Workflow:
             Workflow(self.schema, members) for members in groups.values()
         )
 
+    @cached_property
+    def lifted(self) -> tuple["Workflow", tuple[int, ...]]:
+        """This workflow over a leading block ordinal, with the attribute
+        order its bucket evaluator sorts by, computed once per workflow
+        (see :mod:`repro.local.lifting`): every reduce task of every
+        evaluation shares them."""
+        from repro.local.lifting import lift_workflow, lifted_attribute_order
+
+        return lift_workflow(self), lifted_attribute_order(self)
+
     # -- structure queries -----------------------------------------------------
 
     def basic_measures(self) -> tuple[Measure, ...]:

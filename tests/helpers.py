@@ -115,6 +115,28 @@ def reference_evaluate(workflow, records):
     return tables
 
 
+def count_block_evaluations(monkeypatch) -> list:
+    """Record every block evaluation in the returned list.
+
+    An evaluated input runs either as one columnar pass of a
+    :class:`VectorizedBlockEvaluator` or through one
+    ``BlockEvaluator.evaluate`` call (the scalar half), never both.
+    """
+    calls: list = []
+    for owner, method in (
+        (BlockEvaluator, "evaluate"),
+        (VectorizedBlockEvaluator, "_evaluate_matrix"),
+    ):
+        original = getattr(owner, method)
+
+        def counting(self, *args, _original=original, **kwargs):
+            calls.append(self)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counting)
+    return calls
+
+
 def assert_results_match(result_set, reference, approx=1e-9):
     """Compare a ResultSet against the reference dict-of-dicts."""
     assert set(result_set.tables) == set(reference)

@@ -363,6 +363,28 @@ class TestTelemetryRegistry:
         assert registry.aggregate_worker_counters() == {"tasks": 8}
         assert sorted(registry.worker_totals()) == ["w1", "w2"]
 
+    def test_task_finished_under_two_workers_counts_once(self):
+        """A pool break can lose a finished task's result; the re-run
+        finishes the task again under a new worker."""
+        registry = TelemetryRegistry(clock=FakeClock())
+        registry.merge_worker({
+            "worker": "w1", "seq": 2, "counters": {"tasks": 2, "rows": 30},
+            "resources": {},
+            "tasks": {"e:0": {"tasks": 1, "rows": 10},
+                      "e:1": {"tasks": 1, "rows": 20}},
+        })
+        registry.merge_worker({
+            "worker": "w2", "seq": 2, "counters": {"tasks": 2, "rows": 60},
+            "resources": {},
+            "tasks": {"e:1": {"tasks": 1, "rows": 20},
+                      "e:2": {"tasks": 1, "rows": 40}},
+        })
+        assert registry.aggregate_worker_counters() == {
+            "tasks": 3, "rows": 70,
+        }
+        # Per worker, each keeps what it did.
+        assert registry.worker_totals()["w2"]["counters"]["tasks"] == 2
+
     def test_merged_worker_histogram(self):
         registry = TelemetryRegistry(clock=FakeClock())
         left = StreamingHistogram("task_seconds")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.distribution.clustering import BlockScheme
 from repro.distribution.derive import minimal_feasible_key
 from repro.distribution.keys import DistributionKey
-from repro.local.sortscan import BlockEvaluator, evaluate_centralized
+from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce import ClusterConfig, SimulatedCluster
 from repro.obs import Tracer
 from repro.optimizer.optimizer import Plan, QueryPlan
@@ -36,7 +36,11 @@ from repro.workload.streaming import (
     streaming_schema,
 )
 
-from tests.helpers import PerBlockLoopEvaluator, assert_results_match
+from tests.helpers import (
+    PerBlockLoopEvaluator,
+    assert_results_match,
+    count_block_evaluations,
+)
 
 
 def _cluster():
@@ -227,17 +231,9 @@ class TestDifferentialAgainstPerBlockLoop:
 
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Counts ``BlockEvaluator.evaluate`` calls -- what stands in for
-    the reducer's wall time in tier-1."""
-    calls = []
-    original = BlockEvaluator.evaluate
-
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockEvaluator, "evaluate", counting)
-    return calls
+    """Counts block evaluations -- what stands in for the reducer's wall
+    time in tier-1."""
+    return count_block_evaluations(monkeypatch)
 
 
 class TestStructure:

@@ -122,18 +122,27 @@ class TestReduceTaskCancellation:
 
     @staticmethod
     def expire_after_first_evaluation(monkeypatch, clock):
+        """Records every block evaluation, columnar or scalar; the
+        first one moves the clock past the deadline."""
         from repro.local.sortscan import BlockEvaluator
+        from repro.local.vectorized import VectorizedBlockEvaluator
 
         calls = []
-        original = BlockEvaluator.evaluate
+        for owner, method in (
+            (BlockEvaluator, "evaluate"),
+            (VectorizedBlockEvaluator, "_evaluate_matrix"),
+        ):
+            original = getattr(owner, method)
 
-        def evaluate_then_expire(self, *args, **kwargs):
-            calls.append(self)
-            result = original(self, *args, **kwargs)
-            clock.now = 11.0
-            return result
+            def evaluate_then_expire(
+                self, *args, _original=original, **kwargs
+            ):
+                calls.append(self)
+                result = _original(self, *args, **kwargs)
+                clock.now = 11.0
+                return result
 
-        monkeypatch.setattr(BlockEvaluator, "evaluate", evaluate_then_expire)
+            monkeypatch.setattr(owner, method, evaluate_then_expire)
         return calls
 
     def test_expiry_after_first_reduce_task(self, monkeypatch, tiny_workflow):

@@ -137,9 +137,14 @@ class TestWorkerChannel:
             workflow, tiny_records, num_partitions=4
         )
         assert result == evaluate_centralized(workflow, tiny_records)
-        assert report.pool_rebuilds >= 1
         totals = registry.aggregate_worker_counters()
-        assert totals["tasks"] == report.tasks
+        seen = (
+            f"totals={totals} tasks={report.tasks} "
+            f"rebuilds={report.pool_rebuilds} "
+            f"workers={registry.worker_totals()}"
+        )
+        assert report.pool_rebuilds >= 1, seen
+        assert totals["tasks"] == report.tasks, seen
 
     def test_merge_is_deterministic_under_replay_order(self, tiny_schema,
                                                        tiny_records):

@@ -23,7 +23,7 @@ from repro.cube.records import Attribute, Schema
 from repro.distribution.clustering import BlockScheme
 from repro.distribution.keys import DistributionKey
 from repro.io.serialize import workflow_to_dict
-from repro.local.sortscan import BlockEvaluator, evaluate_centralized
+from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
 from repro.optimizer.optimizer import Optimizer, Plan, QueryPlan
 from repro.parallel import multiprocess as mp
@@ -51,7 +51,11 @@ from repro.workload.streaming import (
     streaming_schema,
 )
 
-from tests.helpers import assert_results_match, per_block_task_rows
+from tests.helpers import (
+    assert_results_match,
+    count_block_evaluations,
+    per_block_task_rows,
+)
 
 #: Gather tasks per scatter: what ``MultiprocessEvaluator(processes=2)``
 #: chooses.
@@ -203,17 +207,8 @@ def registry():
 
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Counts ``BlockEvaluator.evaluate`` calls: every evaluation, scalar
-    or vectorized, ends in exactly one."""
-    calls = []
-    original = BlockEvaluator.evaluate
-
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockEvaluator, "evaluate", counting)
-    return calls
+    """Counts block evaluations, columnar or scalar."""
+    return count_block_evaluations(monkeypatch)
 
 
 def plan_for(workflow, records):

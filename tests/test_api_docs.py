@@ -67,3 +67,19 @@ class TestDocumentationQuality:
             if not module.__doc__:
                 missing.append(info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+class TestCommandLine:
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
+        import subprocess
+
+        script = Path(__file__).parent.parent / "tools" / "gen_api_docs.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--check" in done.stdout
+        assert list(tmp_path.iterdir()) == []
