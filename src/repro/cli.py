@@ -1576,7 +1576,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=2,
-        help="concurrent group executions (worker slots)",
+        help="groups taken off the queue at once (worker slots; "
+        "they take turns executing)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=64,

@@ -27,7 +27,13 @@ offered load exceeds capacity.  The life of one submitted query:
 5. **Bounded queue -> workers.**  Dispatched groups wait in a
    :class:`~repro.serving.queueing.BoundedPriorityQueue` and run on
    one of ``limits.max_inflight`` workers, each owning its own
-   simulated cluster.  Per-query deadlines propagate as a
+   simulated cluster.  The clusters run in this interpreter, so the
+   workers take turns executing: two evaluations in two threads only
+   contend for the GIL, which cost the columnar evaluator two fifths
+   more CPU per group and made a burst's wall depend on how the
+   threads happened to interleave.  A worker still takes its next
+   group off the queue while the other executes, and waits for the
+   turn in ``queue_wait``.  Per-query deadlines propagate as a
    :class:`~repro.parallel.cancel.CancellationToken` (the group's
    latest member deadline), cancelling map/shuffle/reduce work that
    can no longer help anyone.
@@ -50,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import signal
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,7 +127,8 @@ class ServiceLimits:
 
     #: Share groups allowed to wait for a worker.
     max_queue_depth: int = 16
-    #: Concurrent group executions (worker tasks, one cluster each).
+    #: Groups taken off the queue at once (worker tasks, one cluster
+    #: each); they take turns executing (see the module docstring).
     max_inflight: int = 2
     #: Queries allowed in the system at once (held + queued + running);
     #: past this, submits shed with ``queue_full``.
@@ -410,7 +418,10 @@ class _CircuitBreaker:
 
 
 class _Worker:
-    """One group-execution slot: its own cluster, evaluator and input."""
+    """One group-execution slot: its own cluster, evaluator and input.
+
+    *turn* is the lock every worker of one service executes under.
+    """
 
     def __init__(
         self,
@@ -419,8 +430,10 @@ class _Worker:
         config: ExecutionConfig,
         records: Sequence[Record],
         telemetry,
+        turn: threading.Lock,
     ):
         self.index = index
+        self.turn = turn
         self.cluster = cluster
         self.evaluator = ParallelEvaluator(
             cluster, config, telemetry=telemetry
@@ -434,23 +447,27 @@ class _Worker:
         cancel: Optional[CancellationToken],
     ) -> tuple[ResultSet, dict[str, float]]:
         """Run one group; returns the result and the wall seconds of
-        each execution phase (planning/map/shuffle/reduce).
+        each execution phase (planning/map/shuffle/reduce), after the
+        ``queue_wait`` for this worker's turn.
 
         The job report's phase stamps mark the map/reduce boundaries;
         they tile the run's wall time exactly, so the latency ledger
         attributes execution exhaustively.
         """
-        run_start = time.perf_counter()
-        outcome = self.evaluator.evaluate(
-            workflow,
-            self.input_file,
-            plan=QueryPlan([(workflow, plan)]),
-            cancel=cancel,
-        )
-        run_end = time.perf_counter()
-        return outcome.result, self._phase_walls(
-            outcome.job, run_start, run_end
-        )
+        waited = time.perf_counter()
+        with self.turn:
+            run_start = time.perf_counter()
+            outcome = self.evaluator.evaluate(
+                workflow,
+                self.input_file,
+                plan=QueryPlan([(workflow, plan)]),
+                cancel=cancel,
+            )
+            run_end = time.perf_counter()
+        return outcome.result, {
+            "queue_wait": run_start - waited,
+            **self._phase_walls(outcome.job, run_start, run_end),
+        }
 
     @staticmethod
     def _phase_walls(
@@ -588,6 +605,7 @@ class QueryService:
         self._idle.set()
         self._append_gate = asyncio.Event()
         self._append_gate.set()
+        turn = threading.Lock()
         for index in range(self.limits.max_inflight):
             self._workers.append(
                 _Worker(
@@ -596,6 +614,7 @@ class QueryService:
                     self.config,
                     self.records,
                     self.telemetry if index == 0 else NULL_TELEMETRY,
+                    turn,
                 )
             )
         self.num_reducers = (
@@ -1091,8 +1110,9 @@ class QueryService:
         exec_end = self.tracer.now()
         if exec_ctx is not None:
             # Phase children tile the execution interval sequentially
-            # (the durations come from the job report's phase stamps).
-            cursor = exec_wall
+            # (the durations come from the job report's phase stamps),
+            # after the wait for the worker's turn.
+            cursor = exec_wall + phases.get("queue_wait", 0.0)
             for phase in ("planning", "map", "shuffle", "reduce"):
                 width = phases.get(phase, 0.0)
                 if width > 0:

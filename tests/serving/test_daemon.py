@@ -15,6 +15,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from repro.faults import ArrivalChaos, apply_arrival_chaos
 from repro.local import evaluate_centralized
 from repro.obs.manifest import SCHEMA_VERSION, RunManifest
+from repro.parallel import ParallelEvaluator
 from repro.query import WorkflowBuilder
 from repro.serving import (
     Arrival,
@@ -304,6 +306,52 @@ class TestCircuitBreaker:
         )
         assert report.fallbacks == 0
         assert report.breaker_trips == 0
+
+
+class TestExecutionTurns:
+    def test_workers_take_turns_and_the_wait_is_queue_wait(
+        self, batch_queries, batch_records, solo_results, monkeypatch
+    ):
+        guard = threading.Lock()
+        running = []
+        overlap = []
+        evaluate = ParallelEvaluator.evaluate
+
+        def counted(self, *args, **kwargs):
+            with guard:
+                running.append(None)
+                overlap.append(len(running))
+            try:
+                # Hold the turn long enough for the other worker's
+                # group to arrive at it.
+                time.sleep(0.01)
+                return evaluate(self, *args, **kwargs)
+            finally:
+                with guard:
+                    running.pop()
+
+        monkeypatch.setattr(ParallelEvaluator, "evaluate", counted)
+        names = sorted(batch_queries)
+        service = _service(
+            batch_queries,
+            batch_records,
+            limits=ServiceLimits(
+                admission_window_ms=5.0, max_inflight=2, max_group_size=1
+            ),
+        )
+        responses, report = serve_arrivals(
+            service, _burst(names * 2, gap=0.0), speed=0
+        )
+        assert report.groups_dispatched >= 2 * len(names)
+        assert max(overlap) == 1
+        for response in responses:
+            assert response.ok
+            assert _rows(response.result) == _rows(
+                solo_results[response.name]
+            ), response.name
+        ledgers = service.ledgers.closed()
+        assert len(ledgers) == len(responses)
+        assert all(ledger.complete() for ledger in ledgers)
 
 
 class TestPlanMemo:
