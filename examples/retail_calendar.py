@@ -70,10 +70,10 @@ def main() -> None:
 
     print("\nprocess-parallel backend (same plan machinery, real OS "
           "processes):")
-    mp = MultiprocessEvaluator(
+    with MultiprocessEvaluator(
         processes=2, expressions={"growth": GROWTH}
-    )
-    mp_result, report = mp.evaluate(workflow, records)
+    ) as mp:
+        mp_result, report = mp.evaluate(workflow, records)
     agree = all(
         len(mp_result[name]) == len(outcome.result[name])
         for name in workflow.names

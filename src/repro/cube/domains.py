@@ -83,6 +83,12 @@ class Hierarchy:
         if len(self._by_name) != len(levels):
             raise DomainError(f"duplicate level names in hierarchy {name!r}")
 
+    def __getstate__(self) -> dict:
+        # The :meth:`map_array` cache holds closures; a copy rebuilds it.
+        state = dict(self.__dict__)
+        state.pop("_array_maps", None)
+        return state
+
     # -- level lookup -----------------------------------------------------
 
     @property

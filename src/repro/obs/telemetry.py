@@ -477,17 +477,18 @@ def sample_resources() -> ResourceSample:
 class WorkerDelta:
     """One worker flush: *cumulative* totals plus a sequence number.
 
-    Totals are cumulative since worker start (never increments), so
-    applying a flush is idempotent and ordering-insensitive: the
-    driver keeps the highest-``seq`` flush per worker and sums across
-    workers at read time.  A worker killed mid-flush (chaos) at worst
-    leaves its final window unreported -- it can never double-count
-    work already acknowledged, and earlier flushes are untouched.
+    Totals are cumulative since the worker started reporting under
+    its name (never increments), so applying a flush is idempotent
+    and ordering-insensitive: the driver keeps the highest-``seq``
+    flush per worker and sums across workers at read time.  A worker
+    killed mid-flush (chaos) at worst leaves its final window
+    unreported -- it can never double-count work already acknowledged,
+    and earlier flushes are untouched.
     """
 
     worker: str
     seq: int
-    #: Cumulative counters since worker start (tasks, rows, ...).
+    #: Cumulative counters under this worker name (tasks, rows, ...).
     counters: dict = field(default_factory=dict)
     #: Latest resource odometer (:meth:`ResourceSample.to_dict`).
     resources: dict = field(default_factory=dict)

@@ -36,11 +36,28 @@ the simulator uses (see :func:`repro.faults.apply_chaos`): seeded
 worker kills, injected failures, and stragglers exercise every one of
 those recovery paths deterministically.
 
-Workers rebuild the workflow from its serialized form (see
-:mod:`repro.io`), so measures must use registry aggregates and *named*
-combine expressions; anonymous lambdas cannot cross process boundaries.
-Parameterized aggregates (quantiles, sketches) re-register themselves in
-each worker through the factory list passed at pool start.
+Each evaluator keeps one pool of worker processes.  The first
+:meth:`MultiprocessEvaluator.evaluate` starts it and later calls reuse
+it; :meth:`~MultiprocessEvaluator.close`, a ``with`` block, garbage
+collection of the evaluator or interpreter exit shut it down.  A pool
+that broke (a worker died) is rebuilt inside the evaluation that saw
+it break.  An evaluation that leaves an attempt running -- abandoned on
+timeout, cancelled, degraded, or the loser of a speculative race --
+shuts the pool down before it returns, so the next call starts a fresh
+one and no stale attempt outlives the shared memory it reads.  Calls on
+one evaluator take turns on its pool.
+
+Every task carries its workflow as an *install*: the serialized
+workflow (see :mod:`repro.io`), schema, block schemes, named
+expressions and aggregate factories, pickled once per evaluation and
+keyed by a hash of those bytes.  A worker rebuilds the evaluators and
+filters only for a key it has not kept among its last
+:data:`_INSTALL_SLOTS` installs, so repeated queries pay for
+evaluation, not set-up.  Measures must therefore use registry
+aggregates and *named*, picklable combine expressions; anonymous
+lambdas cannot cross process boundaries.  Parameterized aggregates
+(quantiles, sketches) re-register themselves in each worker through the
+factory list, once per install.
 
 The result is bit-identical to :func:`repro.local.evaluate_centralized`
 -- asserted by the test suite, including under chaos -- because the plan
@@ -50,13 +67,17 @@ what can go wrong with it) differs.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
+import threading
 import time
-from collections import defaultdict, deque
+import weakref
+from collections import OrderedDict, defaultdict, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -64,6 +85,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -101,9 +123,14 @@ logger = logging.getLogger(__name__)
 #: How often the gather loop wakes to check retries/stragglers (seconds).
 _POLL_SECONDS = 0.02
 
-#: Numbers this process's evaluations, so telemetry task ids from two
-#: evaluations sharing one registry never collide.
+#: Numbers this process's evaluations.  With the driver's pid it names
+#: a worker's telemetry scope and the tasks in it, so evaluations that
+#: share one registry or one pool never collide.
 _EVALUATIONS = itertools.count()
+
+#: How many installed workflows a worker keeps; the least recently
+#: used one goes first.
+_INSTALL_SLOTS = 8
 
 #: Report fields recorded once per run as ``mp.<field>`` counters.
 _RECOVERY_COUNTERS = (
@@ -115,24 +142,20 @@ _RECOVERY_COUNTERS = (
     "speculative_wins",
 )
 
-# Worker-process state, set up once per pool by _init_worker.
+# Worker-process state: the active install (schema, evaluators,
+# filters), the installs kept by key, and the telemetry scope of the
+# evaluation the worker last ran a task for.
 _WORKER: dict = {}
 
 
-def _init_worker(
+def _install(
     workflow_data: dict,
     schema: Schema,
     scheme_specs: list,
     expressions: Optional[Mapping[str, Expression]],
     function_factories: Sequence[tuple],
-    telemetry_queue=None,
-    trace_ctx: Optional[dict] = None,
-    evaluation: str = "",
-) -> None:
-    """Rebuild the workflow, evaluators and filters inside a worker.
-
-    *evaluation* names the driver's evaluation; with the task index it
-    identifies a finished task in the telemetry flushes."""
+) -> dict:
+    """Rebuild the workflow's evaluators and filters in this process."""
     for factory_path, args in function_factories:
         module_name, _, attr = factory_path.rpartition(".")
         module = __import__(module_name, fromlist=[attr])
@@ -171,16 +194,38 @@ def _init_worker(
             )
         else:
             filters.append(None)
-    _WORKER["schema"] = schema
-    _WORKER["evaluators"] = evaluators
-    _WORKER["filters"] = filters
-    # Telemetry channel: cumulative totals since worker start, flushed
-    # with a monotone sequence number after every finished task.
+    return {"schema": schema, "evaluators": evaluators, "filters": filters}
+
+
+def _use_install(key: str, payload: bytes) -> None:
+    """Make install *key* active, unpickling *payload* and rebuilding
+    it only when this worker does not keep it already."""
+    kept = _WORKER.setdefault("installs", OrderedDict())
+    installed = kept.get(key)
+    if installed is None:
+        installed = kept[key] = _install(*pickle.loads(payload))
+        if len(kept) > _INSTALL_SLOTS:
+            kept.popitem(last=False)
+    else:
+        kept.move_to_end(key)
+    _WORKER.update(installed)
+
+
+def _open_scope(
+    evaluation: str, telemetry_queue, trace_ctx: Optional[dict]
+) -> None:
+    """Start this worker's telemetry and trace scope for *evaluation*.
+
+    Counters are cumulative since the scope opened and the worker
+    reports under a name that carries *evaluation*, so a registry
+    shared by several evaluations keeps each one's totals apart."""
+    _WORKER["evaluation"] = evaluation
+    # Telemetry channel: cumulative totals of this scope, flushed with
+    # a monotone sequence number after every finished task.
     _WORKER["telemetry_queue"] = telemetry_queue
     _WORKER["telemetry_seq"] = 0
     _WORKER["telemetry_counters"] = {"tasks": 0, "rows": 0, "blocks": 0}
     _WORKER["telemetry_tasks"] = {}
-    _WORKER["evaluation"] = evaluation
     # Trace propagation: the driver's execution-span context, received
     # on the wire.  Task-attempt spans parent under it and ride the
     # telemetry channel inside a bounded ring (the worker-side flight
@@ -188,6 +233,41 @@ def _init_worker(
     _WORKER["trace_ctx"] = trace_ctx
     _WORKER["span_ring"] = deque(maxlen=128)
     _WORKER["trace_seq"] = 0
+
+
+def _enter_scope(evaluation: str, channel: Optional[bytes]) -> None:
+    """Open *evaluation*'s scope unless this worker is already in it.
+
+    *channel* pickles the telemetry queue and trace context (``None``
+    when both are off); it is unpickled once per worker and evaluation,
+    so the queue proxy connects to its manager once, not per task."""
+    if _WORKER.get("evaluation") == evaluation:
+        return
+    telemetry_queue, trace_ctx = (
+        pickle.loads(channel) if channel is not None else (None, None)
+    )
+    _open_scope(evaluation, telemetry_queue, trace_ctx)
+
+
+def _init_worker(
+    workflow_data: dict,
+    schema: Schema,
+    scheme_specs: list,
+    expressions: Optional[Mapping[str, Expression]],
+    function_factories: Sequence[tuple],
+    telemetry_queue=None,
+    trace_ctx: Optional[dict] = None,
+    evaluation: str = "",
+) -> None:
+    """Install one workflow and open *evaluation*'s scope in this
+    process, as a task's install and scope do in a pool worker."""
+    _WORKER.update(
+        _install(
+            workflow_data, schema, scheme_specs, expressions,
+            function_factories,
+        )
+    )
+    _open_scope(evaluation, telemetry_queue, trace_ctx)
 
 
 def _flush_worker_telemetry() -> None:
@@ -205,7 +285,7 @@ def _flush_worker_telemetry() -> None:
         return
     _WORKER["telemetry_seq"] += 1
     delta = {
-        "worker": f"w{os.getpid()}",
+        "worker": f"w{os.getpid()}@{_WORKER['evaluation']}",
         "seq": _WORKER["telemetry_seq"],
         "counters": dict(_WORKER["telemetry_counters"]),
         "tasks": dict(_WORKER.get("telemetry_tasks", {})),
@@ -303,7 +383,7 @@ def _reduce_shm_bucket(bucket: ShmBucket) -> list:
 
 def _scheme_specs(plan) -> list:
     """Each component's measure names, key and clustering factors, in
-    the picklable form :func:`_init_worker` rebuilds its schemes from."""
+    the picklable form :func:`_install` rebuilds its schemes from."""
     return [
         (
             tuple(component.names),
@@ -315,6 +395,26 @@ def _scheme_specs(plan) -> list:
         )
         for component, subplan in plan.subplans
     ]
+
+
+def _install_payload(
+    workflow: Workflow,
+    plan,
+    expressions: Optional[Mapping[str, Expression]],
+    function_factories: Sequence[tuple],
+) -> tuple[str, bytes]:
+    """``(key, payload)``: what :func:`_use_install` rebuilds the
+    workflow's evaluators from, pickled, and a hash of those bytes --
+    measure names included, so two workflows of one shape never share
+    an install."""
+    payload = pickle.dumps((
+        workflow_to_dict(workflow, expressions=expressions),
+        workflow.schema,
+        _scheme_specs(plan),
+        expressions,
+        function_factories,
+    ))
+    return hashlib.blake2b(payload, digest_size=16).hexdigest(), payload
 
 
 def _bucket_block_count(bucket) -> int:
@@ -329,8 +429,18 @@ def _run_task(
     attempt: int,
     bucket: list,
     plan: Optional[FaultPlan],
+    install: Optional[tuple] = None,
+    scope: Optional[tuple] = None,
 ) -> tuple[int, list]:
-    """One task attempt inside a worker: inject chaos, then evaluate."""
+    """One task attempt inside a worker: inject chaos, then evaluate.
+
+    *install* is ``(key, payload)`` and *scope* ``(evaluation,
+    channel)`` (see :func:`_use_install` and :func:`_enter_scope`);
+    without them the task runs on what :func:`_init_worker` set up."""
+    if install is not None:
+        _use_install(*install)
+    if scope is not None:
+        _enter_scope(*scope)
     tracing = _WORKER.get("trace_ctx") is not None
     started = time.time() if tracing else 0.0
     try:
@@ -443,6 +553,30 @@ class _TaskState:
     rows: Optional[list] = None
 
 
+class _Pool:
+    """One evaluator's worker processes: started on first use, kept
+    across evaluations, shut down by :meth:`close`."""
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        self.executor: Optional[ProcessPoolExecutor] = None
+
+    def get(self) -> ProcessPoolExecutor:
+        if self.executor is None:
+            if shm_available():
+                # Workers started after the driver's resource tracker
+                # share it, so the segments they attach are tracked
+                # once, whatever transport the first evaluation used.
+                resource_tracker.ensure_running()
+            self.executor = ProcessPoolExecutor(max_workers=self.processes)
+        return self.executor
+
+    def close(self, wait: bool = True) -> None:
+        executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
+
+
 class MultiprocessEvaluator:
     """Evaluates workflows across OS processes (no simulation).
 
@@ -482,6 +616,10 @@ class MultiprocessEvaluator:
     vectorized aggregate support, the records form a routable batch and
     the platform has POSIX shared memory; otherwise as pickled record
     lists.  :attr:`MultiprocessReport.transport` says which.
+
+    The worker pool starts in the first :meth:`evaluate` and serves
+    every later one; :meth:`close` (or leaving a ``with`` block) shuts
+    it down, as do garbage collection and interpreter exit.
     """
 
     def __init__(
@@ -505,6 +643,23 @@ class MultiprocessEvaluator:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
+        self._pool = _Pool(self.processes)
+        # One evaluation at a time on the pool: a worker's telemetry
+        # scope follows the evaluation of its latest task.
+        self._pool_lock = threading.Lock()
+        weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Shut the worker pool down; a later :meth:`evaluate` starts a
+        new one."""
+        with self._pool_lock:
+            self._pool.close()
+
+    def __enter__(self) -> "MultiprocessEvaluator":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     def evaluate(
         self,
@@ -564,10 +719,11 @@ class MultiprocessEvaluator:
                 batch = None
         registry = SegmentRegistry() if batch is not None else None
         try:
-            return self._evaluate_scattered(
-                workflow, records, batch, plan, partitions, registry,
-                cancel, trace,
-            )
+            with self._pool_lock:
+                return self._evaluate_scattered(
+                    workflow, records, batch, plan, partitions, registry,
+                    cancel, trace,
+                )
         finally:
             if registry is not None:
                 registry.unlink_all()
@@ -601,8 +757,8 @@ class MultiprocessEvaluator:
             transport = "records"
             transport_seconds = None
 
-        # Telemetry channel: a managed queue is picklable into worker
-        # initargs (a plain multiprocessing.Queue is not); the manager
+        # Telemetry channel: a managed queue is picklable into task
+        # arguments (a plain multiprocessing.Queue is not); the manager
         # process only exists while telemetry or tracing is on (worker
         # spans ride the same channel as counters).
         tracing = self.tracer.enabled
@@ -656,19 +812,22 @@ class MultiprocessEvaluator:
                 "mp-evaluate", parent=trace,
                 tasks=len(work), processes=self.processes,
             ) as exec_span:
-                init_args = (
-                    workflow_to_dict(workflow, expressions=self.expressions),
-                    workflow.schema,
-                    _scheme_specs(plan),
-                    self.expressions,
-                    self.function_factories,
-                    telemetry_queue,
-                    exec_span.context().to_wire() if tracing else None,
-                    f"{os.getpid()}.{next(_EVALUATIONS)}",
-                )
+                evaluation = f"{os.getpid()}.{next(_EVALUATIONS)}"
+                channel = None
+                if telemetry_queue is not None:
+                    channel = pickle.dumps((
+                        telemetry_queue,
+                        exec_span.context().to_wire() if tracing else None,
+                    ))
                 try:
                     row_lists = self._gather_resilient(
-                        work, init_args, report,
+                        work,
+                        _install_payload(
+                            workflow, plan, self.expressions,
+                            self.function_factories,
+                        ),
+                        (evaluation, channel),
+                        report,
                         telemetry_queue=telemetry_queue,
                         cancel=cancel,
                         release=release_bucket,
@@ -676,7 +835,12 @@ class MultiprocessEvaluator:
                         collector=collector,
                     )
                     self._drain_telemetry(telemetry_queue, collector)
-                    report.workers = self.telemetry.worker_totals()
+                    report.workers = {
+                        worker: section
+                        for worker, section
+                        in self.telemetry.worker_totals().items()
+                        if worker.endswith(f"@{evaluation}")
+                    }
                     if row_lists is None:
                         # Graceful degradation: some task exhausted its
                         # retry budget.  The centralized oracle computes
@@ -800,7 +964,8 @@ class MultiprocessEvaluator:
     def _gather_resilient(
         self,
         work: Sequence[list],
-        init_args: tuple,
+        install: tuple,
+        scope: tuple,
         report: MultiprocessReport,
         telemetry_queue=None,
         cancel: CancellationToken | None = None,
@@ -813,9 +978,15 @@ class MultiprocessEvaluator:
         The loop mirrors a MapReduce master: dispatch, watch, retry
         with backoff, speculate on stragglers, rebuild the pool when a
         worker dies, and give up (gracefully) only when a task's whole
-        budget is spent.  Retry backoffs are recorded as ``mp-retry``
-        children of *exec_span*; worker spans drained from the channel
-        go through *collector*.
+        budget is spent.  Every attempt carries *install* and *scope*
+        (see :func:`_run_task`).  Retry backoffs are recorded as
+        ``mp-retry`` children of *exec_span*; worker spans drained from
+        the channel go through *collector*.
+
+        The evaluator's pool survives a gather that leaves nothing
+        running; otherwise (timeout, cancel, degrade, a speculative
+        loser, an error) it is shut down here, and the next gather
+        starts a new one.
         """
         if not work:
             return []
@@ -824,10 +995,12 @@ class MultiprocessEvaluator:
         seed = plan.seed if plan is not None else 0
         tasks = {index: _TaskState(bucket) for index, bucket in
                  enumerate(work)}
-        pool = self._new_pool(init_args)
+        pool = self._pool.get()
         futures: dict = {}  # future -> (task, attempt, submitted_at, backup)
         retry_at: dict[int, float] = {}  # task -> wall deadline
         unfinished = set(tasks)
+        abandoned = False  # an attempt left running past its timeout
+        settled = False  # nothing of this gather runs on the pool
 
         def submit(task: int, *, backup: bool = False) -> None:
             state = tasks[task]
@@ -838,9 +1011,14 @@ class MultiprocessEvaluator:
             report.attempts_per_task[task] = (
                 report.attempts_per_task.get(task, 0) + 1
             )
-            future = pool.submit(
-                _run_task, task, attempt, state.bucket, plan
-            )
+            call = (_run_task, task, attempt, state.bucket, plan, install,
+                    scope)
+            try:
+                future = pool.submit(*call)
+            except BrokenProcessPool:
+                # A worker of the kept pool died since its last task.
+                rebuild_pool()
+                future = pool.submit(*call)
             futures[future] = (task, attempt, time.monotonic(), backup)
 
         def register_failure(task: int, why: str) -> bool:
@@ -878,8 +1056,8 @@ class MultiprocessEvaluator:
             with self.tracer.span(
                 "mp-rebuild-pool", rebuilds=report.pool_rebuilds
             ):
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = self._new_pool(init_args)
+                self._pool.close(wait=False)
+                pool = self._pool.get()
             logger.warning(
                 "worker pool broken; rebuilt (%d unfinished tasks)",
                 len(unfinished),
@@ -891,9 +1069,8 @@ class MultiprocessEvaluator:
             while unfinished:
                 if cancel is not None:
                     # A tripped deadline abandons the gather: the
-                    # finally clause tears the pool down without
-                    # waiting, so in-flight worker attempts are merely
-                    # orphaned, never joined.
+                    # finally clause shuts the pool down, and results
+                    # of in-flight attempts are never read.
                     cancel.check()
                 now = time.monotonic()
                 for task in [
@@ -987,6 +1164,7 @@ class MultiprocessEvaluator:
                         futures.pop(future)
                         state.inflight -= 1
                         report.timeouts += 1
+                        abandoned = True
                         if state.inflight > 0:
                             continue
                         if not register_failure(task, f"timeout {age:.1f}s"):
@@ -1003,16 +1181,13 @@ class MultiprocessEvaluator:
                             task, age,
                         )
                         submit(task, backup=True)
+            settled = not futures and not abandoned
             return [tasks[task].rows for task in sorted(tasks)]
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _new_pool(self, init_args: tuple) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.processes,
-            initializer=_init_worker,
-            initargs=init_args,
-        )
+            if not settled:
+                # Waits for the attempts still running, so none of them
+                # outlives the shared memory it reads.
+                self._pool.close()
 
     def _drain_telemetry(
         self, telemetry_queue, collector: Optional[SpanCollector] = None

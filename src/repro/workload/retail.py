@@ -52,14 +52,13 @@ PRODUCTS = [
     ("scarf", "apparel", "general"),
 ]
 
-#: Month-over-month growth: (this - previous) / previous.
-GROWTH = expression(
-    lambda current, previous: (current - previous) / previous
-    if previous
-    else math.inf,
-    2,
-    "growth",
-)
+def _growth(current, previous):
+    return (current - previous) / previous if previous else math.inf
+
+
+#: Month-over-month growth: (this - previous) / previous.  A module
+#: function, not a lambda, so the expression pickles into workers.
+GROWTH = expression(_growth, 2, "growth")
 
 
 def retail_schema(

@@ -168,6 +168,55 @@ class TestWorkerChannel:
         assert forward.worker_totals() == registry.worker_totals()
 
 
+class TestReusedPool:
+    """Two evaluations on one evaluator's pool: worker counters are
+    scoped to their evaluation, so one shared registry sums each task
+    once and a report counts only its own tasks."""
+
+    @staticmethod
+    def evaluate_twice(tiny_schema, tiny_records, registries):
+        evaluator = MultiprocessEvaluator(processes=2)
+        reports = []
+        with evaluator:
+            for query, registry in zip(("q3", "q6"), registries):
+                evaluator.telemetry = registry
+                workflow = build_query(query, tiny_schema)
+                result, report = evaluator.evaluate(
+                    workflow, tiny_records, num_partitions=4
+                )
+                assert result == evaluate_centralized(workflow, tiny_records)
+                assert sum(
+                    section["counters"]["tasks"]
+                    for section in report.workers.values()
+                ) == report.tasks
+                reports.append(report)
+        # Both evaluations ran on the one pool's workers.
+        assert len({
+            worker.split("@")[0]
+            for report in reports for worker in report.workers
+        }) <= evaluator.processes
+        return reports
+
+    def test_shared_registry_counts_each_task_once(self, tiny_schema,
+                                                   tiny_records):
+        registry = TelemetryRegistry()
+        first, second = self.evaluate_twice(
+            tiny_schema, tiny_records, (registry, registry)
+        )
+        assert not set(first.workers) & set(second.workers)
+        totals = registry.aggregate_worker_counters()
+        assert totals["tasks"] == first.tasks + second.tasks
+
+    def test_fresh_registries_count_their_evaluation(self, tiny_schema,
+                                                     tiny_records):
+        registries = (TelemetryRegistry(), TelemetryRegistry())
+        reports = self.evaluate_twice(tiny_schema, tiny_records, registries)
+        for registry, report in zip(registries, reports):
+            totals = registry.aggregate_worker_counters()
+            assert totals["tasks"] == report.tasks
+            assert registry.worker_totals() == report.workers
+
+
 class TestExposure:
     @pytest.fixture(scope="class")
     def chaos_registry(self, tiny_schema):

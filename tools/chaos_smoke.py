@@ -27,6 +27,7 @@ Exit status is non-zero if any run's answer deviates from the oracle.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -156,96 +157,95 @@ def main(argv=None) -> int:
         f"{args.machines} machines (oracle: centralized evaluation)"
     )
 
-    failures = 0
-    for seed in range(args.seeds):
-        plan = FaultPlan.random(
-            seed, args.machines, intensity=args.intensity
+    # One process pool serves every seed: each plan's kills, timeouts
+    # and degradations must leave it fit for the next plan.
+    if args.multiprocess or args.shm:
+        from repro.parallel.multiprocess import MultiprocessEvaluator
+
+        pool = MultiprocessEvaluator(
+            processes=2,
+            retry_policy=RetryPolicy(
+                backoff_base=0.05, backoff_max=0.2, straggler_timeout=30.0,
+            ),
         )
-        cluster = SimulatedCluster(ClusterConfig(machines=args.machines))
-        cluster.install_faults(plan)
-        started = time.perf_counter()
-        outcome = ParallelEvaluator(cluster).evaluate(workflow, records)
-        elapsed = time.perf_counter() - started
-        ok = outcome.result == oracle
-        failures += not ok
-        faults = outcome.job.faults
-        print(f"seed {seed}: {'ok' if ok else 'MISMATCH'} "
-              f"({elapsed:.1f}s wall)  {plan.describe()}")
-        print(f"  map:    {phase_line(faults['map'])}")
-        print(f"  reduce: {phase_line(faults['reduce'])}")
-
-        if args.multiprocess:
-            from repro.parallel.multiprocess import MultiprocessEvaluator
-
-            evaluator = MultiprocessEvaluator(
-                processes=2,
-                fault_plan=plan,
-                retry_policy=RetryPolicy(
-                    backoff_base=0.05, backoff_max=0.2,
-                    straggler_timeout=30.0,
-                ),
+    else:
+        pool = contextlib.nullcontext()
+    failures = 0
+    with pool as evaluator:
+        for seed in range(args.seeds):
+            plan = FaultPlan.random(
+                seed, args.machines, intensity=args.intensity
             )
-            result, report = evaluator.evaluate(
-                workflow, records, num_partitions=4
-            )
-            mp_ok = result == oracle
-            failures += not mp_ok
-            summary = report.fault_summary()
-            print(
-                f"  mp:     {'ok' if mp_ok else 'MISMATCH'}  "
-                f"{summary['attempts']} attempts/{summary['tasks']} tasks, "
-                f"{summary['retries']} retries, "
-                f"{summary['pool_rebuilds']} rebuilds, "
-                f"degraded={summary['degraded']}"
-            )
+            cluster = SimulatedCluster(ClusterConfig(machines=args.machines))
+            cluster.install_faults(plan)
+            started = time.perf_counter()
+            outcome = ParallelEvaluator(cluster).evaluate(workflow, records)
+            elapsed = time.perf_counter() - started
+            ok = outcome.result == oracle
+            failures += not ok
+            faults = outcome.job.faults
+            print(f"seed {seed}: {'ok' if ok else 'MISMATCH'} "
+                  f"({elapsed:.1f}s wall)  {plan.describe()}")
+            print(f"  map:    {phase_line(faults['map'])}")
+            print(f"  reduce: {phase_line(faults['reduce'])}")
 
-        if args.shm:
-            from repro.parallel.multiprocess import MultiprocessEvaluator
-            from repro.parallel.shm import leaked_segments, shm_available
-
-            if not shm_available():
-                print("  shm:    skipped (POSIX shared memory unavailable)")
-            else:
-                evaluator = MultiprocessEvaluator(
-                    processes=2,
-                    fault_plan=plan,
-                    retry_policy=RetryPolicy(
-                        backoff_base=0.05, backoff_max=0.2,
-                        straggler_timeout=30.0,
-                    ),
-                )
+            if args.multiprocess:
+                evaluator.fault_plan = plan
                 result, report = evaluator.evaluate(
-                    shm_workflow, shm_records, num_partitions=4
+                    workflow, records, num_partitions=4
                 )
-                leaked = leaked_segments()
-                shm_ok = (
-                    result == shm_oracle
-                    and report.transport == "shm"
-                    and not leaked
-                )
-                failures += not shm_ok
+                mp_ok = result == oracle
+                failures += not mp_ok
                 summary = report.fault_summary()
-                verdict = "ok" if shm_ok else (
-                    "LEAKED " + ", ".join(leaked)
-                    if leaked
-                    else "MISMATCH"
-                )
                 print(
-                    f"  shm:    {verdict}  "
+                    f"  mp:     {'ok' if mp_ok else 'MISMATCH'}  "
                     f"{summary['attempts']} attempts/"
                     f"{summary['tasks']} tasks, "
                     f"{summary['retries']} retries, "
                     f"{summary['pool_rebuilds']} rebuilds, "
-                    f"{report.shm_bytes} shm bytes at "
-                    f"{report.transport_bytes_per_second:.0f} B/s"
+                    f"degraded={summary['degraded']}"
                 )
 
-        if args.serve:
-            serve_ok, line = serve_storm(
-                seed, records, args.intensity, args.serve_rate
-            )
-            failures += not serve_ok
-            print(f"  serve:  {'ok' if serve_ok else 'MISMATCH'}  {line}")
+            if args.shm:
+                from repro.parallel.shm import leaked_segments, shm_available
+
+                if not shm_available():
+                    print("  shm:    skipped (POSIX shared memory "
+                          "unavailable)")
+                else:
+                    evaluator.fault_plan = plan
+                    result, report = evaluator.evaluate(
+                        shm_workflow, shm_records, num_partitions=4
+                    )
+                    leaked = leaked_segments()
+                    shm_ok = (
+                        result == shm_oracle
+                        and report.transport == "shm"
+                        and not leaked
+                    )
+                    failures += not shm_ok
+                    summary = report.fault_summary()
+                    verdict = "ok" if shm_ok else (
+                        "LEAKED " + ", ".join(leaked)
+                        if leaked
+                        else "MISMATCH"
+                    )
+                    print(
+                        f"  shm:    {verdict}  "
+                        f"{summary['attempts']} attempts/"
+                        f"{summary['tasks']} tasks, "
+                        f"{summary['retries']} retries, "
+                        f"{summary['pool_rebuilds']} rebuilds, "
+                        f"{report.shm_bytes} shm bytes at "
+                        f"{report.transport_bytes_per_second:.0f} B/s"
+                    )
+
+            if args.serve:
+                serve_ok, line = serve_storm(
+                    seed, records, args.intensity, args.serve_rate
+                )
+                failures += not serve_ok
+                print(f"  serve:  {'ok' if serve_ok else 'MISMATCH'}  {line}")
 
     if failures:
         print(f"FAILED: {failures} run(s) deviated from the oracle")
