@@ -102,7 +102,6 @@ def sibling_window(
         key = coords[:axis] + coords[axis + 1 :]
         groups[key].append((coords[axis], value))
 
-    fast = _PREFIX_WINDOWS.get(aggregate.name)
     kernel = aggregate.name in _KERNEL_WINDOWS
     result: dict[tuple, object] = {}
     for key, entries in groups.items():
@@ -113,37 +112,11 @@ def sibling_window(
             windowed = _window_kernel(
                 positions, values, window, aggregate.name
             )
-        elif fast is not None and _prefix_safe(values, aggregate.name):
-            windowed = fast(positions, values, window)
         else:
             windowed = _window_generic(positions, values, window, aggregate)
         for position, value in windowed:
             result[key[:axis] + (position,) + key[axis:]] = value
     return MeasureTable(granularity, result)
-
-
-#: Largest magnitude exactly representable in a float64 mantissa.
-_EXACT_FLOAT_BOUND = 2**53
-
-
-def _prefix_safe(values, aggregate_name: str) -> bool:
-    """Whether prefix-sum differencing is *exact* for *values*.
-
-    The library guarantees bit-identical results for every evaluation
-    plan, and float prefix sums round differently depending on the
-    values preceding a window -- so the fast path only applies to
-    integers whose running totals stay within float64's exact range
-    (beyond 2**53 even the scalar fold and an integer prefix would
-    round differently).  ``count`` never reads the values.
-    """
-    if aggregate_name == "count":
-        return True
-    total = 0
-    for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
-            return False
-        total += abs(value)
-    return total <= _EXACT_FLOAT_BOUND
 
 
 def _window_generic(positions, values, window, aggregate):
@@ -158,72 +131,27 @@ def _window_generic(positions, values, window, aggregate):
     return out
 
 
-def _window_ranges(positions, window):
-    """(anchor, start, stop) per anchor with a non-empty window slice."""
-    for position in positions:
-        start = bisect_left(positions, position + window.low)
-        stop = bisect_right(positions, position + window.high)
-        if start < stop:
-            yield position, start, stop
-
-
-def _window_sum(positions, values, window):
-    """O(1) per anchor via prefix sums (sum is invertible)."""
-    prefix = [0]
-    for value in values:
-        prefix.append(prefix[-1] + value)
-    return [
-        (position, prefix[stop] - prefix[start])
-        for position, start, stop in _window_ranges(positions, window)
-    ]
-
-
-def _window_count(positions, values, window):
-    return [
-        (position, stop - start)
-        for position, start, stop in _window_ranges(positions, window)
-    ]
-
-
-def _window_avg(positions, values, window):
-    # Integer prefix sums (exact; _prefix_safe bounds the totals) with a
-    # single float division per anchor, matching the scalar fold bitwise.
-    prefix = [0]
-    for value in values:
-        prefix.append(prefix[-1] + value)
-    return [
-        (position, (prefix[stop] - prefix[start]) / (stop - start))
-        for position, start, stop in _window_ranges(positions, window)
-    ]
-
-
-#: Sliding-window fast paths for functions with an inverse: instead of
-#: re-aggregating every O(w) slice, one prefix pass answers each anchor
-#: in O(1).  (min/max would need a sparse table; they stay generic.)
-_PREFIX_WINDOWS = {
-    "sum": _window_sum,
-    "count": _window_count,
-    "avg": _window_avg,
-}
-
-#: Aggregates the kernel window sweep covers.  Unlike the prefix fast
-#: paths this includes min/max: :func:`repro.kernels.window_reduce`
-#: answers them from a sparse table, so no inverse is needed.
+#: Aggregates the kernel window sweep covers; min/max included:
+#: :func:`repro.kernels.window_reduce` answers them from a sparse table.
 _KERNEL_WINDOWS = frozenset({"sum", "count", "avg", "min", "max"})
 
 #: Coordinate bound keeping ``position + window offset`` inside int64.
 _KERNEL_POSITION_BOUND = 2**62
 
+#: Largest magnitude exactly representable in a float64 mantissa.
+_EXACT_FLOAT_BOUND = 2**53
+
 
 def _kernel_safe(positions, values, aggregate_name: str) -> bool:
     """Whether the kernel sweep is *exact* for this group.
 
-    Same contract as :func:`_prefix_safe` -- the kernel path must be
-    bit-identical to the scalar fold.  Positions must fit int64 with
-    window-offset headroom; ``count`` ignores the values; ``min``/``max``
-    only select, so any int64 value is exact; ``sum``/``avg`` reuse the
-    float64-mantissa bound so the Python int prefix and the NumPy
-    cumsum land on the same total.
+    The kernel path must be bit-identical to the scalar fold, which
+    :func:`_window_generic` runs for every group refused here.
+    Positions must fit int64 with window-offset headroom; ``count``
+    ignores the values; ``min``/``max`` only select, so any int64 value
+    is exact; ``sum``/``avg`` take only ints whose running totals stay
+    within float64's exact range (2**53), where the NumPy cumsum and the
+    scalar fold land on the same total and ``avg`` divides it once.
     """
     for position in positions:
         if abs(position) > _KERNEL_POSITION_BOUND:
@@ -253,7 +181,7 @@ def _window_kernel(positions, values, window, aggregate_name: str):
     vals = np.asarray(values, dtype=np.int64)
     if aggregate_name == "avg":
         # Integer sum and count kernels with one float division per
-        # anchor, matching _window_avg (and the scalar fold) bitwise.
+        # anchor, matching the scalar fold bitwise.
         mask, sums = kernels.window_reduce(
             pos, vals, window.low, window.high, "sum"
         )

@@ -113,10 +113,20 @@ class BlockRows:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def split(self, parts: np.ndarray) -> list[tuple[int, "BlockRows"]]:
-        """These rows split by reducer: *parts* holds each block's
-        reducer, and each distinct one gets ``(reducer, its blocks)``,
-        blocks still in key order."""
+    def split(
+        self, partitioner: Callable, num_reducers: int
+    ) -> list[tuple[int, "BlockRows"]]:
+        """These rows split by reducer, one *partitioner* call per
+        block on its plain-int key: each reducer that gets a block gets
+        ``(reducer, its blocks)``, ascending by reducer, blocks still in
+        key order."""
+        if not len(self.keys):
+            return []
+        parts = np.fromiter(
+            (partitioner(key, num_reducers) for key in self.keys),
+            dtype=np.int64,
+            count=len(self.keys),
+        )
         order = np.argsort(parts, kind="stable")
         counts = self.counts[order]
         rows = self.rows[kernels.take_blocks(self.counts, order)]
@@ -420,14 +430,9 @@ class MapReduceJob:
             buckets[index].entries.append(share)
         shipped = len(pairs)
         if blocks is not None and len(blocks):
-            # One partitioner call per block, on its plain-int key.
-            parts = np.fromiter(
-                (self.partitioner(key, self.num_reducers)
-                 for key in blocks.keys),
-                dtype=np.int64,
-                count=len(blocks.keys),
-            )
-            for index, share in blocks.split(parts):
+            for index, share in blocks.split(
+                self.partitioner, self.num_reducers
+            ):
                 buckets[index].entries.append(share)
             shipped += len(blocks)
             out_bytes += len(blocks) * (KEY_BYTES + self.record_bytes)

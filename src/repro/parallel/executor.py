@@ -303,7 +303,7 @@ class ParallelEvaluator:
             stats.batch_tasks += 1
             stats.batch_records += len(batch)
             if not early and batch.matrix is not None:
-                blocks = _route_block_rows(routers, batch, records)
+                blocks = route_block_rows(routers, batch, records)
                 return MapBatchOutput(
                     pairs=[], emitted_pairs=len(blocks), blocks=blocks
                 )
@@ -422,28 +422,17 @@ class ParallelEvaluator:
         it.
         """
         schema = plan.subplans[0][0].schema
-        evaluators = []
-        filters = []
-        basics_by_component = []
-        for component, subplan in plan.subplans:
-            evaluator = vectorized_bucket_evaluator(
-                component, tracer=self.tracer
-            )
-            evaluators.append(evaluator)
-            # Without an annotation every block owns all it computes.
-            filters.append(
-                {
-                    measure.name: subplan.scheme.make_result_filter(
-                        measure.granularity
-                    )
-                    for measure in component.measures
-                }
-                if subplan.scheme.key.is_overlapping
-                else None
-            )
-            basics_by_component.append(
-                list(evaluator.workflow.basic_measures())
-            )
+        evaluators, filters = bucket_evaluators(
+            [
+                (component, subplan.scheme)
+                for component, subplan in plan.subplans
+            ],
+            tracer=self.tracer,
+        )
+        basics_by_component = [
+            list(evaluator.workflow.basic_measures())
+            for evaluator in evaluators
+        ]
         early = self.config.early_aggregation
         value_width = _PARTIAL_STATE_BYTES if early else record_bytes
         check = cancel.check if cancel is not None else None
@@ -672,6 +661,30 @@ class ParallelEvaluator:
         telemetry.inc("job.completed")
 
 
+def bucket_evaluators(schemes, tracer=None) -> tuple[list, list]:
+    """``(evaluators, filters)`` for *schemes*, ``(component, block
+    scheme)`` pairs: each component's lifted evaluator and, under a key
+    with an annotated component, each measure's owned-region filter
+    (``None`` otherwise: every block owns all it computes).  What
+    :func:`~repro.local.lifting.evaluate_bucket` takes, on either
+    backend."""
+    evaluators = []
+    filters = []
+    for component, scheme in schemes:
+        evaluators.append(
+            vectorized_bucket_evaluator(component, tracer=tracer)
+        )
+        filters.append(
+            {
+                measure.name: scheme.make_result_filter(measure.granularity)
+                for measure in component.measures
+            }
+            if scheme.key.is_overlapping
+            else None
+        )
+    return evaluators, filters
+
+
 def _cancellable(fn, cancel: CancellationToken):
     """Check *cancel* before every call into *fn* (map or reduce task)."""
 
@@ -767,12 +780,14 @@ def union_outputs(workflow: Workflow, outputs) -> ResultSet:
     return ResultSet(tables)
 
 
-def _route_block_rows(routers, batch: RecordBatch, records) -> BlockRows:
-    """Every component's blocks of one int-matrix batch, as arrays.
+def route_block_rows(routers, batch: RecordBatch, records) -> BlockRows:
+    """Every component's blocks of one routable batch, as arrays: the
+    map side of both backends.
 
     Each router returns its component's blocks in key order, and the
     component index leads every key, so the concatenation is in key
-    order too.
+    order too.  *records* are what materialised groups hold; a typed
+    batch has no int matrix, so only its row indices are of use.
     """
     keys, rows, counts, key_matrices = zip(
         *(

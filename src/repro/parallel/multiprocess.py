@@ -60,9 +60,13 @@ lambdas cannot cross process boundaries.  Parameterized aggregates
 factory list, once per install.
 
 The result is bit-identical to :func:`repro.local.evaluate_centralized`
--- asserted by the test suite, including under chaos -- because the plan
-machinery is shared with the simulated executor; only the transport (and
-what can go wrong with it) differs.
+-- asserted by the test suite, including under chaos -- because every
+step of the plan is the simulated executor's: the routing
+(:func:`~repro.parallel.executor.route_block_rows`, or its per-record
+mapper), the partitioning (:meth:`~repro.mapreduce.engine.BlockRows.
+split`) and the evaluators and owned-region filters
+(:func:`~repro.parallel.executor.bucket_evaluators`).  Only the
+transport (and what can go wrong with it) differs.
 """
 
 from __future__ import annotations
@@ -99,11 +103,11 @@ from repro.cube.records import Record, Schema
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
-from repro.local.lifting import evaluate_bucket, vectorized_bucket_evaluator
+from repro.local.lifting import evaluate_bucket
 from repro.local.measure_table import ResultSet
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
-from repro.mapreduce.engine import stable_hash
+from repro.mapreduce.engine import default_partitioner
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
 from repro.obs.tracectx import SpanCollector, TraceContext, wire_span
 from repro.obs.tracer import NULL_TRACER
@@ -111,7 +115,12 @@ from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.query.functions import Expression
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
-from repro.parallel.executor import union_outputs
+from repro.parallel.executor import (
+    ParallelEvaluator,
+    bucket_evaluators,
+    route_block_rows,
+    union_outputs,
+)
 from repro.parallel.shm import (
     SegmentRegistry,
     ShmBucket,
@@ -173,27 +182,18 @@ def _install(
         frozenset(component.names): component
         for component in connected_components(workflow)
     }
-    evaluators = []
-    filters = []
-    for names, key_spec, factors in scheme_specs:
-        component = by_names[frozenset(names)]
-        key = DistributionKey(
-            schema, tuple(KeyComponent(*spec) for spec in key_spec)
+    evaluators, filters = bucket_evaluators(
+        (
+            by_names[frozenset(names)],
+            BlockScheme(
+                DistributionKey(
+                    schema, tuple(KeyComponent(*spec) for spec in key_spec)
+                ),
+                dict(factors),
+            ),
         )
-        evaluators.append(vectorized_bucket_evaluator(component))
-        # Without an annotation every block owns all it computes.
-        if key.is_overlapping:
-            scheme = BlockScheme(key, dict(factors))
-            filters.append(
-                {
-                    measure.name: scheme.make_result_filter(
-                        measure.granularity
-                    )
-                    for measure in component.measures
-                }
-            )
-        else:
-            filters.append(None)
+        for names, key_spec, factors in scheme_specs
+    )
     return {"schema": schema, "evaluators": evaluators, "filters": filters}
 
 
@@ -245,27 +245,6 @@ def _enter_scope(evaluation: str, channel: Optional[bytes]) -> None:
         return
     telemetry_queue, trace_ctx = (
         pickle.loads(channel) if channel is not None else (None, None)
-    )
-    _open_scope(evaluation, telemetry_queue, trace_ctx)
-
-
-def _init_worker(
-    workflow_data: dict,
-    schema: Schema,
-    scheme_specs: list,
-    expressions: Optional[Mapping[str, Expression]],
-    function_factories: Sequence[tuple],
-    telemetry_queue=None,
-    trace_ctx: Optional[dict] = None,
-    evaluation: str = "",
-) -> None:
-    """Install one workflow and open *evaluation*'s scope in this
-    process, as a task's install and scope do in a pool worker."""
-    _WORKER.update(
-        _install(
-            workflow_data, schema, scheme_specs, expressions,
-            function_factories,
-        )
     )
     _open_scope(evaluation, telemetry_queue, trace_ctx)
 
@@ -429,18 +408,15 @@ def _run_task(
     attempt: int,
     bucket: list,
     plan: Optional[FaultPlan],
-    install: Optional[tuple] = None,
-    scope: Optional[tuple] = None,
+    install: tuple,
+    scope: tuple,
 ) -> tuple[int, list]:
     """One task attempt inside a worker: inject chaos, then evaluate.
 
     *install* is ``(key, payload)`` and *scope* ``(evaluation,
-    channel)`` (see :func:`_use_install` and :func:`_enter_scope`);
-    without them the task runs on what :func:`_init_worker` set up."""
-    if install is not None:
-        _use_install(*install)
-    if scope is not None:
-        _enter_scope(*scope)
+    channel)`` (see :func:`_use_install` and :func:`_enter_scope`)."""
+    _use_install(*install)
+    _enter_scope(*scope)
     tracing = _WORKER.get("trace_ctx") is not None
     started = time.time() if tracing else 0.0
     try:
@@ -889,19 +865,18 @@ class MultiprocessEvaluator:
 
         Returns ``(buckets, num_blocks, replicated_records)``: one list
         of ``(block_key, records)`` entries per partition, assigned by
-        stable hash of the block key.
+        the simulated engine's default (hash) partitioner.
         """
+        mapper = ParallelEvaluator._make_mapper(plan)
         blocks: dict[tuple, list] = defaultdict(list)
-        for index, (_component, subplan) in enumerate(plan.subplans):
-            mapper = subplan.scheme.make_mapper()
-            for record in records:
-                for block_key in mapper(record):
-                    blocks[(index,) + block_key].append(record)
+        for record in records:
+            for block_key, value in mapper(record):
+                blocks[block_key].append(value)
         buckets: list[list] = [[] for _ in range(partitions)]
         replicated = 0
         for block_key, block_records in blocks.items():
             replicated += len(block_records)
-            buckets[stable_hash(block_key) % partitions].append(
+            buckets[default_partitioner(block_key, partitions)].append(
                 (block_key, block_records)
             )
         return buckets, len(blocks), replicated
@@ -916,48 +891,42 @@ class MultiprocessEvaluator:
         """Route one batch into per-partition shared-memory buckets.
 
         Returns ``(buckets, num_blocks, replicated_records,
-        materialize_seconds)``.  Each non-empty bucket holds every
-        record it needs exactly once (its blocks overlap under
-        annotated keys) with per-block row indices into that payload,
-        written once into a segment of *registry*; only the
-        :class:`ShmBucket` descriptor crosses the pipe.
+        materialize_seconds)``: one :class:`ShmBucket` per partition
+        that gets a block, in partition order.  Routing and
+        partitioning are the simulated engine's
+        (:meth:`BlockRows.split`).  Each bucket holds every record it
+        needs exactly once (its blocks overlap under annotated keys)
+        with per-block row indices into that payload, written once into
+        a segment of *registry*; only the descriptor crosses the pipe.
         ``materialize_seconds`` is the wall time spent writing the
         segments, excluding the routing.
         """
-        block_rows: dict[tuple, np.ndarray] = {}
-        for index, (_component, subplan) in enumerate(plan.subplans):
-            router = subplan.scheme.make_batch_router()
-            for block_key, rows in router(batch, (index,)):
-                block_rows[block_key] = rows
-
-        grouped: list[list] = [[] for _ in range(partitions)]
-        replicated = 0
-        for block_key, rows in block_rows.items():
-            replicated += len(rows)
-            grouped[stable_hash(block_key) % partitions].append(
-                (block_key, rows)
-            )
-
+        blocks = route_block_rows(
+            [
+                subplan.scheme.make_batch_router()
+                for _component, subplan in plan.subplans
+            ],
+            batch,
+            (),
+        )
         buckets: list = []
         materialize_seconds = 0.0
-        for bucket_blocks in grouped:
-            if not bucket_blocks:
-                buckets.append([])
-                continue
-            all_rows = np.concatenate(
-                [rows for _key, rows in bucket_blocks]
-            )
-            unique_rows = np.unique(all_rows)
-            row_maps = np.searchsorted(unique_rows, all_rows)
+        for _partition, share in blocks.split(
+            default_partitioner, partitions
+        ):
+            unique_rows = np.unique(share.rows)
             started = time.perf_counter()
             buckets.append(
-                ShmBucket.build(
-                    registry, batch.take(unique_rows), bucket_blocks,
-                    row_maps,
+                ShmBucket.write(
+                    registry,
+                    batch.take(unique_rows),
+                    share.key_matrix,
+                    share.counts,
+                    np.searchsorted(unique_rows, share.rows),
                 )
             )
             materialize_seconds += time.perf_counter() - started
-        return buckets, len(block_rows), replicated, materialize_seconds
+        return buckets, len(blocks.keys), len(blocks), materialize_seconds
 
     # -- resilient gather loop ---------------------------------------------------
 

@@ -236,6 +236,26 @@ class ShmBucket:
         entries and *row_maps* the concatenated per-block indices into
         the payload.
         """
+        keys = np.asarray(
+            [key for key, _rows in bucket_blocks], dtype=np.int64
+        )
+        if keys.ndim == 1:  # pragma: no cover - no blocks
+            keys = keys.reshape(0, 0)
+        counts = np.asarray(
+            [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
+        )
+        return ShmBucket.write(registry, batch, keys, counts, row_maps)
+
+    @staticmethod
+    def write(
+        registry: SegmentRegistry,
+        batch: RecordBatch,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        row_maps: np.ndarray,
+    ) -> "ShmBucket":
+        """:meth:`build` from arrays: *keys* is the block-key matrix,
+        one row per block, and *counts* each block's row count."""
         layout = _Layout()
         matrix = batch.matrix
         columns_meta: list = []
@@ -265,19 +285,13 @@ class ShmBucket:
                     if column.validity is None
                     else layout.add(column.validity.astype(np.uint8))
                 )
-        keys_matrix = np.ascontiguousarray(
-            [key for key, _rows in bucket_blocks], dtype=np.int64
-        )
-        if keys_matrix.ndim == 1:  # pragma: no cover - no blocks
-            keys_matrix = keys_matrix.reshape(0, 0)
         keys_meta = (
-            keys_matrix.shape[0], keys_matrix.shape[1],
-            layout.add(keys_matrix),
+            keys.shape[0], keys.shape[1],
+            layout.add(keys.astype(np.int64, copy=False)),
         )
-        counts = np.asarray(
-            [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
+        counts_meta = (
+            layout.add(counts.astype(np.int64, copy=False)), len(counts)
         )
-        counts_meta = (layout.add(counts), len(counts))
         indices = np.ascontiguousarray(row_maps, dtype=np.int64)
         indices_meta = (layout.add(indices), len(indices))
 

@@ -25,15 +25,16 @@ offered load exceeds capacity.  The life of one submitted query:
    the group dispatches when the window expires, the merge stops
    winning, or the group is full.
 5. **Bounded queue -> workers.**  Dispatched groups wait in a
-   :class:`~repro.serving.queueing.BoundedPriorityQueue` and run on
-   one of ``limits.max_inflight`` workers, each owning its own
-   simulated cluster.  The clusters run in this interpreter, so the
-   workers take turns executing: two evaluations in two threads only
-   contend for the GIL, which cost the columnar evaluator two fifths
-   more CPU per group and made a burst's wall depend on how the
-   threads happened to interleave.  A worker still takes its next
-   group off the queue while the other executes, and waits for the
-   turn in ``queue_wait``.  Per-query deadlines propagate as a
+   :class:`~repro.serving.queueing.BoundedPriorityQueue` and are taken
+   off it by ``limits.max_inflight`` worker tasks.  Every group runs on
+   the service's one simulated cluster, evaluator and input file,
+   which run in this interpreter, so the workers take turns executing:
+   two evaluations in two threads only contend for the GIL, which cost
+   the columnar evaluator two fifths more CPU per group and made a
+   burst's wall depend on how the threads happened to interleave.  A
+   worker still takes its next group off the queue while the other
+   executes, and waits for the turn in ``queue_wait``.  Per-query
+   deadlines propagate as a
    :class:`~repro.parallel.cancel.CancellationToken` (the group's
    latest member deadline), cancelling map/shuffle/reduce work that
    can no longer help anyone.
@@ -127,8 +128,9 @@ class ServiceLimits:
 
     #: Share groups allowed to wait for a worker.
     max_queue_depth: int = 16
-    #: Groups taken off the queue at once (worker tasks, one cluster
-    #: each); they take turns executing (see the module docstring).
+    #: Groups taken off the queue at once (worker tasks); they take
+    #: turns executing on the service's one cluster (see the module
+    #: docstring).
     max_inflight: int = 2
     #: Queries allowed in the system at once (held + queued + running);
     #: past this, submits shed with ``queue_full``.
@@ -417,28 +419,30 @@ class _CircuitBreaker:
             self.opened_at = self.clock()
 
 
-class _Worker:
-    """One group-execution slot: its own cluster, evaluator and input.
+class _Execution:
+    """The service's one group executor: one simulated cluster, one
+    evaluator and one input file, run by every worker task in turn.
 
-    *turn* is the lock every worker of one service executes under.
+    *turn* is the lock a worker task executes under.
     """
 
     def __init__(
         self,
-        index: int,
         cluster: SimulatedCluster,
         config: ExecutionConfig,
         records: Sequence[Record],
         telemetry,
-        turn: threading.Lock,
     ):
-        self.index = index
-        self.turn = turn
+        self.turn = threading.Lock()
         self.cluster = cluster
         self.evaluator = ParallelEvaluator(
             cluster, config, telemetry=telemetry
         )
-        self.input_file = cluster.dfs.write(f"serve-input-{index}", records)
+        self.load(records)
+
+    def load(self, records: Sequence[Record]) -> None:
+        """Make *records* the input of every later group."""
+        self.input_file = self.cluster.dfs.write("serve-input", records)
 
     def run_group(
         self,
@@ -448,7 +452,7 @@ class _Worker:
     ) -> tuple[ResultSet, dict[str, float]]:
         """Run one group; returns the result and the wall seconds of
         each execution phase (planning/map/shuffle/reduce), after the
-        ``queue_wait`` for this worker's turn.
+        ``queue_wait`` for this worker task's turn.
 
         The job report's phase stamps mark the map/reduce boundaries;
         they tile the run's wall time exactly, so the latency ledger
@@ -489,8 +493,9 @@ class QueryService:
 
     *catalog* maps query names to workflows (what ``repro loadgen``
     arrival traces reference); *records* is the one dataset this
-    daemon serves.  *cluster_factory* builds one simulated cluster per
-    worker slot.  All answers are bit-identical to standalone runs.
+    daemon serves.  *cluster_factory* builds the one simulated cluster
+    every group runs on (called once, by :meth:`start`).  All answers
+    are bit-identical to standalone runs.
     """
 
     def __init__(
@@ -576,7 +581,8 @@ class QueryService:
         self._drained = False
         self._started = False
         self._inflight = 0
-        self._workers: list[_Worker] = []
+        #: Runs every group (built by :meth:`start`).
+        self._execution: Optional[_Execution] = None
         self._worker_tasks: list[asyncio.Task] = []
         self._dispatcher_task: Optional[asyncio.Task] = None
         self._work_available: Optional[asyncio.Event] = None
@@ -585,7 +591,6 @@ class QueryService:
         #: submissions wait on it so their cache keys never straddle a
         #: fingerprint change.
         self._append_gate: Optional[asyncio.Event] = None
-        self._generation = 0
         self._latencies_ms: list[float] = []
         self._report = ServeReport()
         #: Forms share groups and memoizes every plan, solo and merged,
@@ -605,21 +610,13 @@ class QueryService:
         self._idle.set()
         self._append_gate = asyncio.Event()
         self._append_gate.set()
-        turn = threading.Lock()
-        for index in range(self.limits.max_inflight):
-            self._workers.append(
-                _Worker(
-                    index,
-                    self.cluster_factory(),
-                    self.config,
-                    self.records,
-                    self.telemetry if index == 0 else NULL_TELEMETRY,
-                    turn,
-                )
-            )
+        self._execution = _Execution(
+            self.cluster_factory(), self.config, self.records,
+            self.telemetry,
+        )
         self.num_reducers = (
             self.config.num_reducers
-            or self._workers[0].cluster.reduce_slots
+            or self._execution.cluster.reduce_slots
         )
         self.admission = AdmissionController(
             self.optimizer,
@@ -938,7 +935,6 @@ class QueryService:
     # -- workers ----------------------------------------------------------
 
     async def _worker_loop(self, index: int) -> None:
-        worker = self._workers[index]
         while True:
             group = self.queue.take()
             if group is None:
@@ -959,7 +955,7 @@ class QueryService:
                 "serve.queue_depth", float(len(self.queue))
             )
             try:
-                await self._execute_group(worker, group)
+                await self._execute_group(index, group)
             except asyncio.CancelledError:
                 self._inflight -= 1
                 raise
@@ -991,9 +987,7 @@ class QueryService:
             return None
         return CancellationToken(deadline=max(deadlines), clock=self.clock)
 
-    async def _execute_group(
-        self, worker: _Worker, group: PendingGroup
-    ) -> None:
+    async def _execute_group(self, slot: int, group: PendingGroup) -> None:
         members = [m for m in group.riders if m is not None]
         entry = self.clock()
         queued_end = self.tracer.now()
@@ -1040,7 +1034,8 @@ class QueryService:
         if use_backend:
             try:
                 result, phases = await asyncio.to_thread(
-                    worker.run_group, group.workflow, group.plan, token
+                    self._execution.run_group,
+                    group.workflow, group.plan, token,
                 )
                 self.breaker.record_success()
             except DeadlineExceededError:
@@ -1118,7 +1113,7 @@ class QueryService:
                 if width > 0:
                     self.tracer.record(
                         exec_ctx, phase, cursor, cursor + width,
-                        process=f"slot{worker.index}",
+                        process=f"slot{slot}",
                     )
                     cursor += width
             if fallback:
@@ -1127,7 +1122,7 @@ class QueryService:
                 )
             self.tracer.close(
                 exec_ctx, "execute", exec_wall, exec_end,
-                process=f"slot{worker.index}",
+                process=f"slot{slot}",
                 queries=",".join(group_names),
                 group=group.group_id,
                 fallback=fallback,
@@ -1323,9 +1318,9 @@ class QueryService:
         workers run dry -- so no job ever runs over mixed data or
         stores results under a stale fingerprint.  Then the incremental
         maintainer patches every cached catalog measure forward (old
-        fingerprint to new), the records and worker inputs are swapped
-        to the grown dataset, the plan memo is cleared, and the gate
-        reopens.
+        fingerprint to new), the records and the execution input are
+        swapped to the grown dataset, the plan memo is cleared, and the
+        gate reopens.
         Returns the maintenance report, or ``None`` when no cache is
         attached or the delta is empty (the data still grows; there is
         just nothing to patch).
@@ -1376,12 +1371,7 @@ class QueryService:
                 self.fingerprint = new_fingerprint
 
             self.records.extend(delta)
-            self._generation += 1
-            for worker in self._workers:
-                worker.input_file = worker.cluster.dfs.write(
-                    f"serve-input-{worker.index}-g{self._generation}",
-                    self.records,
-                )
+            self._execution.load(self.records)
             # Every plan was priced against the old record count.
             self.admission.set_record_count(len(self.records))
             self._report.appends += 1

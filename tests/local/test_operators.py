@@ -150,7 +150,7 @@ class TestAlignCandidates:
 
 
 class TestWindowFastPaths:
-    """The prefix-sum fast paths must agree with generic re-aggregation."""
+    """The kernel window sweep must agree with generic re-aggregation."""
 
     @given(
         entries=st.dictionaries(
@@ -201,16 +201,24 @@ class TestWindowFastPaths:
         from repro.cube.regions import Granularity
 
         fine = Granularity.of(tiny_schema, {"x": "value", "t": "tick"})
-        source = MeasureTable(fine, {(0, 0): 1, (0, 1): 2, (0, 5): 4})
-        window = SiblingWindow("t", 1, 3)
-        result = sibling_window(source, window, get_function("sum"))
-        # t=0 sees t=1; t=1 sees nothing in (2..4); t=5 sees nothing.
-        assert dict(result.items()) == {(0, 0): 2}
+        # From base 2**62 on the positions pass the kernel's int64
+        # bound, so the generic fold answers, with the same values.
+        for base in (0, 2**62):
+            source = MeasureTable(
+                fine, {(0, base): 1, (0, base + 1): 2, (0, base + 5): 4}
+            )
+            window = SiblingWindow("t", 1, 3)
+            for name, expected in (("sum", 2), ("count", 1), ("avg", 2.0)):
+                result = sibling_window(source, window, get_function(name))
+                # t=0 sees t=1; t=1 sees nothing in (2..4); t=5 sees
+                # nothing.
+                assert dict(result.items()) == {(0, base): expected}
+                assert type(result[(0, base)]) is type(expected)
 
 
 class TestPrefixExactnessBound:
     def test_huge_int_windows_take_generic_path(self, tiny_schema):
-        """Values whose totals exceed 2**53 must not use prefix sums."""
+        """Values whose totals exceed 2**53 must not use the kernel."""
         fine = Granularity.of(tiny_schema, {"x": "value", "t": "tick"})
         source = MeasureTable(
             fine, {(0, 0): 2**53, (0, 1): 1, (0, 2): 1}

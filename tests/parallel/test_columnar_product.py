@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cube.batches import RecordBatch
-from repro.io.serialize import workflow_to_dict
 from repro.local import operators, sortscan, vectorized
 from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce import ClusterConfig, SimulatedCluster
@@ -88,16 +87,13 @@ def worker_result(workflow, records, expressions=None):
         buckets, *_rest = mp.MultiprocessEvaluator._scatter_columnar(
             batch, plan, PARTITIONS, registry
         )
-        mp._init_worker(
-            workflow_to_dict(workflow, expressions=expressions),
-            workflow.schema,
-            mp._scheme_specs(plan),
-            expressions,
-            (),
-        )
+        install = mp._install_payload(workflow, plan, expressions, ())
         rows = []
-        for task, bucket in enumerate(b for b in buckets if b):
-            _task, got = mp._run_task(task, 0, bucket, None)
+        for task, bucket in enumerate(buckets):
+            _task, got = mp._run_task(
+                task, 0, bucket, None, install=install,
+                scope=("test", None),
+            )
             rows.extend(got)
     finally:
         mp._WORKER.clear()

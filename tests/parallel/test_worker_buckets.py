@@ -1,10 +1,11 @@
 """One lifted evaluation per worker bucket (Section III-D on the process
 backend), checked against the per-block loop it replaced.
 
-The worker functions run in the test process: ``_init_worker`` installs
-one lifted evaluator per component, ``_run_task`` evaluates one scattered
-bucket, and :func:`tests.helpers.per_block_task_rows` -- the loop, kept
-as the oracle -- must return the same rows for every task, under both
+The worker functions run in the test process on the path a pool worker
+runs: ``_run_task`` installs the plan's lifted evaluators from the
+task's install payload and evaluates one scattered bucket, and
+:func:`tests.helpers.per_block_task_rows` -- the loop, kept as the
+oracle -- must return the same rows for every task, under both
 transports.  End to end, real worker processes must still reproduce the
 centralized answer and scatter exactly as before.
 """
@@ -22,7 +23,6 @@ from repro.cube.domains import UniformHierarchy
 from repro.cube.records import Attribute, Schema
 from repro.distribution.clustering import BlockScheme
 from repro.distribution.keys import DistributionKey
-from repro.io.serialize import workflow_to_dict
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
 from repro.optimizer.optimizer import Optimizer, Plan, QueryPlan
@@ -183,16 +183,18 @@ def cases(tiny_schema):
 
 @pytest.fixture
 def worker():
-    """Installs one plan's worker state here; restores it afterwards."""
+    """Runs one task here as a pool worker would, with the install and
+    scope a task carries; restores the worker state afterwards."""
     saved = dict(mp._WORKER)
 
-    def install(workflow, plan):
-        mp._init_worker(
-            workflow_to_dict(workflow), workflow.schema,
-            mp._scheme_specs(plan), None, (),
+    def run(workflow, plan, task, bucket):
+        return mp._run_task(
+            task, 0, bucket, None,
+            install=mp._install_payload(workflow, plan, None, ()),
+            scope=("test", None),
         )
 
-    yield install
+    yield run
     mp._WORKER.clear()
     mp._WORKER.update(saved)
 
@@ -265,12 +267,11 @@ def run_tasks(worker, evaluate_calls, caplog, workflow, plan, buckets):
     """Every task through ``_run_task``, each checked against the loop;
     returns all rows the tasks produced."""
     caplog.set_level(logging.WARNING, logger="repro.parallel.shm")
-    worker(workflow, plan)
     rows = []
     for task, bucket in enumerate(buckets):
         components = bucket_components(bucket)
         del evaluate_calls[:]
-        returned, got = mp._run_task(task, 0, bucket, None)
+        returned, got = worker(workflow, plan, task, bucket)
         assert returned == task
         # One evaluation per component in the bucket...
         assert 0 < len(evaluate_calls) <= len(components)

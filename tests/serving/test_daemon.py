@@ -24,6 +24,7 @@ import pytest
 from repro.faults import ArrivalChaos, apply_arrival_chaos
 from repro.local import evaluate_centralized
 from repro.obs.manifest import SCHEMA_VERSION, RunManifest
+from repro.obs.telemetry import TelemetryRegistry
 from repro.parallel import ParallelEvaluator
 from repro.query import WorkflowBuilder
 from repro.serving import (
@@ -276,7 +277,7 @@ class TestCircuitBreaker:
         def broken(self, workflow, plan, cancel):
             raise RuntimeError("injected backend failure")
 
-        monkeypatch.setattr(daemon_module._Worker, "run_group", broken)
+        monkeypatch.setattr(daemon_module._Execution, "run_group", broken)
         names = sorted(batch_queries)
         service = _service(
             batch_queries,
@@ -352,6 +353,31 @@ class TestExecutionTurns:
         ledgers = service.ledgers.closed()
         assert len(ledgers) == len(responses)
         assert all(ledger.complete() for ledger in ledgers)
+
+
+class TestServiceTelemetry:
+    def test_every_group_run_on_the_backend_completes_one_job(
+        self, batch_queries, batch_records
+    ):
+        """Both worker tasks' groups reach the service's registry."""
+        telemetry = TelemetryRegistry()
+        names = sorted(batch_queries)
+        service = _service(
+            batch_queries,
+            batch_records,
+            telemetry=telemetry,
+            limits=ServiceLimits(
+                admission_window_ms=5.0, max_inflight=2, max_group_size=1
+            ),
+        )
+        _, report = serve_arrivals(
+            service, _burst(names * 2, gap=0.0), speed=0
+        )
+        assert report.fallbacks == 0
+        assert report.groups_dispatched >= 2 * len(names)
+        assert (
+            telemetry.counters["job.completed"] == report.groups_dispatched
+        )
 
 
 class TestPlanMemo:

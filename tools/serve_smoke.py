@@ -20,6 +20,9 @@ end: every query gets a per-query tracer, a latency ledger, and a
 flight recorder, and the smoke asserts the tracing invariants -- one
 causally-connected tree per admitted query (zero orphans), and every
 closed ledger's phases tiling its end-to-end latency within tolerance.
+A ``TelemetryRegistry`` rides along, and its ``job.completed`` counter
+must equal the number of groups run on the backend, whichever worker
+task ran them.
 
 With ``--append`` the smoke instead exercises **live appends**: the
 daemon serves the streaming S1-S4 suite while delta partitions are
@@ -97,10 +100,12 @@ def build_service(catalog, records, cache, machines: int, tight: bool,
     extras = {}
     if traced:
         from repro.obs import FlightRecorder, Tracer
+        from repro.obs.telemetry import TelemetryRegistry
 
         extras = {
             "tracer": Tracer(),
             "flight": FlightRecorder(),
+            "telemetry": TelemetryRegistry(),
         }
     return QueryService(
         catalog,
@@ -114,10 +119,21 @@ def build_service(catalog, records, cache, machines: int, tight: bool,
     )
 
 
-def check_traces(service, responses, phase: str,
+def check_traces(service, responses, report, phase: str,
                  violations: list[str]) -> None:
     """The CI tracing invariants, asserted against a finished phase."""
     from repro.obs import Span, chrome_trace_events, collect_trace, find_orphans
+
+    # Every phase requires zero fallbacks, so every dispatched group
+    # ran on the backend and finished one job.
+    completed_jobs = service.telemetry.counters.get("job.completed", 0)
+    check(
+        report.fallbacks == 0
+        and completed_jobs == report.groups_dispatched,
+        f"{phase}: job.completed ({completed_jobs}) counts every group "
+        f"run on the backend ({report.groups_dispatched})",
+        violations,
+    )
 
     spans = service.tracer.to_dicts()
     orphans = find_orphans(spans)
@@ -385,7 +401,9 @@ def main(argv=None) -> int:
     )
     check(report.drained, "clean drain after low load", violations)
     if args.check_traces:
-        check_traces(service, responses, "low-load traces", violations)
+        check_traces(
+            service, responses, report, "low-load traces", violations
+        )
 
     # -- phase 1, warm: the same trace over phase 1's cache -----------------
     print("phase 1 warm: replay over phase 1's cache (must run no job)")
@@ -434,7 +452,9 @@ def main(argv=None) -> int:
         violations,
     )
     if args.check_traces:
-        check_traces(service, responses, "warm traces", violations)
+        check_traces(
+            service, responses, report, "warm traces", violations
+        )
 
     # -- phase 2: overload --------------------------------------------------
     print("phase 2: overload (must shed explicitly and drain cleanly)")
@@ -484,7 +504,9 @@ def main(argv=None) -> int:
     )
     check(report.drained, "clean drain after overload", violations)
     if args.check_traces:
-        check_traces(service, responses, "overload traces", violations)
+        check_traces(
+            service, responses, report, "overload traces", violations
+        )
 
     if violations:
         print(f"FAILED: {len(violations)} invariant(s) violated")
