@@ -7,6 +7,7 @@ inside one evaluation block.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.cube.regions import Granularity, Region
@@ -24,6 +25,32 @@ class MeasureTable:
     ):
         self.granularity = granularity
         self.values: dict[tuple, object] = dict(values or {})
+
+    @classmethod
+    def read_only(
+        cls, granularity: Granularity, values: Mapping[tuple, object]
+    ) -> "MeasureTable":
+        """A table over *values* itself, shared and not copied.
+
+        ``values`` becomes a :class:`types.MappingProxyType`, so writes
+        through the table or its ``values`` raise :class:`TypeError`;
+        ``dict(table.values)`` gives a copy that can change.  The
+        measure cache hands out its stored rows this way.
+        """
+        table = cls.__new__(cls)
+        table.granularity = granularity
+        table.values = MappingProxyType(values)
+        return table
+
+    def __reduce_ex__(self, protocol):
+        if isinstance(self.values, MappingProxyType):
+            # A mappingproxy does not pickle: ship the rows as a dict
+            # and wrap them read-only again on the other side.
+            return (
+                MeasureTable.read_only,
+                (self.granularity, dict(self.values)),
+            )
+        return super().__reduce_ex__(protocol)
 
     # -- mapping protocol -----------------------------------------------------
 
@@ -84,6 +111,8 @@ class MeasureTable:
         """
         if other.granularity != self.granularity:
             raise ValueError("cannot merge tables of different granularities")
+        if isinstance(self.values, MappingProxyType):
+            raise TypeError("cannot merge into a read-only measure table")
         overlap = self.values.keys() & other.values.keys()
         if overlap:
             raise ValueError(

@@ -54,10 +54,11 @@ logger = logging.getLogger(__name__)
 class CacheStats:
     """Hit/miss/store accounting for one cache over its lifetime."""
 
-    #: ``get`` calls that found a usable entry.
+    #: Tables served from the cache: ``get`` calls that found a usable
+    #: entry plus probed tables an answer used (``record_hits``).
     hits: int = 0
-    #: Lookups that found nothing: absent keys probed during planning
-    #: plus ``get`` calls that came back empty, expired or unreadable.
+    #: Lookups that found nothing: ``contains``, ``probe`` and ``get``
+    #: calls that came back empty, expired or unreadable.
     misses: int = 0
     #: Entries written (in memory or to disk).
     stores: int = 0
@@ -154,11 +155,8 @@ class MeasureCache:
     def contains(self, key: str) -> bool:
         """Whether a live (non-expired) entry exists.
 
-        The planner probes with this while classifying components.  An
-        absent key counts as a miss (the cache was consulted and could
-        not help); a present key is *not* counted as a hit here -- the
-        executor's later :meth:`get` tallies it once the entry is
-        actually read back.
+        An absent key counts as a miss (the cache was consulted and
+        could not help); a present key is *not* counted as a hit.
         """
         present = key in self._memory or (
             self.directory is not None and self._path(key).exists()
@@ -173,11 +171,27 @@ class MeasureCache:
         return present
 
     def get(self, key: str, granularity: Granularity) -> MeasureTable | None:
+        """The cached table under *key* as a hit, or ``None`` (counted).
+
+        One :meth:`probe` plus :meth:`record_hits` for what it found.
+        """
+        table = self.probe(key, granularity)
+        if table is not None:
+            self.record_hits(1)
+        return table
+
+    def probe(
+        self, key: str, granularity: Granularity
+    ) -> MeasureTable | None:
         """The cached table under *key*, or ``None`` (counted) on a miss.
 
-        *granularity* rebuilds the table around the stored rows; the
-        caller knows it from the measure whose signature produced the
-        key, so it is not trusted from disk.
+        The table is read-only (:meth:`MeasureTable.read_only`); in
+        memory mode it wraps the stored rows themselves, so a probe
+        does no per-row work.  A found table is *not* counted as a
+        hit: the planner probes every measure of a component once and
+        :meth:`record_hits` tallies the ones an answer then uses.
+        *granularity* comes from the measure whose signature produced
+        the key, so it is not trusted from disk.
         """
         if self._expire_if_stale(key):
             self.stats.misses += 1
@@ -206,10 +220,13 @@ class MeasureCache:
             self.telemetry.inc("cache.misses")
             self._evict(key)
             return None
-        self.stats.hits += 1
-        self.telemetry.inc("cache.hits")
         self._touch(key)
-        return MeasureTable(granularity, rows)
+        return MeasureTable.read_only(granularity, rows)
+
+    def record_hits(self, count: int) -> None:
+        """Tally *count* probed tables that an answer used as hits."""
+        self.stats.hits += count
+        self.telemetry.inc("cache.hits", count)
 
     def get_states(self, key: str) -> dict[tuple, list] | None:
         """The sidecar accumulator states stored with *key*, if any.
@@ -220,7 +237,7 @@ class MeasureCache:
         ``[sum, count]``).  Entries written by batch/serve flows carry
         no states; patching then rebuilds them from the base data once.
         Not a counted lookup -- callers have already established the
-        entry via :meth:`contains`/:meth:`get`.
+        entry via :meth:`contains`/:meth:`get`/:meth:`probe`.
         """
         payload = self._memory.get(key)
         if payload is None and self.directory is not None:

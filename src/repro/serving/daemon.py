@@ -18,7 +18,8 @@ offered load exceeds capacity.  The life of one submitted query:
    whose measures are already materialized for this dataset (or
    derivable centrally from cached basics) is answered immediately by
    the batch executor's :func:`~repro.serving.executor.load_component`
-   -- no job, microsecond latency.
+   from the read-only tables classification found -- no job and no
+   per-row copy: a hit hands out the cache's stored rows.
 4. **Admission window.**  Execute components are held up to the
    window by the :class:`~repro.serving.admission.AdmissionController`
    looking for partners whose merged plan wins the Formula 2/4 test;
@@ -829,32 +830,13 @@ class QueryService:
     # -- classification ---------------------------------------------------
 
     def _serve_fast(self, member: _Member) -> None:
-        """Answer a cached/derived component without any job.
-
-        A vanished or corrupt entry demotes the component to an execute
-        unit offered to admission.
-        """
-        tables = load_component(self.cache, member.component)
-        if tables is None:
-            logger.warning(
-                "serve: cache entries for %s vanished; executing",
-                list(member.component.names),
-            )
-            self._demote_to_execute(member)
-            return
+        """Answer a cached/derived component without any job."""
         disposition = member.component.disposition
         member.pending.served_by.append(disposition)
-        member.pending.component_done(tables)
-        self.telemetry.inc(f"serve.{disposition}_served")
-
-    def _demote_to_execute(self, member: _Member) -> None:
-        member.execute_as(
-            self.admission.solo_plan(member.component.workflow)
+        member.pending.component_done(
+            load_component(self.cache, member.component)
         )
-        member.offered_at = self.clock()
-        member.offer_wall = self.tracer.now()
-        self._idle.clear()
-        self.admission.offer(member.component.unit, member)
+        self.telemetry.inc(f"serve.{disposition}_served")
 
     # -- dispatch ---------------------------------------------------------
 

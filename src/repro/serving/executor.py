@@ -15,10 +15,10 @@ over one dataset:
 Those steps are the module functions :func:`load_component`,
 :func:`split_by_query` and :func:`store_component`, which ``repro
 serve`` (:class:`~repro.serving.daemon.QueryService`) calls as well:
-both paths load, derive, split and store one way.  Each keeps its own
-answer to a cache entry that vanished after classification -- the
-batch runs the component as a solo job, the daemon offers it to
-admission.
+both paths load, derive, split and store one way.  Classification
+probes each cache key once and the plan carries the read-only tables it
+found, so loading reads nothing from the cache again and an entry
+evicted after classification still answers from the table it held.
 
 Per-query answers are bit-identical to standalone runs: a share group
 evaluates under a key feasible for every member (Theorems 1-2), each
@@ -81,30 +81,23 @@ def load_component(
     cache: MeasureCache,
     component: ComponentPlan,
     tracer=NULL_TRACER,
-) -> Optional[dict[str, MeasureTable]]:
+) -> dict[str, MeasureTable]:
     """The tables of a ``cache`` or ``derive`` component, with no job.
 
-    A ``cache`` component reads every measure back.  A ``derive``
-    component reads its basics and recomputes the composites centrally:
+    Serves the read-only tables classification found
+    (:attr:`ComponentPlan.tables`) and counts each as a cache hit.  A
+    ``cache`` component holds every measure.  A ``derive`` component
+    holds its basics, and the composites are recomputed centrally:
     cached basics equal the exact centralized tables (the parallel
     invariant) and composite operators are deterministic functions of
     their source tables, so derivation is bit-identical to a full run.
-    The derived composites are stored back.  Returns ``None`` when an
-    entry vanished or went corrupt since classification; the caller
-    decides how to execute the component instead.
+    The derived composites are stored back.
     """
-    workflow = component.workflow
-    derive = component.disposition == DISPOSITION_DERIVE
-    loaded: dict[str, MeasureTable] = {}
-    for measure in (
-        workflow.basic_measures() if derive else workflow.measures
-    ):
-        table = cache.get(component.keys[measure.name], measure.granularity)
-        if table is None:
-            return None
-        loaded[measure.name] = table
-    if not derive:
+    loaded = component.tables
+    cache.record_hits(len(loaded))
+    if component.disposition != DISPOSITION_DERIVE:
         return loaded
+    workflow = component.workflow
     result = BlockEvaluator(workflow, tracer=tracer).evaluate(
         basic_tables=loaded
     )
@@ -179,7 +172,8 @@ class BatchResult:
     results: dict[str, ResultSet]
     plan: BatchPlan
     groups: list[GroupOutcome] = field(default_factory=list)
-    #: Cache traffic of this run (hits/misses/stores), or ``None``.
+    #: Cache traffic of this run (hits/misses/stores), planning
+    #: included when the run made its own plan, or ``None``.
     cache_stats: Optional[CacheStats] = None
     #: Queries answered without any job (all components cached/derived).
     jobless_queries: list[str] = field(default_factory=list)
@@ -312,14 +306,16 @@ class BatchEvaluator:
             contexts = {name: self.tracer.mint(name) for name in queries}
         with self.tracer.span("evaluate-batch", queries=len(queries)):
             input_file = self._resolve_input(data)
-            if plan is None:
-                plan = self.plan(queries, input_file)
-
+            # Planning probes the cache, so its misses and corrupt
+            # entries are this run's traffic too.
             stats_before = (
                 self.cache.stats.snapshot()
                 if self.cache is not None
                 else None
             )
+            if plan is None:
+                plan = self.plan(queries, input_file)
+
             tables: dict[str, dict[str, MeasureTable]] = {
                 name: {} for name in queries
             }
@@ -330,19 +326,9 @@ class BatchEvaluator:
                 for component in planned.components:
                     if component.disposition == DISPOSITION_EXECUTE:
                         continue
-                    loaded = load_component(
-                        self.cache, component, self.tracer
+                    tables[component.query].update(
+                        load_component(self.cache, component, self.tracer)
                     )
-                    if loaded is None:
-                        logger.warning(
-                            "cache entries for %s:%s disappeared; "
-                            "re-executing component",
-                            component.query,
-                            list(component.names),
-                        )
-                        self._execute_solo(component, input_file, tables)
-                    else:
-                        tables[component.query].update(loaded)
                 if planned.fully_cached and planned.components:
                     jobless.append(planned.name)
 
@@ -408,19 +394,6 @@ class BatchEvaluator:
                 partial=batch_result,
             )
         return batch_result
-
-    # -- dispositions -----------------------------------------------------
-
-    def _execute_solo(
-        self,
-        component: ComponentPlan,
-        input_file: DistributedFile,
-        tables: dict[str, dict[str, MeasureTable]],
-    ) -> None:
-        """Degradation path: run one component as its own job."""
-        outcome = self.inner.evaluate(component.workflow, input_file)
-        tables[component.query].update(outcome.result.tables)
-        store_component(self.cache, component, tables[component.query])
 
     # -- shared jobs ------------------------------------------------------
 

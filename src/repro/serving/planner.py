@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from repro.cube.records import Record, Schema
+from repro.local.measure_table import MeasureTable
 from repro.mapreduce.dfs import DistributedFile
 from repro.optimizer.optimizer import Optimizer
 from repro.query.measures import WorkflowError
@@ -68,6 +69,10 @@ class ComponentPlan:
     disposition: str
     #: ``measure name -> cache key`` (empty when no cache is attached).
     keys: dict[str, str] = field(default_factory=dict)
+    #: The read-only cached tables a ``cache`` component (every
+    #: measure) or ``derive`` component (its basics) is answered from,
+    #: found by classification's one probe per key.
+    tables: dict[str, MeasureTable] = field(default_factory=dict)
     #: The schedulable unit, for ``execute`` components only.
     unit: Optional[BatchUnit] = None
     reason: str = ""
@@ -207,36 +212,45 @@ def classify_component(
 ) -> ComponentPlan:
     """Disposition of one query component against the measure cache.
 
-    Probes every measure's cache key with :meth:`MeasureCache.contains`
-    (an absent key counts as a miss; a present one is counted when it
-    is read back).  *query* names the component's owner -- the prefix
-    of its :class:`~repro.serving.groups.BatchUnit` if it executes.
+    Probes every measure's cache key once with
+    :meth:`MeasureCache.probe` (an absent key counts as a miss) and
+    keeps the tables the disposition answers from; they are counted
+    as hits when :func:`~repro.serving.executor.load_component` serves
+    them.  *query* names the component's owner -- the prefix of its
+    :class:`~repro.serving.groups.BatchUnit` if it executes.
     """
     if cache is None:
         return ComponentPlan(
             query, component, DISPOSITION_EXECUTE,
             reason="no cache attached",
         )
-    keys = {
-        measure.name: cache_key(fingerprint, measure)
-        for measure in component.measures
-    }
-    cached = {name for name, key in keys.items() if cache.contains(key)}
-    if cached == set(keys):
+    keys: dict[str, str] = {}
+    found: dict[str, MeasureTable] = {}
+    for measure in component.measures:
+        key = keys[measure.name] = cache_key(fingerprint, measure)
+        table = cache.probe(key, measure.granularity)
+        if table is not None:
+            found[measure.name] = table
+    if len(found) == len(keys):
         return ComponentPlan(
-            query, component, DISPOSITION_CACHE, keys,
+            query, component, DISPOSITION_CACHE, keys, found,
             reason="all measures cached",
         )
     basics = {m.name for m in component.basic_measures()}
-    if basics and basics <= cached and component.anchored_without_records():
+    if (
+        basics
+        and basics <= found.keys()
+        and component.anchored_without_records()
+    ):
         return ComponentPlan(
             query, component, DISPOSITION_DERIVE, keys,
+            {name: found[name] for name in basics},
             reason="all basic measures cached; composites derivable",
         )
-    missing = sorted(set(keys) - cached)
+    missing = sorted(keys.keys() - found.keys())
     return ComponentPlan(
         query, component, DISPOSITION_EXECUTE, keys,
-        reason=f"uncached: {missing}" if cached else "nothing cached",
+        reason=f"uncached: {missing}" if found else "nothing cached",
     )
 
 

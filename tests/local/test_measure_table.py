@@ -1,5 +1,9 @@
 """Tests for measure tables and result sets."""
 
+import copy
+import pickle
+from types import MappingProxyType
+
 import pytest
 
 from repro.cube.regions import Granularity
@@ -57,6 +61,47 @@ class TestMeasureTable:
         table = MeasureTable(fine, {(1, 2): 10})
         [(region, value)] = list(table.regions())
         assert region.coords == (1, 2) and value == 10
+
+
+
+class TestReadOnlyTable:
+    def test_wraps_without_copying_and_refuses_writes(self, fine):
+        rows = {(1, 2): 10}
+        table = MeasureTable.read_only(fine, rows)
+        assert isinstance(table.values, MappingProxyType)
+        rows[(3, 4)] = 20  # a view: the owner's change shows through
+        assert len(table) == 2 and table[(3, 4)] == 20
+        with pytest.raises(TypeError):
+            table[(5, 6)] = 30
+        with pytest.raises(TypeError):
+            table.values[(5, 6)] = 30
+        with pytest.raises(TypeError, match="read-only"):
+            table.merge_disjoint(MeasureTable(fine, {(7, 8): 1}))
+        assert table.filtered(lambda c: c[0] == 1).values == {(1, 2): 10}
+
+    def test_compares_and_iterates_like_a_built_table(self, fine):
+        rows = {(2, 0): 1, (1, 0): 2}
+        shared = ResultSet({"m": MeasureTable.read_only(fine, rows)})
+        built = ResultSet({"m": MeasureTable(fine, rows)})
+        assert shared == built and built == shared
+        assert shared.as_rows() == built.as_rows()
+        merged = ResultSet()
+        merged.merge_disjoint(shared)
+        merged["m"][(9, 9)] = 3  # merging copied the rows
+        assert (9, 9) not in rows
+
+    @pytest.mark.parametrize(
+        "protocol", range(2, pickle.HIGHEST_PROTOCOL + 1)
+    )
+    def test_pickles_and_stays_read_only(self, fine, protocol):
+        table = MeasureTable.read_only(fine, {(1, 2): 10})
+        restored = pickle.loads(pickle.dumps(table, protocol))
+        assert isinstance(restored.values, MappingProxyType)
+        assert restored.granularity.levels == fine.levels
+        assert restored.values == {(1, 2): 10}
+        built = pickle.loads(pickle.dumps(MeasureTable(fine, {(1, 2): 10})))
+        assert type(built.values) is dict
+        assert copy.deepcopy(table).values == table.values
 
 
 class TestResultSet:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import logging
+from types import MappingProxyType
 
 import pytest
 
+from repro.local import evaluate_centralized
+from repro.local.measure_table import MeasureTable
 from repro.obs.manifest import RunManifest
 from repro.query import WorkflowBuilder
 from repro.serving import (
@@ -120,6 +124,114 @@ class TestDerivation:
         result = evaluator.evaluate(queries, batch_records, plan=plan)
         assert result.jobs == []
         assert result.results["Q2"] == solo_results["Q2"]
+
+
+class TestSharedHits:
+    """A hit hands out the stored rows themselves, read-only."""
+
+    def test_served_table_refuses_writes_and_next_hit_is_unchanged(
+        self, batch_schema
+    ):
+        table = TestEviction._table(batch_schema, value=1.0)
+        cache = MeasureCache()
+        cache.put("k", table)
+        served = cache.get("k", table.granularity)
+        (coords,) = served.coords()
+        with pytest.raises(TypeError):
+            served[coords] = 2.0
+        with pytest.raises(TypeError):
+            served.values[coords] = 2.0
+        with pytest.raises(TypeError):
+            served.merge_disjoint(MeasureTable(table.granularity))
+        again = cache.get("k", table.granularity)
+        assert dict(again.items()) == {coords: 1.0}
+        # A caller that wants to change the rows copies them.
+        copy = dict(again.values)
+        copy[coords] = 2.0
+        assert cache.get("k", table.granularity)[coords] == 1.0
+
+    def test_two_hits_view_one_stored_mapping(self, batch_schema):
+        table = TestEviction._table(batch_schema)
+        cache = MeasureCache()
+        cache.put("k", table)
+        first = cache.get("k", table.granularity)
+        second = cache.get("k", table.granularity)
+        assert isinstance(first.values, MappingProxyType)
+        assert isinstance(second.values, MappingProxyType)
+        # A mappingproxy's one referent is the mapping it wraps.
+        (rows,) = gc.get_referents(first.values)
+        assert gc.get_referents(second.values) == [rows]
+        assert rows is not table.values  # put copied the caller's rows
+
+    def test_directory_hits_are_read_only_too(
+        self, tmp_path, batch_schema
+    ):
+        table = TestEviction._table(batch_schema)
+        cache = MeasureCache(tmp_path)
+        cache.put("k", table)
+        served = MeasureCache(tmp_path).get("k", table.granularity)
+        assert isinstance(served.values, MappingProxyType)
+        assert dict(served.items()) == dict(table.items())
+
+    def test_probe_leaves_hits_to_the_caller(self, batch_schema):
+        table = TestEviction._table(batch_schema)
+        cache = MeasureCache()
+        cache.put("k", table)
+        assert cache.probe("k", table.granularity) is not None
+        assert cache.probe("absent", table.granularity) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        cache.record_hits(3)
+        assert cache.stats.hits == 3
+
+    def test_derive_from_shared_basics_equals_centralized(
+        self, batch_schema, batch_queries, batch_records
+    ):
+        builder = WorkflowBuilder(batch_schema)
+        builder.basic(
+            "any_name",
+            over={"a1": "value", "t1": "minute"},
+            field="a2",
+            aggregate="sum",
+        )
+        cache = MeasureCache()
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            {"warmup": builder.build()}, batch_records
+        )
+        queries = {"Q2": batch_queries["Q2"]}
+        evaluator = BatchEvaluator(fresh_cluster(), cache=cache)
+        plan = evaluator.plan(queries, batch_records)
+        (component,) = plan.components()
+        assert component.disposition == DISPOSITION_DERIVE
+        (basic,) = component.tables.values()
+        assert isinstance(basic.values, MappingProxyType)
+        before = dict(basic.values)
+
+        result = evaluator.evaluate(queries, batch_records, plan=plan)
+        oracle = evaluate_centralized(queries["Q2"], batch_records)
+        assert result.results["Q2"] == oracle
+        assert dict(basic.values) == before
+
+    def test_entry_evicted_after_classification_still_answers(
+        self, batch_queries, batch_records, solo_results
+    ):
+        cache = MeasureCache()
+        queries = {"Q3": batch_queries["Q3"]}
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            queries, batch_records
+        )
+        evaluator = BatchEvaluator(fresh_cluster(), cache=cache)
+        plan = evaluator.plan(queries, batch_records)
+        for component in plan.components():
+            assert component.disposition == DISPOSITION_CACHE
+            for key in component.keys.values():
+                cache.discard(key)
+        # The plan holds the tables its one probe found: nothing is
+        # read, missed or re-executed at load time.
+        result = evaluator.evaluate(queries, batch_records, plan=plan)
+        assert result.jobs == []
+        assert result.results["Q3"] == solo_results["Q3"]
+        stats = result.cache_stats
+        assert (stats.hits, stats.misses, stats.stores) == (5, 0, 0)
 
 
 class TestGroupFailures:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -18,10 +19,12 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from repro.faults import ArrivalChaos, apply_arrival_chaos
+from repro.io.serialize import result_from_dict, result_to_dict
 from repro.local import evaluate_centralized
 from repro.obs.manifest import SCHEMA_VERSION, RunManifest
 from repro.obs.telemetry import TelemetryRegistry
@@ -503,6 +506,42 @@ class TestCacheFastPath:
             )
         assert warm_report.cache["hits"] > 0
 
+    def test_served_answers_are_shared_read_only_and_portable(
+        self, batch_schema, batch_queries, batch_records, solo_results
+    ):
+        cache = MeasureCache()
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            batch_queries, batch_records
+        )
+        names = sorted(batch_queries)
+        first, _ = serve_arrivals(
+            _service(batch_queries, batch_records, cache=cache),
+            _burst(names), speed=0,
+        )
+        for response in first:
+            assert set(response.served_by) == {"cache"}
+            for table in response.result.tables.values():
+                assert isinstance(table.values, MappingProxyType)
+                coords = next(iter(table.coords()))
+                with pytest.raises(TypeError):
+                    table[coords] = -1
+            # Pickled (the process boundary) and through repro.io
+            # (the wire and file form), a shared answer reads the same.
+            assert pickle.loads(pickle.dumps(response.result)) == (
+                response.result
+            )
+            assert result_from_dict(
+                result_to_dict(response.result), batch_schema
+            ) == response.result
+        second, _ = serve_arrivals(
+            _service(batch_queries, batch_records, cache=cache),
+            _burst(names), speed=0,
+        )
+        for response in second:
+            assert _rows(response.result) == _rows(
+                solo_results[response.name]
+            )
+
 
 def _warm_with_q2_basic(cache, batch_schema, batch_records):
     """Materialize only Q2's basic measure, under a different name."""
@@ -552,16 +591,18 @@ class TestServeDispositions:
         BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
             catalog, batch_records
         )
-        real_get = cache.get
+        real_probe = cache.probe
         missed: list[str] = []
 
-        def get_missing_once(key, granularity):
+        def probe_missing_once(key, granularity):
             if not missed:
                 missed.append(key)
                 return None
-            return real_get(key, granularity)
+            return real_probe(key, granularity)
 
-        monkeypatch.setattr(cache, "get", get_missing_once)
+        # Classification's one probe per key is the only read: a key
+        # it misses sends the component to admission.
+        monkeypatch.setattr(cache, "probe", probe_missing_once)
         (response,), report = serve_arrivals(
             _service(catalog, batch_records, cache=cache),
             _burst(["Q2"]), speed=0,
@@ -610,6 +651,79 @@ class TestServeDispositions:
         # Both fresh instances over copies of one warm directory: their
         # lifetime tallies are the two paths' deltas, planning included.
         assert served_cache.stats == batch_cache.stats
+
+
+class TestCacheTallies:
+    """One probe per measure leaves the cache's tallies where the
+    contains-then-get classification left them: a table counts as a
+    hit only when an answer is served from it, a missing key counts
+    once when classified and once more when its table is stored."""
+
+    @staticmethod
+    def _prepare(case, batch_schema, batch_queries, batch_records):
+        cache = MeasureCache()
+        if case == "derive":
+            _warm_with_q2_basic(cache, batch_schema, batch_records)
+            return cache, {"Q2": batch_queries["Q2"]}
+        catalog = {"Q3": batch_queries["Q3"]}
+        plan = BatchEvaluator(fresh_cluster(), cache=cache).plan(
+            catalog, batch_records
+        )
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            catalog, batch_records
+        )
+        if case == "partial":
+            # Every Q3 measure stays cached but one basic: the
+            # component executes, and its cached measures are no hits.
+            (component,) = plan.components()
+            cache.discard(component.keys["views"])
+        return cache, catalog
+
+    #: (hits, misses, stores) of answering the catalog once.
+    EXPECTED = {
+        "cache": (5, 0, 0),
+        "derive": (1, 2, 1),
+        "partial": (0, 2, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    @pytest.mark.parametrize("path", ["serve", "batch"])
+    def test_tallies_per_disposition(
+        self, path, case, batch_schema, batch_queries, batch_records,
+        solo_results,
+    ):
+        cache, catalog = self._prepare(
+            case, batch_schema, batch_queries, batch_records
+        )
+        telemetry = TelemetryRegistry()
+        before = cache.stats.snapshot()
+        if path == "serve":
+            responses, _ = serve_arrivals(
+                _service(
+                    catalog, batch_records, cache=cache,
+                    telemetry=telemetry,
+                ),
+                _burst(sorted(catalog)), speed=0,
+            )
+            results = {r.name: r.result for r in responses}
+        else:
+            results = BatchEvaluator(
+                fresh_cluster(), cache=cache, telemetry=telemetry
+            ).evaluate(catalog, batch_records).results
+        after = cache.stats
+        tallies = (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.stores - before.stores,
+        )
+        assert tallies == self.EXPECTED[case]
+        assert (
+            telemetry.counters.get("cache.hits", 0),
+            telemetry.counters.get("cache.misses", 0),
+            telemetry.counters.get("cache.stores", 0),
+        ) == tallies
+        for name, result in results.items():
+            assert _rows(result) == _rows(solo_results[name])
 
 
 class TestManifest:

@@ -8,8 +8,11 @@ configuration, both driven by seeded loadgen traces (bit-reproducible):
    centralized oracle bit-for-bit.  The same trace is then replayed
    warm over phase 1's measure cache: no group may be dispatched,
    every component is served by ``cache``/``derive``, answers stay
-   bit-identical, no entry reads back corrupt, and ``repro batch``'s
-   planner classifies every served query's components as ``cache``.
+   bit-identical, every warm answer's tables refuse writes (hits are
+   the cache's shared rows), the cache counts one hit per measure
+   served and no miss, no entry reads back corrupt, and ``repro
+   batch``'s planner classifies every served query's components as
+   ``cache``.
 2. **Overload.**  An offered rate far past capacity with a tight queue:
    the daemon must shed explicitly (nonzero ``Overloaded`` responses),
    keep answering what it admits correctly, and drain cleanly -- all
@@ -85,6 +88,21 @@ def check(condition: bool, message: str, violations: list[str]) -> None:
     print(f"  [{status}] {message}")
     if not condition:
         violations.append(message)
+
+
+def refuses_writes(table) -> bool:
+    """Whether writes to *table*, through it or its rows, raise."""
+    coords = next(iter(table.coords()), ())
+    try:
+        table[coords] = None
+        return False
+    except TypeError:
+        pass
+    try:
+        table.values[coords] = None
+        return False
+    except TypeError:
+        return True
 
 
 def build_service(catalog, records, cache, machines: int, tight: bool,
@@ -414,6 +432,7 @@ def main(argv=None) -> int:
         catalog, records, cache, args.machines, tight=False,
         traced=args.check_traces,
     )
+    before = cache.stats.snapshot()
     responses, report = serve_arrivals(service, gentle, speed=0)
     print(
         f"  {len(gentle)} arrivals: {report.completed} completed, "
@@ -438,6 +457,25 @@ def main(argv=None) -> int:
             if r.ok
         ),
         "warm answers bit-identical to the oracle", violations,
+    )
+    check(
+        all(
+            refuses_writes(table)
+            for r in responses
+            if r.ok
+            for table in r.result.tables.values()
+        ),
+        "every warm answer's tables refuse writes", violations,
+    )
+    served_measures = sum(len(r.result.tables) for r in responses if r.ok)
+    warm_hits = report.cache["hits"] - before.hits
+    warm_misses = report.cache["misses"] - before.misses
+    check(
+        warm_hits == served_measures and warm_misses == 0,
+        f"warm cache counts one hit per measure served "
+        f"({warm_hits} hits for {served_measures} measures) and "
+        f"no miss ({warm_misses})",
+        violations,
     )
     check(cache.stats.corrupt == 0, "zero corrupt cache entries", violations)
     check(report.fallbacks == 0, "zero oracle fallbacks warm", violations)
