@@ -22,7 +22,11 @@ The gates:
   float64's exact range or near int64's, and an int ``product`` that
   may overflow int64;
 * aggregates other than ``sum``/``count``/``min``/``max``/``avg``;
-* any source column of mixed or non-numeric Python values.
+* any source column of mixed or non-numeric Python values, except that
+  ``ratio`` reads a SELF or ALIGN source whose column holds only
+  ``float`` values and ``int`` values within ``2**53`` (a holistic basic
+  measure's: an even-sized group's median is a ``float``, an odd one's
+  an ``int``) as float64, which is exact.
 
 Float ``sum``, ``avg``, ``min`` and ``max`` fold each group left to
 right, in the order the dict operator visits it (the table's coordinate
@@ -504,14 +508,17 @@ class CompositePlan:
         *anchors* are the target-granularity regions of the input
         records (only read for a pure-ALIGN measure).
         """
-        if any(tables[name].values.dtype == object for name in self.sources):
-            # Mixed Python values (None reads as "missing" to the dict
-            # operator): only the dict operator knows what to do.
-            return None
         exact: list[ColumnTable] = []
         aligned: list[tuple[int, ColumnTable, Callable]] = []
         for position, (relationship, name, step) in enumerate(self.edges):
             table = tables[name]
+            if table.values.dtype == object:
+                # Mixed Python values (None reads as "missing" to the
+                # dict operator): only ``ratio`` over ints and floats
+                # read as they are has an exact array form.
+                table = self._as_floats(relationship, table)
+                if table is None:
+                    return None
             if relationship is Relationship.ROLLUP:
                 table = rollup_columns(table, *step)
             elif relationship is Relationship.SIBLING:
@@ -553,3 +560,27 @@ class CompositePlan:
         if values is None:
             return None
         return ColumnTable(candidates, values)
+
+    def _as_floats(
+        self, relationship: Relationship, table: ColumnTable
+    ) -> ColumnTable | None:
+        """*table*'s object column as float64 when a ``ratio`` reads it
+        as is (a SELF or ALIGN edge) and the cast is exact: only
+        ``float`` values and ``int`` values within ``2**53``.  IEEE
+        division of the cast values is then ``_safe_ratio``'s
+        ``a / b``."""
+        if _BUILTINS.get(self.measure.effective_combine) != "ratio" or (
+            relationship not in (Relationship.SELF, Relationship.ALIGN)
+        ):
+            return None
+        values = table.values.tolist()
+        if not set(map(type, values)) <= {int, float}:
+            return None
+        try:
+            floats = np.array(values, dtype=np.float64)
+        except OverflowError:
+            return None
+        for index in np.flatnonzero(np.abs(floats) >= _EXACT_INT).tolist():
+            if type(values[index]) is int and abs(values[index]) > _EXACT_INT:
+                return None
+        return ColumnTable(table.coords, floats)

@@ -14,7 +14,12 @@ operators and the per-row output loop took about half of each reducer
 evaluation; that is why they no longer run here.
 
 Supported basic aggregates: ``sum``, ``count``, ``min``, ``max``,
-``avg``.  Other functions make :func:`vectorized_supports` return
+``avg`` and the holistic ``median``, exact quantiles
+(:func:`~repro.query.functions.quantile_function`) and
+``count_distinct``.  The holistic ones order every group's values with
+one lexsort by (group, value) and read each statistic off the run
+boundaries.  Other functions (``variance``, ``stddev``, the sketches of
+:mod:`repro.query.sketches`) make :func:`vectorized_supports` return
 ``False``, and non-integer or overflow-prone record values are
 detected per block; in both cases :class:`VectorizedBlockEvaluator`
 falls back to the scalar :class:`~repro.local.sortscan.BlockEvaluator`
@@ -37,6 +42,7 @@ from repro import kernels
 from repro.cube.domains import ALL
 from repro.cube.records import Record
 from repro.cube.regions import Granularity
+from repro.query.functions import AggregateFunction
 from repro.query.workflow import Workflow
 from repro.local.columnar import (
     ColumnTable,
@@ -55,14 +61,18 @@ from repro.local.sortscan import (
 )
 from repro.obs.tracer import NULL_TRACER
 
-#: Basic aggregates with a vectorized grouped implementation.
-VECTORIZED_AGGREGATES = frozenset({"sum", "count", "min", "max", "avg"})
+#: Basic aggregates with a vectorized grouped implementation; every
+#: exact quantile (a function with a ``quantile`` fraction) has one too.
+VECTORIZED_AGGREGATES = frozenset(
+    {"sum", "count", "min", "max", "avg", "median", "count_distinct"}
+)
 
 
 def vectorized_supports(workflow: Workflow) -> bool:
     """Whether every basic measure has a vectorized implementation."""
     return all(
         measure.aggregate.name in VECTORIZED_AGGREGATES
+        or measure.aggregate.quantile is not None
         for measure in workflow.basic_measures()
     )
 
@@ -80,7 +90,7 @@ def _coordinate_columns(
 def _grouped_aggregate(
     coords: np.ndarray,
     values: np.ndarray,
-    name: str,
+    aggregate: AggregateFunction,
     runs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(unique coords, aggregated values) for one basic measure, given
@@ -90,6 +100,9 @@ def _grouped_aggregate(
     starts = np.flatnonzero(boundary)
     unique = coords[order[starts]]
 
+    name = aggregate.name
+    if name in _HOLISTIC or aggregate.quantile is not None:
+        return unique, _holistic(sorted_values, boundary, starts, aggregate)
     if name == "count":
         return unique, kernels.segment_counts(starts, len(sorted_values))
     if name == "sum":
@@ -105,6 +118,51 @@ def _grouped_aggregate(
     if name == "max":
         return unique, kernels.segment_reduce(sorted_values, starts, "max")
     raise ValueError(f"no vectorized implementation for {name!r}")
+
+
+#: The holistic aggregates :func:`_holistic` computes (besides quantiles).
+_HOLISTIC = frozenset({"median", "count_distinct"})
+
+
+def _holistic(
+    values: np.ndarray,
+    boundary: np.ndarray,
+    starts: np.ndarray,
+    aggregate: AggregateFunction,
+) -> np.ndarray:
+    """``median``, a quantile or ``count_distinct`` of every run of the
+    int *values* (grouped, run starts marked by *boundary*), typed as
+    :mod:`repro.query.functions` types them.
+
+    One lexsort by (run, value) orders each run; the run starts stay
+    where they were, so every statistic is index arithmetic on *starts*.
+    """
+    ordered = values[np.lexsort((values, np.cumsum(boundary)))]
+    if aggregate.name == "count_distinct":
+        new = boundary.copy()
+        new[1:] |= ordered[1:] != ordered[:-1]
+        return kernels.segment_reduce(new.astype(np.int64), starts, "sum")
+    counts = kernels.segment_counts(starts, len(ordered))
+    if aggregate.quantile is not None:
+        # ``int(q * n)``: the same float multiply, truncated.
+        index = (aggregate.quantile * counts).astype(np.int64)
+        return ordered[starts + np.minimum(counts - 1, index)]
+    upper = ordered[starts + counts // 2]
+    even = counts % 2 == 0
+    if not even.any():
+        return upper
+    # An even run's median is ``(a + b) / 2``, a float.  The int64 sum
+    # cannot overflow on a reduction-safe matrix, its float64 is the
+    # correctly rounded sum, and halving that is exact: the quotient is
+    # the correctly rounded one Python's ``int / int`` gives, past
+    # ``2**53`` too.
+    halves = (ordered[starts + counts // 2 - 1] + upper) / 2
+    if even.all():
+        return halves
+    column = np.empty(len(counts), dtype=object)
+    column[~even] = upper[~even]
+    column[even] = halves[even]
+    return column
 
 
 class VectorizedBlockEvaluator:
@@ -245,7 +303,7 @@ class VectorizedBlockEvaluator:
                     *_grouped_aggregate(
                         columns,
                         matrix[:, schema.field_index(measure.field)],
-                        measure.aggregate.name,
+                        measure.aggregate,
                         measure_runs,
                     )
                 )
@@ -450,7 +508,7 @@ def batched_partial_states(
             )
             counts = kernels.segment_counts(starts, total)
             states = list(map(list, zip(sums.tolist(), counts.tolist())))
-        else:  # pragma: no cover - vectorized_supports filters these
+        else:  # pragma: no cover - holistic measures never early-aggregate
             return None
 
         block_of_replica = np.cumsum(block_boundary) - 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class FunctionKind(enum.Enum):
@@ -48,6 +48,9 @@ class AggregateFunction:
     add: Callable[[object, object], object]
     merge: Callable[[object, object], object]
     finalize: Callable[[object], object]
+    #: The fraction of an exact quantile (:func:`quantile_function`);
+    #: ``None`` for every other function.
+    quantile: Optional[float] = None
 
     @property
     def supports_partial_aggregation(self) -> bool:
@@ -297,6 +300,7 @@ def quantile_function(q: float) -> AggregateFunction:
             add=_collect_add,
             merge=_collect_merge,
             finalize=finalize,
+            quantile=q,
         )
     )
 

@@ -1143,12 +1143,15 @@ class QueryService:
 
     # -- completion -------------------------------------------------------
 
-    def _close_ledger(self, pending: _PendingRequest, status: str) -> None:
-        """Close the query's ledger and feed the phase telemetry."""
+    def _close_ledger(
+        self, pending: _PendingRequest, status: str, ended_at: float
+    ) -> None:
+        """Close the query's ledger at *ended_at*, the instant its
+        latency was measured, and feed the phase telemetry."""
         ledger = self.ledgers.get(pending.internal)
         if ledger is None or ledger.closed:
             return
-        ledger.close(self.clock(), status)
+        ledger.close(ended_at, status)
         tenant = ledger.tenant or "-"
         for phase, ms in ledger.phases.items():
             if ms:
@@ -1233,7 +1236,7 @@ class QueryService:
                     pending.ctx, "shed", reason=overload.reason
                 )
             self._note_shed(pending.request, overload.reason)
-        self._close_ledger(pending, status)
+        self._close_ledger(pending, status, now)
         self._close_trace(pending, status, latency_ms)
         self._slo_record(pending.request.tenant, None, failed=True)
         pending.future.set_result(
@@ -1250,11 +1253,9 @@ class QueryService:
         )
 
     def _finish(self, pending: _PendingRequest) -> QueryResponse:
-        latency_ms = (self.clock() - pending.submitted_at) * 1000.0
-        late = (
-            pending.deadline_at is not None
-            and self.clock() > pending.deadline_at
-        )
+        now = self.clock()
+        latency_ms = (now - pending.submitted_at) * 1000.0
+        late = pending.deadline_at is not None and now > pending.deadline_at
         workflow = pending.request.workflow
         result = ResultSet(
             {
@@ -1281,7 +1282,7 @@ class QueryService:
         self.telemetry.inc("serve.completed")
         self.telemetry.mark("serve.completion_rate")
         self.telemetry.observe("serve.latency_ms", latency_ms)
-        self._close_ledger(pending, STATUS_OK)
+        self._close_ledger(pending, STATUS_OK, now)
         self._close_trace(pending, STATUS_OK, latency_ms)
         self._slo_record(pending.request.tenant, latency_ms, failed=late)
         if not pending.future.done():

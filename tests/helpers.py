@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 
+from repro.local import operators, sortscan, vectorized
 from repro.local.measure_table import MeasureTable
 from repro.local.sortscan import BlockEvaluator, LocalStats
 from repro.local.vectorized import VectorizedBlockEvaluator
@@ -135,6 +136,33 @@ def count_block_evaluations(monkeypatch) -> list:
 
         monkeypatch.setattr(owner, method, counting)
     return calls
+
+
+def typed(result) -> dict:
+    """(measure, region) -> (type, repr): equal exactly when every
+    value's bits and Python type are."""
+    return {
+        (name, coords): (type(value), repr(value))
+        for name, table in result.items()
+        for coords, value in table.items()
+    }
+
+
+def refuse_dict_operators(monkeypatch) -> None:
+    """Make the dict composite operators raise wherever the product
+    could call them."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the product called a dict composite operator")
+
+    for module, name in (
+        (sortscan, "compute_composite"),
+        (vectorized, "compute_composite"),
+        (sortscan, "rollup"),
+        (sortscan, "sibling_window"),
+        (operators, "rollup"),
+        (operators, "sibling_window"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
 
 
 def assert_results_match(result_set, reference, approx=1e-9):

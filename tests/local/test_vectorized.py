@@ -16,10 +16,19 @@ class TestSupportDetection:
         assert vectorized_supports(tiny_workflow)
         assert VectorizedBlockEvaluator(tiny_workflow).accelerated
 
-    def test_holistic_falls_back(self, weblog):
-        _schema, workflow, _records = weblog  # medians
+    def test_unsupported_aggregate_falls_back(self, tiny_schema):
+        builder = WorkflowBuilder(tiny_schema)
+        builder.basic(
+            "spread", over={"x": "four"}, field="v", aggregate="variance"
+        )
+        workflow = builder.build()
         assert not vectorized_supports(workflow)
         assert not VectorizedBlockEvaluator(workflow).accelerated
+
+    def test_holistic_aggregates_are_supported(self, weblog):
+        _schema, workflow, _records = weblog  # medians
+        assert vectorized_supports(workflow)
+        assert VectorizedBlockEvaluator(workflow).accelerated
 
 
 class TestEquality:

@@ -42,12 +42,12 @@ WORKLOADS = {
         generate_sales(retail_schema(), 800, seed=9),
         "typed",
     ),
-    # Weblog's basic measures are medians: no vectorized aggregate, so
-    # the evaluator never builds a batch for it.
+    # Weblog's basic measures are medians, computed on arrays like the
+    # distributive ones.
     "weblog": lambda: (
         weblog_query(weblog_schema(days=1)),
         generate_sessions(weblog_schema(days=1), 800, seed=9),
-        "scalar",
+        "batch",
     ),
     "network": lambda: (
         anomaly_query(network_schema(hours=2)),
@@ -89,10 +89,7 @@ class TestWorkloadInvariance:
         oracle = evaluate_centralized(workflow, records)
         outcome = run(workflow, records, early_aggregation=early)
         stats = outcome.columnar
-        if expected_path == "scalar":
-            assert outcome.result == oracle
-            assert stats is None
-        elif expected_path == "typed":
+        if expected_path == "typed":
             # Non-integer facts: the typed batch routes columnar, each
             # block evaluates on the scalar path, and float summation
             # order costs exactness against the centralized oracle
@@ -119,10 +116,9 @@ class TestWorkloadInvariance:
         on = run(workflow, records, early_aggregation=early)
         monkeypatch.setattr(RecordBatch, "routable", lambda self: False)
         off = run(workflow, records, early_aggregation=early)
-        if expected_path != "scalar":
-            assert on.columnar.fallback_tasks == 0
-            assert off.columnar.batch_tasks == 0
-            assert off.columnar.fallback_tasks > 0
+        assert on.columnar.fallback_tasks == 0
+        assert off.columnar.batch_tasks == 0
+        assert off.columnar.fallback_tasks > 0
         assert on.result == off.result
         assert on.response_time == off.response_time
         assert on.job.counters.__dict__ == off.job.counters.__dict__
@@ -194,31 +190,56 @@ class TestNonRoutableData:
 
 
 class TestUnsupportedAggregates:
-    def make_median_workflow(self, tiny_schema):
+    def make_workflow(self, tiny_schema, aggregate):
         builder = WorkflowBuilder(tiny_schema)
         builder.basic(
-            "mid", over={"x": "four", "t": "span"},
-            field="v", aggregate="median",
+            "stat", over={"x": "four", "t": "span"},
+            field="v", aggregate=aggregate,
         )
         return builder.build()
 
     def test_auto_mode_skips_columnar(self, tiny_schema, tiny_records):
-        workflow = self.make_median_workflow(tiny_schema)
+        # ``variance`` has no array form: the scalar mapper throughout.
+        workflow = self.make_workflow(tiny_schema, "variance")
         outcome = run(workflow, tiny_records)
         assert outcome.columnar is None
         assert outcome.result == evaluate_centralized(
             workflow, tiny_records
         )
 
-    def test_holistic_workflow_ships_record_lists(
+    def test_unsupported_workflow_ships_record_lists(
         self, tiny_schema, tiny_records
     ):
-        workflow = self.make_median_workflow(tiny_schema)
+        workflow = self.make_workflow(tiny_schema, "variance")
         result, report = MultiprocessEvaluator(processes=2).evaluate(
             workflow, tiny_records, num_partitions=4
         )
         assert result == evaluate_centralized(workflow, tiny_records)
         assert report.transport == "records"
+
+    def test_holistic_workflow_takes_columnar(self, tiny_schema, tiny_records):
+        workflow = self.make_workflow(tiny_schema, "median")
+        outcome = run(workflow, tiny_records)
+        assert outcome.columnar.batch_tasks > 0
+        assert outcome.columnar.fallback_tasks == 0
+        assert outcome.result == evaluate_centralized(
+            workflow, tiny_records
+        )
+
+    @pytest.mark.skipif(
+        not shm_available(), reason="POSIX shared memory unavailable"
+    )
+    def test_holistic_workflow_ships_shared_memory(
+        self, tiny_schema, tiny_records
+    ):
+        workflow = self.make_workflow(tiny_schema, "median")
+        with MultiprocessEvaluator(processes=2) as evaluator:
+            result, report = evaluator.evaluate(
+                workflow, tiny_records, num_partitions=4
+            )
+        assert result == evaluate_centralized(workflow, tiny_records)
+        assert report.transport == "shm"
+        assert leaked_segments() == []
 
 
 class TestChaosWithColumnar:

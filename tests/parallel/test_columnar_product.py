@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cube.batches import RecordBatch
-from repro.local import operators, sortscan, vectorized
+from repro.local import vectorized
 from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce import ClusterConfig, SimulatedCluster
 from repro.obs import Tracer
@@ -34,6 +34,8 @@ from repro.workload import (
 )
 from repro.workload.queries import ds_query
 
+from tests.helpers import refuse_dict_operators, typed
+
 PARTITIONS = 4
 
 SCHEMA = paper_schema(days=3, temporal_base="minute")
@@ -45,31 +47,6 @@ QUERIES = {
     **all_queries(SCHEMA),
     **{f"DS{fineness}": ds_query(SCHEMA, fineness) for fineness in range(3)},
 }
-
-
-def typed(result) -> dict:
-    """(measure, region) -> (type, repr): equal exactly when every
-    value's bits and Python type are."""
-    return {
-        (name, coords): (type(value), repr(value))
-        for name, table in result.items()
-        for coords, value in table.items()
-    }
-
-
-def refuse_dict_operators(monkeypatch) -> None:
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the product called a dict composite operator")
-
-    for module, name in (
-        (sortscan, "compute_composite"),
-        (vectorized, "compute_composite"),
-        (sortscan, "rollup"),
-        (sortscan, "sibling_window"),
-        (operators, "rollup"),
-        (operators, "sibling_window"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
 
 
 def worker_result(workflow, records, expressions=None):

@@ -92,9 +92,19 @@ def _streaming(_tiny_schema):
 
 
 def _weblog(_tiny_schema):
-    """Holistic aggregates: the product ships these as record lists."""
+    """Holistic aggregates, computed on arrays."""
     schema = weblog_schema(days=1)
     return weblog_query(schema), generate_sessions(schema, 300, seed=5)
+
+
+def _variance(tiny_schema):
+    """An aggregate with no array form: the product ships record lists."""
+    builder = WorkflowBuilder(tiny_schema)
+    builder.basic(
+        "spread", over={"x": "value", "t": "span"}, field="v",
+        aggregate="variance",
+    )
+    return builder.build(), _tiny_records()
 
 
 def _tiny_records(value=lambda i: 1 + i % 9):
@@ -166,6 +176,7 @@ CASES = {
     },
     "S1-S4": _streaming,
     "weblog": _weblog,
+    "variance": _variance,
     "pure-align": _pure_align,
     "string-dimension": _string_dimension,
     "float-facts": _float_facts,
@@ -325,7 +336,8 @@ class TestWorkerTasksAgainstPerBlockLoop:
         assert batch["float-facts"].matrix is None
         assert batch["huge-values"].matrix is not None
         assert not batch["huge-values"].reduction_safe()
-        assert not vectorized_supports(cases["weblog"][0])
+        assert vectorized_supports(cases["weblog"][0])
+        assert not vectorized_supports(cases["variance"][0])
 
     def test_buckets_mixing_components(
         self, cases, worker, registry, evaluate_calls, caplog

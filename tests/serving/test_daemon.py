@@ -543,6 +543,32 @@ class TestCacheFastPath:
             )
 
 
+    def test_ledger_closes_at_the_measured_latency(
+        self, batch_queries, batch_records
+    ):
+        """The ledger's total is the response's latency, to the bit: it
+        closes at the instant ``_finish`` measured, not at a later read
+        of the clock (a stall between the two would land in the
+        unattributed tail).  The clock advances on every read here."""
+        cache = MeasureCache()
+        BatchEvaluator(fresh_cluster(), cache=cache).evaluate(
+            batch_queries, batch_records
+        )
+        ticks = iter(range(1, 10**9))
+        service = _service(
+            batch_queries, batch_records, cache=cache,
+            clock=lambda: next(ticks) / 1000.0,
+        )
+        responses, _ = serve_arrivals(
+            service, _burst(sorted(batch_queries)), speed=0
+        )
+        for response in responses:
+            assert set(response.served_by) == {"cache"}
+            ledger = service.ledgers.get(response.trace_id)
+            assert ledger.closed
+            assert ledger.total_ms == response.latency_ms > 0
+
+
 def _warm_with_q2_basic(cache, batch_schema, batch_records):
     """Materialize only Q2's basic measure, under a different name."""
     builder = WorkflowBuilder(batch_schema)

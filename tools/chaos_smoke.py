@@ -15,11 +15,13 @@ arrival-layer storm (bursty arrivals, tenant floods, duplicate
 submissions): every completed answer must still be bit-identical to the
 oracle -- chaos may shed queries, never corrupt them.
 
-With ``--shm`` each seed also runs the process pool over the
-shared-memory shuffle (columnar buckets in ``/dev/shm`` segments) under
-the same fault plan, asserting both bit-identity *and* that no segment
-survives the run -- worker kills and pool rebuilds included, a leaked
-segment is a failure.
+With ``--multiprocess`` each seed also runs the process pool over
+pickled record lists (the transport of a host without POSIX shared
+memory).  With ``--shm`` it runs the pool over the shared-memory
+shuffle (columnar buckets in ``/dev/shm`` segments) under the same
+fault plan, asserting both bit-identity *and* that no segment survives
+the run -- worker kills and pool rebuilds included, a leaked segment
+is a failure.
 
 Exit status is non-zero if any run's answer deviates from the oracle.
 """
@@ -54,7 +56,8 @@ def parse_args(argv):
     parser.add_argument("--intensity", type=float, default=1.0,
                         help="chaos intensity in (0, 1]")
     parser.add_argument("--multiprocess", action="store_true",
-                        help="also run each plan on the real process pool")
+                        help="also run each plan on the real process pool, "
+                             "shipping pickled record lists")
     parser.add_argument("--serve", action="store_true",
                         help="also storm the serving daemon with "
                              "arrival-layer chaos per seed")
@@ -130,6 +133,21 @@ def serve_storm(seed: int, records, intensity: float, rate: float):
     return ok, line
 
 
+@contextlib.contextmanager
+def record_lists():
+    """Make the process pool ship pickled record lists, as it does on a
+    host without POSIX shared memory: the ``--multiprocess`` leg's
+    transport, beside ``--shm``'s."""
+    from repro.parallel import multiprocess
+
+    available = multiprocess.shm_available
+    multiprocess.shm_available = lambda: False
+    try:
+        yield
+    finally:
+        multiprocess.shm_available = available
+
+
 def phase_line(stats: dict) -> str:
     return (
         f"{stats['attempts']} attempts/{stats['tasks']} tasks, "
@@ -145,13 +163,6 @@ def main(argv=None) -> int:
     workflow = weblog_query(schema)
     records = generate_sessions(schema, args.records, seed=5)
     oracle = evaluate_centralized(workflow, records)
-    if args.shm:
-        # Weblog's medians are holistic and ship as record lists; the
-        # shm leg needs a workflow whose aggregates are all vectorized.
-        paper = paper_schema(days=1)
-        shm_workflow = all_queries(paper)["Q1"]
-        shm_records = generate_uniform(paper, args.records, seed=5)
-        shm_oracle = evaluate_centralized(shm_workflow, shm_records)
     print(
         f"chaos smoke: {args.seeds} seeds x {args.records} records on "
         f"{args.machines} machines (oracle: centralized evaluation)"
@@ -189,23 +200,8 @@ def main(argv=None) -> int:
             print(f"  map:    {phase_line(faults['map'])}")
             print(f"  reduce: {phase_line(faults['reduce'])}")
 
-            if args.multiprocess:
-                evaluator.fault_plan = plan
-                result, report = evaluator.evaluate(
-                    workflow, records, num_partitions=4
-                )
-                mp_ok = result == oracle
-                failures += not mp_ok
-                summary = report.fault_summary()
-                print(
-                    f"  mp:     {'ok' if mp_ok else 'MISMATCH'}  "
-                    f"{summary['attempts']} attempts/"
-                    f"{summary['tasks']} tasks, "
-                    f"{summary['retries']} retries, "
-                    f"{summary['pool_rebuilds']} rebuilds, "
-                    f"degraded={summary['degraded']}"
-                )
-
+            # The shm leg runs first: the pool it starts shares the
+            # driver's resource tracker, which record lists never start.
             if args.shm:
                 from repro.parallel.shm import leaked_segments, shm_available
 
@@ -215,11 +211,11 @@ def main(argv=None) -> int:
                 else:
                     evaluator.fault_plan = plan
                     result, report = evaluator.evaluate(
-                        shm_workflow, shm_records, num_partitions=4
+                        workflow, records, num_partitions=4
                     )
                     leaked = leaked_segments()
                     shm_ok = (
-                        result == shm_oracle
+                        result == oracle
                         and report.transport == "shm"
                         and not leaked
                     )
@@ -239,6 +235,24 @@ def main(argv=None) -> int:
                         f"{report.shm_bytes} shm bytes at "
                         f"{report.transport_bytes_per_second:.0f} B/s"
                     )
+
+            if args.multiprocess:
+                evaluator.fault_plan = plan
+                with record_lists():
+                    result, report = evaluator.evaluate(
+                        workflow, records, num_partitions=4
+                    )
+                mp_ok = result == oracle and report.transport == "records"
+                failures += not mp_ok
+                summary = report.fault_summary()
+                print(
+                    f"  mp:     {'ok' if mp_ok else 'MISMATCH'}  "
+                    f"{summary['attempts']} attempts/"
+                    f"{summary['tasks']} tasks, "
+                    f"{summary['retries']} retries, "
+                    f"{summary['pool_rebuilds']} rebuilds, "
+                    f"degraded={summary['degraded']}"
+                )
 
             if args.serve:
                 serve_ok, line = serve_storm(

@@ -28,9 +28,10 @@ must equal the number of groups run on the backend, whichever worker
 task ran them.
 
 With ``--append`` the smoke instead exercises **live appends**: the
-daemon serves the streaming S1-S4 suite while delta partitions are
-installed mid-stream (racing in-flight queries through the quiesce
-gate), and every patched answer must stay bit-identical to a cold
+daemon serves the streaming S1-S4 suite and the weblog M1-M4 medians
+while delta partitions are installed mid-stream (racing in-flight
+queries through the quiesce gate), and every patched S1-S4 answer and
+every re-executed M1-M4 answer must stay bit-identical to a cold
 recompute over the grown prefix with zero corrupt cache entries.
 
 No mode injects a fault, so every mode also requires zero oracle
@@ -103,6 +104,16 @@ def refuses_writes(table) -> bool:
         return False
     except TypeError:
         return True
+
+
+def typed(result) -> dict:
+    """(measure, region) -> (type, repr): equal only when every value's
+    bits and Python type are."""
+    return {
+        (name, coords): (type(value), repr(value))
+        for name, table in result.items()
+        for coords, value in table.items()
+    }
 
 
 def build_service(catalog, records, cache, machines: int, tight: bool,
@@ -237,12 +248,13 @@ def check_traces(service, responses, report, phase: str,
 def append_smoke(args, violations: list[str]) -> None:
     """Appends mid-stream must patch the cache, never corrupt it.
 
-    The daemon serves the streaming S1-S4 suite while delta partitions
-    land between (and racing with) live queries.  Every answer after
-    an append must be bit-identical to a cold recompute over the grown
-    prefix, queries admitted before an append must still answer over
-    the old dataset (never a mixed view), and the measure cache must
-    finish with zero corrupt entries.
+    The daemon serves the streaming S1-S4 suite and the weblog M1-M4
+    medians while delta partitions land between (and racing with) live
+    queries.  Every answer after an append must be bit-identical to a
+    cold recompute over the grown prefix -- S1-S4 patched, M1-M4's
+    holistic measures re-executed -- queries admitted before an append
+    must still answer over the old dataset (never a mixed view), and
+    the measure cache must finish with zero corrupt entries.
     """
     import asyncio
 
@@ -251,17 +263,19 @@ def append_smoke(args, violations: list[str]) -> None:
         session_stream,
         streaming_query,
         streaming_schema,
+        weblog_query,
     )
 
     schema = streaming_schema(days=1)
     query = streaming_query(schema)
+    weblog = weblog_query(schema)
     per_partition = max(200, args.records // 4)
     partitions = list(
         session_stream(schema, 4, per_partition, seed=args.seed)
     )
     cache = MeasureCache()
     service = QueryService(
-        {"stream": query},
+        {"stream": query, "weblog": weblog},
         partitions[0],
         cluster_factory=lambda: SimulatedCluster(
             ClusterConfig(machines=args.machines)
@@ -277,7 +291,11 @@ def append_smoke(args, violations: list[str]) -> None:
     async def body():
         await service.start()
         baseline = await service.submit(QueryRequest("stream", query))
+        weblog_baseline = await service.submit(
+            QueryRequest("weblog", weblog)
+        )
         answers = []
+        weblog_answers = []
         reports = []
         racers = []
         for delta in partitions[1:]:
@@ -295,25 +313,48 @@ def append_smoke(args, violations: list[str]) -> None:
             answers.append(
                 await service.submit(QueryRequest("stream", query))
             )
+            weblog_answers.append(
+                await service.submit(QueryRequest("weblog", weblog))
+            )
         report = await service.drain()
-        return baseline, answers, reports, racers, report
+        return (
+            baseline, weblog_baseline, answers, weblog_answers, reports,
+            racers, report,
+        )
 
-    baseline, answers, reports, racers, report = asyncio.run(body())
+    (
+        baseline, weblog_baseline, answers, weblog_answers, reports,
+        racers, report,
+    ) = asyncio.run(body())
 
     prefixes = [partitions[0]]
     for delta in partitions[1:]:
         prefixes.append(prefixes[-1] + delta)
     colds = [evaluate_centralized(query, prefix) for prefix in prefixes]
+    weblog_colds = [
+        evaluate_centralized(weblog, prefix) for prefix in prefixes
+    ]
 
     check(
         baseline.ok and baseline.result == colds[0],
         "pre-append answer matches the cold base", violations,
+    )
+    check(
+        weblog_baseline.ok and weblog_baseline.result == weblog_colds[0],
+        "pre-append weblog answer matches the cold base", violations,
     )
     for index, answer in enumerate(answers, start=1):
         check(
             answer.ok and answer.result == colds[index],
             f"answer after append {index} bit-identical to a cold "
             f"rerun over {len(prefixes[index])} records",
+            violations,
+        )
+    for index, answer in enumerate(weblog_answers, start=1):
+        check(
+            answer.ok and typed(answer.result) == typed(weblog_colds[index]),
+            f"weblog answer after append {index} bit- and type-identical "
+            f"to a cold rerun over {len(prefixes[index])} records",
             violations,
         )
     check(
