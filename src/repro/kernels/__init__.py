@@ -3,9 +3,10 @@
 The sort/scan grouping sweep, the sibling-window sweep and the
 early-aggregation partial-state fold call the functions here.  All of
 them take already-sorted inputs (``starts`` mark run starts in the
-sorted stream) and fold left-to-right (``np.ufunc.reduceat`` reduces
-sequentially, not pairwise), so integer aggregates are exact and float
-accumulations round exactly as the scalar fold does.
+sorted stream).  Integer sums and every ``min``/``max`` are exact.
+Float sums are not folded left-to-right: ``np.add.reduceat`` sums
+floats pairwise, so a float sum can differ from the scalar fold in the
+last digit; ROADMAP.md item 1 plans correctly rounded float sums.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ def segment_reduce(
 ) -> np.ndarray:
     """Reduce each ``[starts[i], starts[i+1])`` run of sorted *values*.
 
-    *op* is one of ``sum``/``min``/``max``; the reduction folds
-    left-to-right so integer results are exact and float results round
-    like the scalar fold.
+    *op* is one of ``sum``/``min``/``max``.  Integer results and every
+    ``min``/``max`` are exact; float sums are pairwise, so they can
+    round differently from a left-to-right fold (ROADMAP.md item 1).
     """
     if not len(starts):
         return np.empty(0, dtype=values.dtype)

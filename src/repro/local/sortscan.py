@@ -22,8 +22,11 @@ measure whenever the columnar operators cannot
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.cube.domains import ALL
 from repro.cube.records import Record
@@ -90,12 +93,39 @@ def is_prefix_compatible(
     return True
 
 
+@lru_cache(maxsize=None)
+def _all_orders(width: int) -> np.ndarray:
+    """Every permutation of ``range(width)``, one per row, in
+    :func:`itertools.permutations` order."""
+    orders = list(permutations(range(width)))
+    return np.array(orders, dtype=np.intp).reshape(len(orders), width)
+
+
+def _level_classes(granularity: Granularity) -> list[int]:
+    """Per attribute: 0 at the base level, 2 at ``ALL``, 1 in between."""
+    classes = []
+    for attribute, level_name in zip(
+        granularity.schema.attributes, granularity.levels
+    ):
+        if level_name == ALL:
+            classes.append(2)
+        else:
+            depth = attribute.hierarchy.level(level_name).depth
+            classes.append(0 if depth == 0 else 1)
+    return classes
+
+
 def choose_attribute_order(workflow: Workflow) -> tuple[int, ...]:
     """Pick the sort order maximizing prefix-compatible basic measures.
 
     Searches all permutations for schemas of up to ``6`` attributes
     (constant for OLAP-style schemas), otherwise orders attributes by how
-    many basic measures use them at a non-``ALL`` level.
+    many basic measures use them at a non-``ALL`` level.  The search is
+    one array expression: a granularity is prefix-compatible with an
+    order (:func:`is_prefix_compatible`) exactly when its level classes
+    (:func:`_level_classes`) never decrease along the order and hold at
+    most one partial level.  Ties go to the first order in
+    :func:`itertools.permutations` order.
     """
     schema = workflow.schema
     indices = tuple(range(len(schema.attributes)))
@@ -103,13 +133,17 @@ def choose_attribute_order(workflow: Workflow) -> tuple[int, ...]:
     if not granularities:
         return indices
 
-    def score(order: Sequence[int]) -> int:
-        return sum(
-            1 for g in granularities if is_prefix_compatible(g, order)
-        )
-
     if len(indices) <= _EXHAUSTIVE_LIMIT:
-        return max(permutations(indices), key=score)
+        orders = _all_orders(len(indices))
+        classes = np.array(
+            [_level_classes(g) for g in granularities], dtype=np.int8
+        )
+        walked = classes[:, orders]  # (granularity, order, position)
+        compatible = (np.diff(walked, axis=2) >= 0).all(axis=2) & (
+            (walked == 1).sum(axis=2) <= 1
+        )
+        best = orders[compatible.sum(axis=0).argmax()]
+        return tuple(int(index) for index in best)
 
     usage = [
         sum(1 for g in granularities if g.levels[i] != ALL) for i in indices

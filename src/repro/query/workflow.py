@@ -91,13 +91,15 @@ class Workflow:
 
     @cached_property
     def shape(self) -> tuple[str, ...]:
-        """The name-free structure: the sorted measure signatures.
+        """The name-free structure: the sorted distinct measure signatures.
 
         Two workflows with equal shapes get equal plans from the
-        optimizer at the same record and reducer counts; the shape of
-        several workflows' union is the sorted concatenation of theirs.
+        optimizer at the same record and reducer counts: a measure's
+        feasible key follows from its signature, and ``opCombine`` is
+        idempotent, so a repeated measure changes no key.  The shape of
+        several workflows' union is the sorted union of theirs.
         """
-        return tuple(sorted(measure.signature for measure in self.measures))
+        return tuple(sorted({measure.signature for measure in self.measures}))
 
     @cached_property
     def components(self) -> tuple["Workflow", ...]:

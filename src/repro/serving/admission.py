@@ -22,11 +22,14 @@ merge wins.  A group leaves the window and dispatches when:
 
 The controller is the daemon's one plan memo.  A plan depends only on
 the workflow's name-free :attr:`~repro.query.workflow.Workflow.shape`
-(its sorted measure signatures), the record count and the reducer
-count, so solo plans (:meth:`AdmissionController.solo_plan`) and
-merged plans alike are memoized by shape -- a merge's shape is the
-sorted concatenation of its members' -- and a steady stream of the
-same tenant queries prices each shape once.  The reducer count is
+(its sorted distinct measure signatures), the record count and the
+reducer count, so solo plans (:meth:`AdmissionController.solo_plan`)
+and merged plans alike are memoized by shape -- a merge's shape is the
+sorted union of its members' -- and a steady stream of the same tenant
+queries prices each shape once.  A duplicate of a member joining a
+group leaves the group's shape as it was, so it reuses the group's
+plan, and :func:`~repro.serving.groups.merge` adds none of its
+measures to the group's workflow.  The reducer count is
 fixed for the controller's lifetime; :meth:`~AdmissionController.
 set_record_count` is the one way to change the record count, and it
 clears the memo.
@@ -40,7 +43,7 @@ from typing import Callable, Optional
 
 from repro.optimizer.optimizer import Optimizer, Plan
 from repro.query.workflow import Workflow
-from repro.serving.groups import BatchUnit, ShareGroup, plan_merge
+from repro.serving.groups import BatchUnit, ShareGroup, merge, plan_merge
 
 __all__ = ["AdmissionController", "AdmissionStats", "PendingGroup"]
 
@@ -166,7 +169,9 @@ class AdmissionController:
         self, group: PendingGroup, unit: BatchUnit
     ) -> Optional[Plan]:
         """The plan for *unit* joining *group*, priced once per shape."""
-        shape = tuple(sorted(group.workflow.shape + unit.component.shape))
+        shape = tuple(
+            sorted(set(group.workflow.shape).union(unit.component.shape))
+        )
         if shape not in self._plans:
             _workflow, plan, _error = plan_merge(
                 self.optimizer, group.workflow, unit.component,
@@ -211,10 +216,7 @@ class AdmissionController:
             gain, group, plan = best
             group.units.append(unit)
             group.riders.append(member)
-            group.workflow = Workflow(
-                group.workflow.schema,
-                group.workflow.measures + unit.component.measures,
-            )
+            group.workflow = merge(group.workflow, unit.component)
             group.plan = plan
             group.misses = 0
             self.stats.merges_accepted += 1

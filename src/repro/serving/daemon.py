@@ -24,7 +24,10 @@ offered load exceeds capacity.  The life of one submitted query:
    window by the :class:`~repro.serving.admission.AdmissionController`
    looking for partners whose merged plan wins the Formula 2/4 test;
    the group dispatches when the window expires, the merge stops
-   winning, or the group is full.
+   winning, or the group is full.  A group computes each distinct
+   measure once (:func:`~repro.serving.groups.merge`); a member whose
+   measure another member already computes gets its own copy of that
+   table, counted by the ``serve.shared_measures`` telemetry counter.
 5. **Bounded queue -> workers.**  Dispatched groups wait in a
    :class:`~repro.serving.queueing.BoundedPriorityQueue` and are taken
    off it by ``limits.max_inflight`` worker tasks.  Every group runs on
@@ -1112,7 +1115,8 @@ class QueryService:
 
         # Split merged "qN/measure" tables back per member request.
         split_start = self.clock()
-        by_internal = split_by_query(result)
+        by_internal = split_by_query(group, result)
+        self.telemetry.inc("serve.shared_measures", group.shared_measures)
         for member in members:
             store_component(
                 self.cache, member.component,

@@ -9,8 +9,10 @@ over one dataset:
   basic tables (the exact tables a parallel run would produce, so the
   derivation is bit-identical) -- no shuffle;
 * each share group of ``execute`` components runs as ONE map/shuffle/
-  reduce over the merged workflow, then the merged output is split back
-  into per-query tables by the ``query/`` name prefix.
+  reduce over the merged workflow, which holds each distinct measure
+  once (:func:`~repro.serving.groups.merge`); the merged output is then
+  split back into per-query tables, each member's measures looked up
+  by signature.
 
 Those steps are the module functions :func:`load_component`,
 :func:`split_by_query` and :func:`store_component`, which ``repro
@@ -110,13 +112,30 @@ def load_component(
     return dict(result.tables)
 
 
-def split_by_query(result: ResultSet) -> dict[str, dict[str, MeasureTable]]:
-    """A merged result's ``query/measure`` tables, regrouped per query
-    under their original measure names."""
+def split_by_query(
+    group: ShareGroup, result: ResultSet
+) -> dict[str, dict[str, MeasureTable]]:
+    """*group*'s merged ``query/measure`` result, regrouped per member
+    query under the original measure names.
+
+    A measure the group's workflow holds gets its own table.  One that
+    :func:`~repro.serving.groups.merge` left out as a duplicate gets a
+    copy of the table of the measure with its signature, so no two
+    members share a table object.
+    """
+    computed: dict[str, MeasureTable] = {}
+    for measure in group.workflow.measures:
+        computed.setdefault(measure.signature, result[measure.name])
     by_query: dict[str, dict[str, MeasureTable]] = {}
-    for name, table in result.items():
-        query, _, original = name.partition(QUERY_SEPARATOR)
-        by_query.setdefault(query, {})[original] = table
+    for unit in group.units:
+        tables = by_query.setdefault(unit.query, {})
+        cut = len(unit.query) + len(QUERY_SEPARATOR)
+        for measure in unit.component.measures:
+            table = result.tables.get(measure.name)
+            if table is None:
+                table = computed[measure.signature]
+                table = MeasureTable(table.granularity, table.values)
+            tables[measure.name[cut:]] = table
     return by_query
 
 
@@ -481,7 +500,8 @@ class BatchEvaluator:
     ) -> None:
         """Route merged ``query/measure`` tables back to their queries."""
         counters = outcome.job.counters
-        for query, split in split_by_query(outcome.result).items():
+        counters.extra["batch.shared_measures"] += group.shared_measures
+        for query, split in split_by_query(group, outcome.result).items():
             tables[query].update(split)
             counters.extra[f"batch.rows.{query}"] += sum(
                 len(table) for table in split.values()

@@ -18,6 +18,15 @@ taking the pair whose merge reduces the predicted load the most, until
 no merge helps.  Every pair ever considered is recorded in a
 :class:`BatchDecision` with its loads and verdict, which is what
 ``repro explain --batch`` renders: why queries did or did not share.
+
+A group computes each distinct measure once.  :func:`merge` builds a
+group's workflow with one measure per
+:attr:`~repro.query.measures.Measure.signature`: the same dashboard
+arriving from several tenants runs once, and every member is handed
+its answers by signature.  Equal signatures compute equal tables --
+the premise the measure cache already serves hits on -- and the plan
+does not change either: a repeated measure adds no key to
+``opCombine`` and no record to the Formula 2/4 load.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "MergeDecision",
     "ShareGroup",
     "form_share_groups",
+    "merge",
     "plan_merge",
     "prefix_workflow",
 ]
@@ -66,6 +76,43 @@ def prefix_workflow(workflow: Workflow, prefix: str) -> Workflow:
     )
 
 
+def merge(first: Workflow, second: Workflow) -> Workflow:
+    """*first* plus the measures of *second* whose signature it lacks.
+
+    A measure of *second* whose signature *first* (or an earlier
+    measure of *second*) already has is left out: the measure holding
+    that signature first computes it for both.  A kept composite that
+    reads a left-out measure has its edge rewired to that measure, the
+    way :func:`prefix_workflow` rebuilds edges.  Kept measures keep
+    their names and their order.
+    """
+    canonical: dict[str, object] = {}
+    for measure in first.measures:
+        canonical.setdefault(measure.signature, measure)
+    kept: dict[str, object] = {}
+    for measure in second.topological_order():
+        if measure.signature in canonical:
+            continue
+        sources = [canonical[e.source.signature] for e in measure.inputs]
+        if any(
+            source is not edge.source
+            for source, edge in zip(sources, measure.inputs)
+        ):
+            measure = dataclasses.replace(
+                measure,
+                inputs=tuple(
+                    dataclasses.replace(edge, source=source)
+                    for source, edge in zip(sources, measure.inputs)
+                ),
+            )
+        canonical[measure.signature] = kept[measure.name] = measure
+    return Workflow(
+        first.schema,
+        first.measures
+        + tuple(kept[m.name] for m in second.measures if m.name in kept),
+    )
+
+
 def plan_merge(
     optimizer: Optimizer,
     first: Workflow,
@@ -75,12 +122,12 @@ def plan_merge(
 ) -> tuple[Optional[Workflow], Optional[Plan], str]:
     """Price co-evaluating *first* and *second* under one scheme.
 
-    Returns ``(merged workflow, its plan, "")``, or ``(None, None,
+    Returns ``(merge(first, second), its plan, "")``, or ``(None, None,
     error)`` when the two cannot share a shuffle (no common feasible
     key, or clashing measure names).
     """
     try:
-        workflow = Workflow(first.schema, first.measures + second.measures)
+        workflow = merge(first, second)
         return (
             workflow,
             optimizer.plan(workflow, n_records, num_reducers),
@@ -131,6 +178,14 @@ class ShareGroup:
             if unit.query not in seen:
                 seen.append(unit.query)
         return seen
+
+    @property
+    def shared_measures(self) -> int:
+        """Member measures answered from another measure's table: the
+        ones :func:`merge` left out of :attr:`workflow`."""
+        return sum(len(unit.component) for unit in self.units) - len(
+            self.workflow
+        )
 
     def members(self) -> list[tuple[str, list[str]]]:
         """``(query, [measure, ...])`` pairs, one per unit."""

@@ -1,5 +1,7 @@
 """Tests for the single-pass sort/scan block evaluator."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.local.sortscan import (
 )
 from repro.query.builder import WorkflowBuilder
 from repro.query.measures import WorkflowError
+from repro.workload import paper_schema
 
 from tests.helpers import assert_results_match, reference_evaluate
 
@@ -47,7 +50,48 @@ class TestPrefixCompatibility:
         assert not is_prefix_compatible(g, (0, 1))
 
 
+def _scalar_order(workflow):
+    """The per-permutation search the array expression replaces."""
+    granularities = [m.granularity for m in workflow.basic_measures()]
+    return max(
+        permutations(range(len(workflow.schema.attributes))),
+        key=lambda order: sum(
+            is_prefix_compatible(g, order) for g in granularities
+        ),
+    )
+
+
+@st.composite
+def basic_grains(draw):
+    """1-8 basic measures over the paper's six attributes, each at a
+    drawn level (base, partial or ``ALL``)."""
+    schema = paper_schema(days=2, temporal_base="minute")
+    builder = WorkflowBuilder(schema)
+    for index in range(draw(st.integers(1, 8))):
+        builder.basic(
+            f"m{index}",
+            over={
+                attribute.name: draw(
+                    st.sampled_from(
+                        [level.name for level in attribute.hierarchy.levels]
+                    )
+                )
+                for attribute in schema.attributes
+            },
+            field="a2",
+            aggregate="sum",
+        )
+    return builder.build()
+
+
 class TestAttributeOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(basic_grains())
+    def test_matches_the_scalar_search(self, workflow):
+        """Same tuple as scoring every permutation one by one, ties
+        included."""
+        assert choose_attribute_order(workflow) == _scalar_order(workflow)
+
     def test_prefers_order_covering_basics(self, tiny_schema):
         builder = WorkflowBuilder(tiny_schema)
         builder.basic(

@@ -18,7 +18,15 @@ configuration, both driven by seeded loadgen traces (bit-reproducible):
    keep answering what it admits correctly, and drain cleanly -- all
    in-flight groups finished, a valid final report, no hangs.
 
-With ``--check-traces`` both phases also run the trace plane end to
+3. **Duplicated burst.**  Several copies of every catalog query, each
+   from its own tenant, arrive at once, as the same dashboards do from
+   several tenants: share groups compute each distinct measure once,
+   so the ``serve.shared_measures`` counter must be positive, every
+   answer must match the oracle in type and bits, and each copy must
+   own its tables (writing to one answer leaves the others as they
+   were).
+
+With ``--check-traces`` phases 1 and 2 also run the trace plane end to
 end: every query gets a per-query tracer, a latency ledger, and a
 flight recorder, and the smoke asserts the tracing invariants -- one
 causally-connected tree per admitted query (zero orphans), and every
@@ -117,7 +125,7 @@ def typed(result) -> dict:
 
 
 def build_service(catalog, records, cache, machines: int, tight: bool,
-                  traced: bool = False):
+                  traced: bool = False, telemetry=None):
     limits = (
         ServiceLimits(
             admission_window_ms=15.0, max_inflight=1,
@@ -136,6 +144,8 @@ def build_service(catalog, records, cache, machines: int, tight: bool,
             "flight": FlightRecorder(),
             "telemetry": TelemetryRegistry(),
         }
+    if telemetry is not None:
+        extras["telemetry"] = telemetry
     return QueryService(
         catalog,
         records,
@@ -394,6 +404,63 @@ def append_smoke(args, violations: list[str]) -> None:
     check(report.drained, "clean drain after appends", violations)
 
 
+def duplicated_burst(args, catalog, records, oracles,
+                     violations: list[str], copies: int = 4) -> None:
+    """Phase 3: *copies* tenants send every catalog query at once."""
+    from repro.obs.telemetry import TelemetryRegistry
+    from repro.serving import Arrival
+
+    print(
+        f"phase 3: duplicated burst ({copies} tenants x "
+        f"{len(catalog)} queries at once)"
+    )
+    burst = [
+        Arrival(at=0.0, tenant=f"tenant{copy}", query=name)
+        for name in sorted(catalog)
+        for copy in range(copies)
+    ]
+    telemetry = TelemetryRegistry()
+    service = build_service(
+        catalog, records, None, args.machines, tight=False,
+        telemetry=telemetry,
+    )
+    responses, report = serve_arrivals(service, burst, speed=0)
+    shared = telemetry.counters.get("serve.shared_measures", 0)
+    print(
+        f"  {len(burst)} arrivals: {report.completed} completed, "
+        f"{report.groups_dispatched} groups, {shared} measures answered "
+        "from another member's computation"
+    )
+    check(
+        report.completed == len(burst) and report.fallbacks == 0,
+        "every copy answered on the backend", violations,
+    )
+    check(shared > 0, "serve.shared_measures is positive", violations)
+    expected = {name: typed(oracle) for name, oracle in oracles.items()}
+    check(
+        all(
+            r.ok and typed(r.result) == expected[r.name] for r in responses
+        ),
+        f"all {len(responses)} answers type- and bit-identical to the "
+        "oracle",
+        violations,
+    )
+    if responses[0].ok:
+        for table in responses[0].result.tables.values():
+            for coords in list(table.coords())[:1]:
+                table[coords] = "overwritten"
+    check(
+        all(
+            typed(r.result) == expected[r.name]
+            for r in responses[1:]
+            if r.ok
+        ),
+        "writing to one answer leaves every other answer unchanged",
+        violations,
+    )
+    check(report.drained, "clean drain after the burst", violations)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.append:
@@ -586,6 +653,8 @@ def main(argv=None) -> int:
         check_traces(
             service, responses, report, "overload traces", violations
         )
+
+    duplicated_burst(args, catalog, records, oracles, violations)
 
     if violations:
         print(f"FAILED: {len(violations)} invariant(s) violated")
