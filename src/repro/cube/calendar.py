@@ -6,7 +6,7 @@ window spans at most two months and a sixty-day window at most three.
 Months do not have a fixed fanout over days, so :class:`UniformHierarchy`
 cannot express them; :class:`IrregularHierarchy` supports levels whose
 buckets have varying sizes, with the conservative range conversion the
-paper sketches:
+paper outlines:
 
 * converting an offset of ``k`` fine units up to a coarse level uses the
   *smallest* coarse bucket: ``k`` fine units cross at most

@@ -9,7 +9,7 @@ Workflows round-trip through three representations:
 * the in-memory :class:`~repro.query.workflow.Workflow` itself.
 
 Aggregate functions serialize by registry name, so parameterized ones
-(quantiles, sketches) must have been instantiated in the target process
+(exact quantiles) must have been instantiated in the target process
 before loading.  Combine expressions serialize by name and resolve
 against the parser's built-ins plus a user-supplied mapping; anonymous
 lambdas are rejected at save time rather than silently dropped.

@@ -18,14 +18,14 @@ Supported basic aggregates: ``sum``, ``count``, ``min``, ``max``,
 (:func:`~repro.query.functions.quantile_function`) and
 ``count_distinct``.  The holistic ones order every group's values with
 one lexsort by (group, value) and read each statistic off the run
-boundaries.  Other functions (``variance``, ``stddev``, the sketches of
-:mod:`repro.query.sketches`) make :func:`vectorized_supports` return
-``False``, and non-integer or overflow-prone record values are
-detected per block; in both cases :class:`VectorizedBlockEvaluator`
-falls back to the scalar :class:`~repro.local.sortscan.BlockEvaluator`
-automatically.  A composite measure whose arrays could not match the
-dict operators exactly (see :mod:`repro.local.columnar` for the gates)
-falls back alone.
+boundaries.  Other functions (``variance``, ``stddev``) make
+:func:`vectorized_supports` return ``False``, and non-integer or
+overflow-prone record values are detected per block; in both cases
+:class:`VectorizedBlockEvaluator` falls back to the scalar
+:class:`~repro.local.sortscan.BlockEvaluator` automatically.  A
+composite measure whose arrays could not match the dict operators
+exactly (see :mod:`repro.local.columnar` for the gates) falls back
+alone.
 
 Results are bit- and type-identical to the scalar path, which the test
 suite asserts.

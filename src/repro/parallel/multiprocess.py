@@ -56,7 +56,7 @@ filters only for a key it has not kept among its last
 evaluation, not set-up.  Measures must therefore use registry
 aggregates and *named*, picklable combine expressions; anonymous
 lambdas cannot cross process boundaries.  Parameterized aggregates
-(quantiles, sketches) re-register themselves in each worker through the
+(exact quantiles) re-register themselves in each worker through the
 factory list, once per install.
 
 The result is bit-identical to :func:`repro.local.evaluate_centralized`
@@ -563,7 +563,7 @@ class MultiprocessEvaluator:
         expressions: Named combine expressions needed to rebuild the
             workflow in workers (beyond the built-ins).
         function_factories: For parameterized registry aggregates
-            (quantiles, sketches), ``("module.factory", (args,))`` pairs
+            (exact quantiles), ``("module.factory", (args,))`` pairs
             re-run in every worker so lookups by name succeed there.
         retry_policy: Retry/backoff/speculation knobs (wall-clock
             semantics); defaults to :class:`~repro.faults.RetryPolicy`.

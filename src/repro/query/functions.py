@@ -3,8 +3,8 @@
 Gray et al.'s taxonomy matters operationally here (Section III-D of the
 paper): *distributive* and *algebraic* functions admit partial
 aggregation, which enables the early-aggregation optimization in the
-mappers; *holistic* functions (median, exact quantiles, distinct counts
-without sketches) do not.
+mappers; *holistic* functions (median, exact quantiles, distinct counts)
+do not.
 
 Every function follows a fold/merge/finalize protocol:
 

@@ -67,24 +67,30 @@ class TestMultiprocess:
         assert report.partitions == 3
 
     def test_parameterized_aggregate_via_factory(self, tiny_schema,
-                                                 tiny_records):
-        from repro.query.sketches import approx_count_distinct
+                                                 tiny_records,
+                                                 tiny_workflow):
+        """The factory list, not fork inheritance, gives workers the
+        aggregate: the pool starts before the driver registers it."""
+        from repro.query.functions import quantile_function
 
-        approx_count_distinct(precision=8)  # register in the driver
-        builder = WorkflowBuilder(tiny_schema)
-        builder.basic(
-            "uniques", over={"x": "four"}, field="v",
-            aggregate="approx_count_distinct_8",
-        )
-        workflow = builder.build()
-        evaluator = MultiprocessEvaluator(
+        with MultiprocessEvaluator(
             processes=2,
             function_factories=[
-                ("repro.query.sketches.approx_count_distinct", (8,)),
+                ("repro.query.functions.quantile_function", (0.37,)),
             ],
-        )
-        result, _report = evaluator.evaluate(workflow, tiny_records)
+        ) as evaluator:
+            evaluator.evaluate(tiny_workflow, tiny_records)  # start the pool
+            builder = WorkflowBuilder(tiny_schema)
+            builder.basic(
+                "q37", over={"x": "four"}, field="v",
+                aggregate=quantile_function(0.37),
+            )
+            workflow = builder.build()
+            result, report = evaluator.evaluate(workflow, tiny_records)
         assert result == evaluate_centralized(workflow, tiny_records)
+        summary = report.fault_summary()
+        assert not summary["degraded"]
+        assert summary["retries"] == 0
 
 
 class TestComponentOrderRobustness:

@@ -21,7 +21,9 @@ memory).  With ``--shm`` it runs the pool over the shared-memory
 shuffle (columnar buckets in ``/dev/shm`` segments) under the same
 fault plan, asserting both bit-identity *and* that no segment survives
 the run -- worker kills and pool rebuilds included, a leaked segment
-is a failure.
+is a failure.  A random plan seldom kills a worker, so both process
+legs also pin one kill per seed (attempt 0 of task ``seed % 4``) and
+require the pool to have been rebuilt at least once.
 
 Exit status is non-zero if any run's answer deviates from the oracle.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 import time
 
@@ -187,6 +190,7 @@ def main(argv=None) -> int:
             plan = FaultPlan.random(
                 seed, args.machines, intensity=args.intensity
             )
+            killing = dataclasses.replace(plan, kill_attempts=((seed % 4, 0),))
             cluster = SimulatedCluster(ClusterConfig(machines=args.machines))
             cluster.install_faults(plan)
             started = time.perf_counter()
@@ -209,22 +213,21 @@ def main(argv=None) -> int:
                     print("  shm:    skipped (POSIX shared memory "
                           "unavailable)")
                 else:
-                    evaluator.fault_plan = plan
+                    evaluator.fault_plan = killing
                     result, report = evaluator.evaluate(
                         workflow, records, num_partitions=4
                     )
                     leaked = leaked_segments()
-                    shm_ok = (
-                        result == oracle
-                        and report.transport == "shm"
-                        and not leaked
-                    )
-                    failures += not shm_ok
                     summary = report.fault_summary()
-                    verdict = "ok" if shm_ok else (
-                        "LEAKED " + ", ".join(leaked)
-                        if leaked
-                        else "MISMATCH"
+                    matched = result == oracle and report.transport == "shm"
+                    killed = summary["pool_rebuilds"] >= 1
+                    shm_ok = matched and killed and not leaked
+                    failures += not shm_ok
+                    verdict = (
+                        "LEAKED " + ", ".join(leaked) if leaked
+                        else "MISMATCH" if not matched
+                        else "NO KILL" if not killed
+                        else "ok"
                     )
                     print(
                         f"  shm:    {verdict}  "
@@ -237,16 +240,22 @@ def main(argv=None) -> int:
                     )
 
             if args.multiprocess:
-                evaluator.fault_plan = plan
+                evaluator.fault_plan = killing
                 with record_lists():
                     result, report = evaluator.evaluate(
                         workflow, records, num_partitions=4
                     )
-                mp_ok = result == oracle and report.transport == "records"
-                failures += not mp_ok
                 summary = report.fault_summary()
+                matched = result == oracle and report.transport == "records"
+                killed = summary["pool_rebuilds"] >= 1
+                failures += not (matched and killed)
+                verdict = (
+                    "MISMATCH" if not matched
+                    else "NO KILL" if not killed
+                    else "ok"
+                )
                 print(
-                    f"  mp:     {'ok' if mp_ok else 'MISMATCH'}  "
+                    f"  mp:     {verdict}  "
                     f"{summary['attempts']} attempts/"
                     f"{summary['tasks']} tasks, "
                     f"{summary['retries']} retries, "
@@ -262,7 +271,8 @@ def main(argv=None) -> int:
                 print(f"  serve:  {'ok' if serve_ok else 'MISMATCH'}  {line}")
 
     if failures:
-        print(f"FAILED: {failures} run(s) deviated from the oracle")
+        print(f"FAILED: {failures} run(s) deviated from the oracle, "
+              "leaked a segment or killed no worker")
         return 1
     print("all runs matched the centralized oracle")
     return 0
