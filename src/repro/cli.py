@@ -259,6 +259,17 @@ def _build_cluster(args) -> SimulatedCluster:
     return cluster
 
 
+def _check_early_aggregation(args, workflow) -> None:
+    """Refuse ``--early-aggregation`` on a workflow that cannot take it."""
+    if args.early_aggregation and not workflow.supports_early_aggregation():
+        raise SystemExit(
+            f"error: --early-aggregation: {args.query} does not support "
+            "early aggregation (every basic measure must be distributive "
+            "or algebraic, and every parent/child-only composite needs a "
+            "finer basic measure in its component)"
+        )
+
+
 def _evaluate_or_die(evaluator, workflow, records, cluster):
     """Evaluate, turning unrecoverable failures into actionable errors."""
     try:
@@ -526,6 +537,8 @@ def _cmd_run(args) -> int:
         raise SystemExit("--records must be non-negative")
     schema = _build_schema(args.schema, args.days)
     workflow = _load_workflow(args.query, schema)
+    if not args.naive:
+        _check_early_aggregation(args, workflow)
     records = _generate_records(
         args.schema, schema, args.records, args.seed, args.skew
     )
@@ -1141,6 +1154,7 @@ def _cmd_trace(args) -> int:
         raise SystemExit("--records must be non-negative")
     schema = _build_schema(args.schema, args.days)
     workflow = _load_workflow(args.query, schema)
+    _check_early_aggregation(args, workflow)
     records = _generate_records(
         args.schema, schema, args.records, args.seed, args.skew
     )

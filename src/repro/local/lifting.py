@@ -26,13 +26,12 @@ states, merged into lifted basic tables, for its scalar half.
 from __future__ import annotations
 
 import sys
-from itertools import compress, repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import kernels
-from repro.cube.batches import Column, RecordBatch, row_tuples
+from repro.cube.batches import Column, RecordBatch
 from repro.cube.domains import UniformHierarchy
 from repro.cube.records import Attribute, Schema
 from repro.cube.regions import Granularity
@@ -141,9 +140,11 @@ def unlift_outputs(
 
     *result* is what :meth:`VectorizedBlockEvaluator.evaluate_columns`
     returns: one :class:`~repro.local.columnar.ColumnTable` per measure,
-    or a :class:`ResultSet` from the scalar half.  Each
-    ``(measure, region, value)`` row loses its leading ordinal.
-    *filters* maps measure names to
+    or a :class:`ResultSet` from the scalar half.  Each measure becomes
+    one ``(measure, regions, values)`` chunk whose regions lost their
+    leading ordinal: an int matrix and a values array from the arrays,
+    lists of region tuples and values from the scalar half (see
+    :func:`output_rows`).  *filters* maps measure names to
     :meth:`~repro.distribution.clustering.BlockScheme.make_result_filter`
     filters, or is ``None`` for a key with no annotated component,
     under which every block owns all it computes.  Otherwise a row
@@ -157,31 +158,38 @@ def unlift_outputs(
         return _unlift_tables(result, filters, block_key, num_blocks, outputs)
     rows = np.zeros(num_blocks, dtype=np.int64)
     block_keys = None
-    # Measures with equal coordinates share one list of region tuples.
-    regions: list[tuple[np.ndarray, list]] = []
+    # Measures with equal coordinates and equal ownership masks share
+    # one region matrix, so the union builds their tuples once.
+    shared: list[tuple[np.ndarray, Optional[np.ndarray], np.ndarray]] = []
     for name, table in result.items():
         coords = table.coords
         ordinals = coords[:, 0]
         rows += np.bincount(ordinals, minlength=num_blocks)
-        for seen, tuples in regions:
-            if seen is coords or (
-                seen.shape == coords.shape and np.array_equal(seen, coords)
-            ):
-                break
-        else:
-            tuples = row_tuples(coords[:, 1:])
-            regions.append((coords, tuples))
-        values = table.values.tolist()
+        keep = None
         if filters is not None and len(ordinals):
             if block_keys is None:
                 block_keys = [block_key(ordinal) for ordinal in range(num_blocks)]
             keep = filters[name].mask(block_keys, ordinals, coords[:, 1:])
-            if not keep.all():
-                kept = keep.tolist()
-                tuples = compress(tuples, kept)
-                values = compress(values, kept)
-        outputs.extend(zip(repeat(name), tuples, values))
+            if keep.all():
+                keep = None
+        for seen, seen_keep, regions in shared:
+            if _same(seen, coords) and _same(seen_keep, keep):
+                break
+        else:
+            regions = coords[:, 1:] if keep is None else coords[keep, 1:]
+            shared.append((coords, keep, regions))
+        values = table.values if keep is None else table.values[keep]
+        outputs.append((name, regions, values))
     return rows.tolist()
+
+
+def _same(first: Optional[np.ndarray], second: Optional[np.ndarray]) -> bool:
+    """Whether two optional arrays are equal; ``None`` equals only itself."""
+    return first is second or (
+        first is not None
+        and second is not None
+        and np.array_equal(first, second)
+    )
 
 
 def _unlift_tables(
@@ -197,6 +205,8 @@ def _unlift_tables(
     for name, table in result.items():
         filter_for = None if filters is None else filters[name]
         keeps: dict = {}
+        kept_regions: list = []
+        kept_values: list = []
         for coords, value in table.items():
             ordinal = coords[0]
             rows[ordinal] += 1
@@ -209,8 +219,19 @@ def _unlift_tables(
                     keep = keeps[ordinal] = filter_for(block_key(ordinal))
                 if not keep(region):
                     continue
-            outputs.append((name, region, value))
+            kept_regions.append(region)
+            kept_values.append(value)
+        outputs.append((name, kept_regions, kept_values))
     return rows
+
+
+def output_rows(chunks) -> int:
+    """How many ``(measure, region, value)`` rows *chunks* stand for.
+
+    A chunk is ``(measure, regions, values)``: an int region matrix and
+    a values array, or a list of region tuples and a list of values,
+    one row per entry."""
+    return sum(len(values) for _name, _regions, values in chunks)
 
 
 def evaluate_bucket(
@@ -239,8 +260,9 @@ def evaluate_bucket(
     ``basic_tables(c, lists)`` turns component ``c``'s lists into its
     lifted basic tables for the scalar half.  Components run in
     ascending index order through ``evaluators[c]`` (as built by
-    :func:`vectorized_bucket_evaluator`), their rows unlifted into
-    *outputs* through ``filters[c]`` (see :func:`unlift_outputs`);
+    :func:`vectorized_bucket_evaluator`), their results unlifted into
+    *outputs*, one chunk per measure, through ``filters[c]`` (see
+    :func:`unlift_outputs`);
     *check* runs before each component and may raise to stop the
     bucket, and *stats* collects the local work counters.
 

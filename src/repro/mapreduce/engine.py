@@ -116,17 +116,21 @@ class BlockRows:
     def split(
         self, partitioner: Callable, num_reducers: int
     ) -> list[tuple[int, "BlockRows"]]:
-        """These rows split by reducer, one *partitioner* call per
-        block on its plain-int key: each reducer that gets a block gets
-        ``(reducer, its blocks)``, ascending by reducer, blocks still in
-        key order."""
+        """These rows split by reducer: each reducer that gets a block
+        gets ``(reducer, its blocks)``, ascending by reducer, blocks
+        still in key order.  :func:`default_partitioner` runs on the key
+        matrix at once (:func:`hash_matrix`); any other *partitioner* is
+        called once per block on its plain-int key."""
         if not len(self.keys):
             return []
-        parts = np.fromiter(
-            (partitioner(key, num_reducers) for key in self.keys),
-            dtype=np.int64,
-            count=len(self.keys),
-        )
+        if partitioner is default_partitioner:
+            parts = hash_matrix(self.key_matrix) % num_reducers
+        else:
+            parts = np.fromiter(
+                (partitioner(key, num_reducers) for key in self.keys),
+                dtype=np.int64,
+                count=len(self.keys),
+            )
         order = np.argsort(parts, kind="stable")
         counts = self.counts[order]
         rows = self.rows[kernels.take_blocks(self.counts, order)]
@@ -280,6 +284,76 @@ def stable_hash(key) -> int:
     return zlib.crc32(repr(key).encode())
 
 
+def _crc_table() -> np.ndarray:
+    """zlib's CRC-32 step of every byte value (reflected, ``0xEDB88320``)."""
+    table = np.arange(256, dtype=np.uint64)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ 0xEDB88320, table >> 1)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+
+#: ``_CRC_TABLE[x ^ ord("0")]``: a step on ``digit`` rather than its
+#: ASCII byte.
+_DIGIT_TABLE = _CRC_TABLE[np.arange(256) ^ ord("0")]
+
+#: ``10**0 .. 10**19``: the decimal digit weights of an int64.
+_POWERS = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _crc_bytes(crc: np.ndarray, data: bytes) -> np.ndarray:
+    """*crc* after feeding every row the same bytes."""
+    for byte in data:
+        crc = _CRC_TABLE[(crc & 0xFF) ^ byte] ^ (crc >> 8)
+    return crc
+
+
+def hash_matrix(key_matrix: np.ndarray) -> np.ndarray:
+    """:func:`stable_hash` of every row of an int64 key matrix, as the
+    plain-int tuple the row stands for.
+
+    One table-driven CRC-32 step per byte position of ``repr(row)``
+    (``(``, each value's decimal digits, ``, `` between values, ``,``
+    after a lone value, ``)``) runs over all rows at once; a row whose
+    value has fewer digits skips the positions it lacks.  Until the
+    first column whose value varies, every row shares one state.  Rows
+    holding a negative value are hashed one at a time.
+    """
+    keys = np.asarray(key_matrix, dtype=np.int64)
+    count, width = keys.shape
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    negative = (keys < 0).any(axis=1)
+    crc = np.full(1, 0xFFFFFFFF, dtype=np.uint64)
+    pending = b"("  # bytes every row feeds next
+    for column in range(width):
+        if column:
+            pending += b", "
+        values = np.maximum(keys[:, column], 0).astype(np.uint64)
+        low, high = int(values.min()), int(values.max())
+        if low == high:
+            pending += str(low).encode()
+            continue
+        crc, pending = _crc_bytes(crc, pending), b""
+        digits = np.maximum(1, np.searchsorted(_POWERS, values, "right"))
+        widest = len(str(high))
+        # Left-aligned: digit p of every row sits at the same weight.
+        aligned = values * _POWERS[widest - digits]
+        ragged = len(str(low)) < widest
+        for position in range(widest):
+            digit = aligned // _POWERS[widest - 1 - position] % 10
+            step = _DIGIT_TABLE[(crc ^ digit) & 0xFF] ^ (crc >> 8)
+            crc = np.where(digits > position, step, crc) if ragged else step
+    pending += b",)" if width == 1 else b")"
+    crc = _crc_bytes(crc, pending) ^ 0xFFFFFFFF
+    hashes = np.broadcast_to(crc.astype(np.int64), (count,)).copy()
+    if negative.any():
+        rows = np.flatnonzero(negative)
+        hashes[rows] = [stable_hash(tuple(row)) for row in keys[rows].tolist()]
+    return hashes
+
+
 def _account_fault_stats(counters: JobCounters, stats: PhaseFaultStats) -> None:
     """Fold one phase's attempt accounting into the job counters."""
     counters.task_retries += stats.retries
@@ -341,6 +415,8 @@ class MapReduceJob:
         combined_sort: Model Section III-D's combined framework/local
             sort: group re-sorts become free, the framework sort pays a
             slightly wider key.
+        output_rows: How many output records the job's output list
+            stands for; ``len`` unless the reduce side emits batches.
         name: Label used in reports.
     """
 
@@ -354,6 +430,7 @@ class MapReduceJob:
     record_bytes: int = 64
     value_bytes: Optional[Callable] = None
     combined_sort: bool = False
+    output_rows: Callable[[list], int] = len
     name: str = "job"
 
     def __post_init__(self):
@@ -635,7 +712,7 @@ class MapReduceJob:
                     evaluate.append(durations[3] * retry)
                     loads.append(durations[4])
                 counters.shuffle_bytes = counters.map_output_bytes
-                counters.reduce_output_records = len(outputs)
+                counters.reduce_output_records = self.output_rows(outputs)
 
                 reduce_stats = None
                 if chaos:

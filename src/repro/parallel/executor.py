@@ -38,9 +38,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cube.batches import RecordBatch
+from repro.cube.batches import RecordBatch, row_tuples
 from repro.cube.records import Record, estimated_record_bytes
-from repro.local.lifting import evaluate_bucket, vectorized_bucket_evaluator
+from repro.local.lifting import (
+    evaluate_bucket,
+    output_rows,
+    vectorized_bucket_evaluator,
+)
 from repro.local.measure_table import MeasureTable, ResultSet
 from repro.local.sortscan import LocalStats
 from repro.local.vectorized import (
@@ -571,6 +575,7 @@ class ParallelEvaluator:
                 record_bytes=record_bytes,
                 value_bytes=_value_bytes(record_bytes),
                 combined_sort=self.config.combined_sort,
+                output_rows=output_rows,
                 name="composite-query",
             )
             logger.info(
@@ -749,34 +754,54 @@ def _value_bytes(record_bytes: int):
     return size
 
 
-def union_outputs(workflow: Workflow, outputs) -> ResultSet:
-    """Union the reduce tasks' ``(measure, coords, value)`` rows.
+def union_outputs(workflow: Workflow, chunks) -> ResultSet:
+    """Union the reduce tasks' ``(measure, regions, values)`` chunks.
 
     Fails loudly on any duplicated region -- the invariant a feasible
     distribution scheme guarantees.  Shared by both backends: each
-    gathers one row list per reduce task, every row already filtered to
-    the region its block owns.  Rows go straight into the tables; a
-    duplicate shows as fewer regions than rows, and only then are the
-    rows walked again to name the first one.
+    gathers one chunk list per reduce task, every row already filtered
+    to the region its block owns (see
+    :func:`~repro.local.lifting.unlift_outputs`).  Each chunk goes into
+    its table with one ``update(zip(...))``; chunks holding the same
+    region matrix share one list of region tuples.  A duplicate shows
+    as fewer regions than rows, and only then are the chunks walked
+    again, row by row, to name the first one.
     """
-    rows = outputs if isinstance(outputs, list) else list(outputs)
+    chunks = chunks if isinstance(chunks, list) else list(chunks)
     tables = {
         measure.name: MeasureTable(measure.granularity)
         for measure in workflow.measures
     }
     sinks = {name: table.values for name, table in tables.items()}
-    for name, coords, value in rows:
-        sinks[name][coords] = value
-    if sum(map(len, sinks.values())) != len(rows):
+    # id(region matrix) -> (the matrix, its row tuples).
+    shared: dict[int, tuple] = {}
+
+    def rows_of(chunk) -> tuple[list, list]:
+        _name, regions, values = chunk
+        if not isinstance(regions, np.ndarray):
+            return regions, values
+        entry = shared.get(id(regions))
+        if entry is None:
+            entry = shared[id(regions)] = (regions, row_tuples(regions))
+        return entry[1], values.tolist()
+
+    total = 0
+    for chunk in chunks:
+        regions, values = rows_of(chunk)
+        sinks[chunk[0]].update(zip(regions, values))
+        total += len(values)
+    if sum(map(len, sinks.values())) != total:
         seen: set = set()
-        for name, coords, _value in rows:
-            if (name, coords) in seen:
-                raise DuplicateResultError(
-                    f"measure {name!r} produced region {coords!r} from two "
-                    "different blocks; the distribution scheme is not "
-                    "feasible"
-                )
-            seen.add((name, coords))
+        for chunk in chunks:
+            name = chunk[0]
+            for coords in rows_of(chunk)[0]:
+                if (name, coords) in seen:
+                    raise DuplicateResultError(
+                        f"measure {name!r} produced region {coords!r} from "
+                        "two different blocks; the distribution scheme is "
+                        "not feasible"
+                    )
+                seen.add((name, coords))
     return ResultSet(tables)
 
 

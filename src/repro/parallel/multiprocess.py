@@ -7,12 +7,16 @@ same plan -- feasible key, clustering factor, one local sort/scan per
 bucket, owned-region filtering -- executed across real OS processes
 with :mod:`concurrent.futures`.
 
-Each gather task carries one reducer bucket of blocks.  A worker
-evaluates all of a component's blocks in the bucket with one call of a
-lifted evaluator (:mod:`repro.local.lifting`): every record is tagged
-with its block's ordinal in the bucket, which leads the sort key and is
-a coordinate of every region, so the paper's composite-key sort
-(Section III-D) keeps the blocks apart.
+Each gather task carries one reducer bucket of blocks, and by default
+there is one bucket per worker process.  A worker evaluates all of a
+component's blocks in the bucket with one call of a lifted evaluator
+(:mod:`repro.local.lifting`): every record is tagged with its block's
+ordinal in the bucket, which leads the sort key and is a coordinate of
+every region, so the paper's composite-key sort (Section III-D) keeps
+the blocks apart.  Over shared memory the driver writes the batch and
+every bucket's block arrays into one segment per evaluation
+(:mod:`repro.parallel.shm`); a worker replies with per-measure region
+matrices and value arrays, which the driver unions into the result.
 
 Unlike a plain ``pool.map``, the gather side survives real failures the
 way a MapReduce master does:
@@ -92,8 +96,6 @@ from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.cube.batches import (
     RecordBatch,
     estimated_pickle_bytes,
@@ -103,7 +105,7 @@ from repro.cube.records import Record, Schema
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
-from repro.local.lifting import evaluate_bucket
+from repro.local.lifting import evaluate_bucket, output_rows
 from repro.local.measure_table import ResultSet
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
@@ -307,7 +309,9 @@ def _reduce_bucket(bucket) -> list:
 
     A record-list bucket's blocks are evaluated per component in one
     call of the component's lifted scalar evaluator
-    (:func:`~repro.local.lifting.evaluate_bucket`).
+    (:func:`~repro.local.lifting.evaluate_bucket`).  Returns the
+    bucket's ``(measure, regions, values)`` chunks, arrays where the
+    evaluator produced arrays, so the reply pickles arrays, not rows.
     """
     if isinstance(bucket, ShmBucket):
         return _reduce_shm_bucket(bucket)
@@ -335,17 +339,17 @@ def _evaluate_shm_view(view) -> list:
     dead and the caller's ``close()`` can actually unmap the segment.
     """
     keys, counts, indices = view.block_arrays()
-    rows: list = []
+    chunks: list = []
     evaluate_bucket(
         _WORKER["evaluators"],
         _WORKER["filters"],
         row_tuples(keys),
         counts,
         view.batch(_WORKER["schema"]),
-        rows,
+        chunks,
         indices=indices,
     )
-    return rows
+    return chunks
 
 
 def _reduce_shm_bucket(bucket: ShmBucket) -> list:
@@ -414,7 +418,8 @@ def _run_task(
     """One task attempt inside a worker: inject chaos, then evaluate.
 
     *install* is ``(key, payload)`` and *scope* ``(evaluation,
-    channel)`` (see :func:`_use_install` and :func:`_enter_scope`)."""
+    channel)`` (see :func:`_use_install` and :func:`_enter_scope`).
+    Returns the task and its chunks (see :func:`_reduce_bucket`)."""
     _use_install(*install)
     _enter_scope(*scope)
     tracing = _WORKER.get("trace_ctx") is not None
@@ -422,7 +427,7 @@ def _run_task(
     try:
         if plan is not None:
             apply_chaos(plan, task, attempt)
-        rows = _reduce_bucket(bucket)
+        chunks = _reduce_bucket(bucket)
     except BaseException as exc:
         # A failed attempt still leaves a span behind -- best effort:
         # the flush may not land before the process dies, but a chaos
@@ -431,8 +436,9 @@ def _run_task(
             _record_task_span(task, attempt, started, error=repr(exc))
             _flush_worker_telemetry()
         raise
+    rows = output_rows(chunks)
     if tracing:
-        _record_task_span(task, attempt, started, rows=len(rows))
+        _record_task_span(task, attempt, started, rows=rows)
     counters = _WORKER.get("telemetry_counters")
     if _WORKER.get("telemetry_queue") is not None:
         finished = _WORKER["telemetry_tasks"]
@@ -440,14 +446,14 @@ def _run_task(
         if counters is not None and key not in finished:
             share = {
                 "tasks": 1,
-                "rows": len(rows),
+                "rows": rows,
                 "blocks": _bucket_block_count(bucket),
             }
             for name, value in share.items():
                 counters[name] += value
             finished[key] = share
         _flush_worker_telemetry()
-    return task, rows
+    return task, chunks
 
 
 @dataclass
@@ -526,7 +532,7 @@ class _TaskState:
     next_attempt: int = 0
     inflight: int = 0
     done: bool = False
-    rows: Optional[list] = None
+    chunks: Optional[list] = None
 
 
 class _Pool:
@@ -593,6 +599,12 @@ class MultiprocessEvaluator:
     the platform has POSIX shared memory; otherwise as pickled record
     lists.  :attr:`MultiprocessReport.transport` says which.
 
+    An evaluation hash-partitions its blocks into one bucket per worker
+    process unless :meth:`evaluate` is given ``num_partitions``; the
+    plan is made for that many reducers.  More, smaller buckets would
+    balance skew better, but at the sizes measured each extra task
+    cost more in dispatch and reply than it bought.
+
     The worker pool starts in the first :meth:`evaluate` and serves
     every later one; :meth:`close` (or leaving a ``with`` block) shuts
     it down, as do garbage collection and interpreter exit.
@@ -623,7 +635,9 @@ class MultiprocessEvaluator:
         # One evaluation at a time on the pool: a worker's telemetry
         # scope follows the evaluation of its latest task.
         self._pool_lock = threading.Lock()
-        weakref.finalize(self, self._pool.close)
+        # Without waiting: collection may run in any thread, and joining
+        # the pool from there can block on that very thread.
+        weakref.finalize(self, self._pool.close, False)
 
     def close(self) -> None:
         """Shut the worker pool down; a later :meth:`evaluate` starts a
@@ -647,6 +661,10 @@ class MultiprocessEvaluator:
     ) -> tuple[ResultSet, MultiprocessReport]:
         """Run the one-round plan over *records* with real processes.
 
+        *num_partitions* is the number of buckets (gather tasks) and of
+        reducers the plan is made for; it defaults to
+        :attr:`processes`, one bucket per worker.
+
         *cancel* (a :class:`repro.parallel.cancel.CancellationToken`)
         is checked before the scatter and on every poll of the gather
         loop; a tripped token abandons the outstanding attempts (worker
@@ -663,7 +681,7 @@ class MultiprocessEvaluator:
         if cancel is not None:
             cancel.check()
         records = list(records)
-        partitions = num_partitions or self.processes * 4
+        partitions = num_partitions or self.processes
         sample = None
         if self.optimizer.config.use_sampling:
             from repro.optimizer.skew import sample_records
@@ -774,13 +792,6 @@ class MultiprocessEvaluator:
             "mp.transport_bytes_per_s", report.transport_bytes_per_second
         )
 
-        def release_bucket(bucket) -> None:
-            # Eager reclamation: the moment a task's result is in, its
-            # segment can go -- Linux keeps the memory alive for any
-            # straggling duplicate that already mapped it.
-            if registry is not None and isinstance(bucket, ShmBucket):
-                registry.release(bucket.segment)
-
         try:
             # Worker task spans are children of this span, so they
             # attach however the gather ends below.
@@ -796,7 +807,7 @@ class MultiprocessEvaluator:
                         exec_span.context().to_wire() if tracing else None,
                     ))
                 try:
-                    row_lists = self._gather_resilient(
+                    chunk_lists = self._gather_resilient(
                         work,
                         _install_payload(
                             workflow, plan, self.expressions,
@@ -806,7 +817,6 @@ class MultiprocessEvaluator:
                         report,
                         telemetry_queue=telemetry_queue,
                         cancel=cancel,
-                        release=release_bucket,
                         exec_span=exec_span,
                         collector=collector,
                     )
@@ -817,7 +827,7 @@ class MultiprocessEvaluator:
                         in self.telemetry.worker_totals().items()
                         if worker.endswith(f"@{evaluation}")
                     }
-                    if row_lists is None:
+                    if chunk_lists is None:
                         # Graceful degradation: some task exhausted its
                         # retry budget.  The centralized oracle computes
                         # the same answer -- we lose the speedup, never
@@ -841,9 +851,10 @@ class MultiprocessEvaluator:
             if manager is not None:
                 manager.shutdown()
 
-        if row_lists is not None:
+        if chunk_lists is not None:
             result = union_outputs(
-                workflow, (row for rows in row_lists for row in rows)
+                workflow,
+                [chunk for chunks in chunk_lists for chunk in chunks],
             )
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -894,12 +905,11 @@ class MultiprocessEvaluator:
         materialize_seconds)``: one :class:`ShmBucket` per partition
         that gets a block, in partition order.  Routing and
         partitioning are the simulated engine's
-        (:meth:`BlockRows.split`).  Each bucket holds every record it
-        needs exactly once (its blocks overlap under annotated keys)
-        with per-block row indices into that payload, written once into
-        a segment of *registry*; only the descriptor crosses the pipe.
-        ``materialize_seconds`` is the wall time spent writing the
-        segments, excluding the routing.
+        (:meth:`BlockRows.split`).  One segment of *registry* holds the
+        batch once and each bucket's block keys, counts and row indices
+        into it (:meth:`ShmBucket.scatter`); only the descriptors cross
+        the pipe.  ``materialize_seconds`` is the wall time spent
+        writing the segment, excluding the routing.
         """
         blocks = route_block_rows(
             [
@@ -909,24 +919,18 @@ class MultiprocessEvaluator:
             batch,
             (),
         )
-        buckets: list = []
-        materialize_seconds = 0.0
-        for _partition, share in blocks.split(
-            default_partitioner, partitions
-        ):
-            unique_rows = np.unique(share.rows)
-            started = time.perf_counter()
-            buckets.append(
-                ShmBucket.write(
-                    registry,
-                    batch.take(unique_rows),
-                    share.key_matrix,
-                    share.counts,
-                    np.searchsorted(unique_rows, share.rows),
-                )
+        shares = [
+            (share.key_matrix, share.counts, share.rows)
+            for _partition, share in blocks.split(
+                default_partitioner, partitions
             )
-            materialize_seconds += time.perf_counter() - started
-        return buckets, len(blocks.keys), len(blocks), materialize_seconds
+        ]
+        started = time.perf_counter()
+        buckets = ShmBucket.scatter(registry, batch, shares)
+        return (
+            buckets, len(blocks.keys), len(blocks),
+            time.perf_counter() - started,
+        )
 
     # -- resilient gather loop ---------------------------------------------------
 
@@ -938,7 +942,6 @@ class MultiprocessEvaluator:
         report: MultiprocessReport,
         telemetry_queue=None,
         cancel: CancellationToken | None = None,
-        release=None,
         exec_span=None,
         collector: Optional[SpanCollector] = None,
     ) -> Optional[list[list]]:
@@ -1074,7 +1077,7 @@ class MultiprocessEvaluator:
                     if state.done:
                         continue  # late loser of a speculative race
                     try:
-                        _task, rows = future.result()
+                        _task, chunks = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
@@ -1087,14 +1090,12 @@ class MultiprocessEvaluator:
                             return None
                     else:
                         state.done = True
-                        state.rows = rows
+                        state.chunks = chunks
                         unfinished.discard(task)
                         retry_at.pop(task, None)
-                        if release is not None:
-                            release(state.bucket)
                         if backup:
                             report.speculative_wins += 1
-                        self.telemetry.mark("mp.rows", len(rows))
+                        self.telemetry.mark("mp.rows", output_rows(chunks))
                         self.telemetry.observe(
                             "mp.task_seconds",
                             time.monotonic() - submitted,
@@ -1151,7 +1152,7 @@ class MultiprocessEvaluator:
                         )
                         submit(task, backup=True)
             settled = not futures and not abandoned
-            return [tasks[task].rows for task in sorted(tasks)]
+            return [tasks[task].chunks for task in sorted(tasks)]
         finally:
             if not settled:
                 # Waits for the attempts still running, so none of them

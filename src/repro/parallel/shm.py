@@ -3,8 +3,10 @@
 Pickling a bucket serializes its records, ships the bytes through the
 pool's IPC pipe and rebuilds them in the worker -- copies of data that
 both sides could simply map.  With POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) the driver writes each bucket's
-arrays **once** into a segment, the worker attaches and builds
+(:mod:`multiprocessing.shared_memory`) the driver writes **one segment
+per evaluation**: the batch once, then every bucket's block-key matrix,
+per-block counts and row indices into that batch
+(:meth:`ShmBucket.scatter`).  A worker attaches and builds
 ``np.ndarray`` views directly over the mapping, and only a tiny
 :class:`ShmBucket` descriptor (segment name plus array offsets) crosses
 the pipe.
@@ -19,11 +21,10 @@ the mapping -- no per-column assembly at all.
 Lifecycle discipline is the hard part of shm, so it is centralized
 here:
 
-* every segment is created through a :class:`SegmentRegistry`, which
-  ref-counts in-flight attempts per task and guarantees ``unlink`` on
-  success, failure, and chaos (``unlink_all`` runs in the evaluator's
-  ``finally``, covering BrokenProcessPool rebuilds, worker kills,
-  cancellation and degradation);
+* every segment is created through a :class:`SegmentRegistry`, and
+  ``unlink_all`` runs in the evaluator's ``finally`` -- the one
+  reclaim path, covering success, BrokenProcessPool rebuilds, worker
+  kills, cancellation and degradation;
 * the driver ``close()``\\ s its own mapping right after writing, so
   the only reference keeping the memory alive is the name -- and the
   registry owns the name;
@@ -34,9 +35,9 @@ here:
   tracker unlinks every registered segment at shutdown, the crash
   backstop of last resort;
 * on Linux, unlinking while workers are still mapped is safe -- the
-  kernel frees the memory when the last mapping goes away -- so the
-  driver can release a task's segment the moment its result arrives,
-  even if a speculative duplicate is still running.
+  kernel frees the memory when the last mapping goes away -- so an
+  attempt abandoned on timeout or cancellation never reads freed
+  memory.
 
 :func:`leaked_segments` scans ``/dev/shm`` for this process family's
 name prefix; the chaos harness asserts it returns nothing after every
@@ -129,14 +130,8 @@ class _Layout:
 class SegmentRegistry:
     """Driver-side owner of every shared-memory segment of one run.
 
-    ``release`` unlinks a segment the moment its task's result arrives
-    -- safe on Linux even while a speculative duplicate still has the
-    mapping, and a duplicate that had not yet attached fails its
-    attempt against an already-completed task, which the gather loop
-    discards.  ``unlink_all`` (always run, via ``finally``) reclaims
-    whatever chaos left behind: BrokenProcessPool rebuilds, worker
-    kills, cancellation, degradation.  Both are idempotent -- double
-    release and release-after-unlink_all are no-ops.
+    ``unlink_all`` (always run, via ``finally``) reclaims every segment
+    the run created, whatever ended it; a second call is a no-op.
     """
 
     def __init__(self, prefix: str = SEGMENT_PREFIX):
@@ -158,24 +153,19 @@ class SegmentRegistry:
         self.created_bytes += max(1, nbytes)
         return segment
 
-    def release(self, name: str) -> None:
-        """Unlink one segment; safe while workers are still mapped."""
-        segment = self._segments.pop(name, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - driver views alive
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
     def unlink_all(self) -> None:
-        """Reclaim every remaining segment (the ``finally`` backstop)."""
-        for name in list(self._segments):
-            self.release(name)
+        """Reclaim every segment (the ``finally`` backstop); safe while
+        workers are still mapped."""
+        segments, self._segments = self._segments, {}
+        for segment in segments.values():
+            try:
+                segment.close()
+            except BufferError:  # pragma: no cover - driver views alive
+                pass
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -202,13 +192,16 @@ _CODES = {"i8": np.int64, "f8": np.float64, "u1": np.uint8}
 class ShmBucket:
     """Picklable handle to one gather task's bucket in shared memory.
 
-    Payload, block-key matrix, per-block counts and row indices all
-    live in the named segment at recorded offsets.  ``matrix``
-    describes the int plane as one 2-D array; typed payloads (float
-    measures, dictionary strings, nulls) ship per-column slots instead.
+    The segment holds one evaluation's batch and every bucket's block
+    arrays; this handle records where the batch and *its* block-key
+    matrix, per-block counts and row indices sit.  ``matrix`` describes
+    the int plane as one 2-D array; typed payloads (float measures,
+    dictionary strings, nulls) ship per-column slots instead.  Row
+    indices point into the whole batch.
     """
 
     segment: str
+    #: Size of the whole segment, every bucket's arrays included.
     nbytes: int
     length: int
     #: int plane: ``(rows, cols, offset)`` of one 2-D int64 array.
@@ -229,12 +222,11 @@ class ShmBucket:
         bucket_blocks: list,
         row_maps: np.ndarray,
     ) -> "ShmBucket":
-        """Write one bucket's arrays into a fresh segment.
+        """Write *batch* and one bucket into a fresh segment.
 
-        *batch* holds the bucket's deduplicated records,
-        *bucket_blocks* its ``(block_key, payload row indices)``
+        *bucket_blocks* holds the bucket's ``(block_key, row indices)``
         entries and *row_maps* the concatenated per-block indices into
-        the payload.
+        *batch*.
         """
         keys = np.asarray(
             [key for key, _rows in bucket_blocks], dtype=np.int64
@@ -244,18 +236,24 @@ class ShmBucket:
         counts = np.asarray(
             [len(rows) for _key, rows in bucket_blocks], dtype=np.int64
         )
-        return ShmBucket.write(registry, batch, keys, counts, row_maps)
+        (bucket,) = ShmBucket.scatter(
+            registry, batch, [(keys, counts, row_maps)]
+        )
+        return bucket
 
     @staticmethod
-    def write(
+    def scatter(
         registry: SegmentRegistry,
         batch: RecordBatch,
-        keys: np.ndarray,
-        counts: np.ndarray,
-        row_maps: np.ndarray,
-    ) -> "ShmBucket":
-        """:meth:`build` from arrays: *keys* is the block-key matrix,
-        one row per block, and *counts* each block's row count."""
+        buckets: list,
+    ) -> list["ShmBucket"]:
+        """Write *batch* once, then every bucket's block arrays, into one
+        fresh segment; one handle per bucket, in order.
+
+        Each bucket is ``(keys, counts, rows)``: the block-key matrix
+        (one row per block), each block's row count, and the blocks'
+        row indices into *batch*, block-major.
+        """
         layout = _Layout()
         matrix = batch.matrix
         columns_meta: list = []
@@ -285,15 +283,16 @@ class ShmBucket:
                     if column.validity is None
                     else layout.add(column.validity.astype(np.uint8))
                 )
-        keys_meta = (
-            keys.shape[0], keys.shape[1],
-            layout.add(keys.astype(np.int64, copy=False)),
-        )
-        counts_meta = (
-            layout.add(counts.astype(np.int64, copy=False)), len(counts)
-        )
-        indices = np.ascontiguousarray(row_maps, dtype=np.int64)
-        indices_meta = (layout.add(indices), len(indices))
+        slots = []
+        for keys, counts, rows in buckets:
+            slots.append((
+                (
+                    keys.shape[0], keys.shape[1],
+                    layout.add(keys.astype(np.int64, copy=False)),
+                ),
+                (layout.add(counts.astype(np.int64, copy=False)), len(counts)),
+                (layout.add(rows.astype(np.int64, copy=False)), len(rows)),
+            ))
 
         segment = registry.create(layout.nbytes)
         try:
@@ -302,18 +301,21 @@ class ShmBucket:
             # Drop the driver's mapping immediately: from here on the
             # registry owns the segment by name alone.
             segment.close()
-        return ShmBucket(
-            segment=segment.name,
-            nbytes=layout.nbytes,
-            length=len(batch),
-            matrix=matrix_meta,
-            columns=tuple(columns_meta),
-            dictionaries=tuple(dictionaries),
-            validity=tuple(validity_meta),
-            keys=keys_meta,
-            counts=counts_meta,
-            indices=indices_meta,
-        )
+        return [
+            ShmBucket(
+                segment=segment.name,
+                nbytes=layout.nbytes,
+                length=len(batch),
+                matrix=matrix_meta,
+                columns=tuple(columns_meta),
+                dictionaries=tuple(dictionaries),
+                validity=tuple(validity_meta),
+                keys=keys_meta,
+                counts=counts_meta,
+                indices=indices_meta,
+            )
+            for keys_meta, counts_meta, indices_meta in slots
+        ]
 
     def attach(self) -> "ShmBucketView":
         """Map the segment and build zero-copy array views (worker side)."""

@@ -290,6 +290,21 @@ def per_block_reducer(
     return reducer
 
 
+def chunk_rows(chunks) -> list:
+    """The ``(measure, region, value)`` rows of reducer output chunks
+    (:func:`repro.local.lifting.unlift_outputs`), region tuples and
+    values as plain Python objects."""
+    rows = []
+    for name, regions, values in chunks:
+        if not isinstance(regions, list):
+            regions = [tuple(region) for region in regions.tolist()]
+            values = values.tolist()
+        rows.extend((name, region, value) for region, value in zip(
+            regions, values
+        ))
+    return rows
+
+
 def per_block_task_rows(plan, schema, bucket):
     """The rows a :class:`~repro.parallel.multiprocess.MultiprocessEvaluator`
     worker task returned before it evaluated whole buckets: one
@@ -368,9 +383,13 @@ class PerBlockLoopEvaluator(ParallelEvaluator):
         )
 
         def reduce_task(groups, ctx):
+            # One single-row chunk per row: the union's input form.
             outputs = []
             for block_key, values in groups:
-                outputs.extend(reducer(block_key, values, ctx))
+                outputs.extend(
+                    (name, [coords], [value])
+                    for name, coords, value in reducer(block_key, values, ctx)
+                )
             return outputs
 
         return reduce_task

@@ -1,5 +1,6 @@
 """Tests for the one-round parallel evaluator."""
 
+import numpy as np
 import pytest
 
 from repro.distribution.clustering import BlockScheme
@@ -152,9 +153,27 @@ class TestInfeasiblePlansFailLoudly:
     def test_duplicate_guard(self, tiny_workflow):
         from repro.parallel.executor import union_outputs
 
-        rows = [("base", (0, 0), 1), ("base", (0, 0), 2)]
+        chunks = [("base", [(0, 0)], [1]), ("base", [(0, 0)], [2])]
         with pytest.raises(DuplicateResultError):
-            union_outputs(tiny_workflow, rows)
+            union_outputs(tiny_workflow, chunks)
+
+    def test_duplicate_guard_across_chunks_and_buckets(self, tiny_workflow):
+        """Array chunks of two buckets, then a list chunk: the first
+        duplicate in bucket order is named, whatever form holds it."""
+        from repro.parallel.executor import union_outputs
+
+        first_bucket = [
+            ("base", np.array([[0, 0], [1, 2]]), np.array([1, 2])),
+            ("rolled", np.array([[0, 0]]), np.array([3])),
+        ]
+        second_bucket = [
+            ("base", np.array([[3, 3], [1, 2], [0, 0]]), np.array([4, 5, 6])),
+        ]
+        with pytest.raises(DuplicateResultError, match=r"region \(1, 2\)"):
+            union_outputs(tiny_workflow, first_bucket + second_bucket)
+        scalar_bucket = [("rolled", [(2, 2), (0, 0)], [7, 8])]
+        with pytest.raises(DuplicateResultError, match=r"'rolled'.*\(0, 0\)"):
+            union_outputs(tiny_workflow, first_bucket + scalar_bucket)
 
     def test_component_count_mismatch(
         self, small_cluster, tiny_schema, tiny_workflow, tiny_records
@@ -447,3 +466,27 @@ class TestEarlyAggregationAnchoring:
         ).from_parent("top")
         workflow = builder.build()
         assert not workflow.supports_early_aggregation()
+
+
+class TestUnion:
+    @pytest.mark.parametrize("backend", ["simulated", "processes"])
+    def test_equal_coordinates_share_region_tuples(
+        self, tiny_workflow, tiny_records, backend
+    ):
+        """``coarse`` and ``rolled`` cover the same regions: their
+        tables share one tuple per region, not one each."""
+        if backend == "simulated":
+            result = ParallelEvaluator(
+                SimulatedCluster(ClusterConfig(machines=4))
+            ).evaluate(tiny_workflow, tiny_records).result
+        else:
+            from repro.parallel.multiprocess import MultiprocessEvaluator
+
+            with MultiprocessEvaluator(processes=2) as evaluator:
+                result, _report = evaluator.evaluate(
+                    tiny_workflow, tiny_records
+                )
+        coarse = {region: region for region in result["coarse"].values}
+        rolled = list(result["rolled"].values)
+        assert rolled and set(rolled) == set(coarse)
+        assert all(region is coarse[region] for region in rolled)

@@ -1,5 +1,6 @@
 """Tests for the process-parallel backend."""
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -258,6 +259,27 @@ class TestPoolLifetime:
             )[0] == oracle
             assert child_pids() - before
         assert child_pids() - before == set()
+
+    def test_collection_closes_the_pool_without_waiting(
+        self, tiny_workflow, tiny_records
+    ):
+        """Collection may run in any thread, the pool's own among them;
+        joining the pool from there can deadlock, so it must not wait."""
+        evaluator = MultiprocessEvaluator(processes=2)
+        evaluator.evaluate(tiny_workflow, tiny_records)
+        executor = evaluator._pool.executor
+        shutdown = executor.shutdown
+        waits = []
+
+        def recording(wait=True, *, cancel_futures=False):
+            waits.append(wait)
+            shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        executor.shutdown = recording
+        del evaluator
+        gc.collect()
+        assert waits == [False]
+        shutdown(wait=True)  # join here, from the test's own thread
 
     def test_exit_without_close_leaves_no_child(self):
         script = textwrap.dedent("""

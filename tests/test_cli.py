@@ -203,6 +203,22 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_early_aggregation_of_holistic_measures_fails_in_one_line(
+        self, weblog_query_file, command, tmp_path
+    ):
+        argv = [command, weblog_query_file, "--records", "200", "--days",
+                "1", "--early-aggregation"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str)  # exit status 1
+        assert "\n" not in message
+        assert "--early-aggregation" in message
+        assert "weblog.cq" in message
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("run", "columnar", "on"), ("serve", "kernels", "off")],

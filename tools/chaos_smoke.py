@@ -23,7 +23,9 @@ fault plan, asserting both bit-identity *and* that no segment survives
 the run -- worker kills and pool rebuilds included, a leaked segment
 is a failure.  A random plan seldom kills a worker, so both process
 legs also pin one kill per seed (attempt 0 of task ``seed % 4``) and
-require the pool to have been rebuilt at least once.
+require the pool to have been rebuilt at least once.  The shm leg runs
+four buckets, then once more at the evaluator's default of one bucket
+per worker, killing task ``seed % processes``.
 
 Exit status is non-zero if any run's answer deviates from the oracle.
 """
@@ -213,31 +215,40 @@ def main(argv=None) -> int:
                     print("  shm:    skipped (POSIX shared memory "
                           "unavailable)")
                 else:
-                    evaluator.fault_plan = killing
-                    result, report = evaluator.evaluate(
-                        workflow, records, num_partitions=4
-                    )
-                    leaked = leaked_segments()
-                    summary = report.fault_summary()
-                    matched = result == oracle and report.transport == "shm"
-                    killed = summary["pool_rebuilds"] >= 1
-                    shm_ok = matched and killed and not leaked
-                    failures += not shm_ok
-                    verdict = (
-                        "LEAKED " + ", ".join(leaked) if leaked
-                        else "MISMATCH" if not matched
-                        else "NO KILL" if not killed
-                        else "ok"
-                    )
-                    print(
-                        f"  shm:    {verdict}  "
-                        f"{summary['attempts']} attempts/"
-                        f"{summary['tasks']} tasks, "
-                        f"{summary['retries']} retries, "
-                        f"{summary['pool_rebuilds']} rebuilds, "
-                        f"{report.shm_bytes} shm bytes at "
-                        f"{report.transport_bytes_per_second:.0f} B/s"
-                    )
+                    # Four buckets, then the default of one per worker.
+                    for label, partitions, victim in (
+                        ("shm:  ", 4, seed % 4),
+                        ("shm/1:", None, seed % evaluator.processes),
+                    ):
+                        evaluator.fault_plan = dataclasses.replace(
+                            plan, kill_attempts=((victim, 0),)
+                        )
+                        result, report = evaluator.evaluate(
+                            workflow, records, num_partitions=partitions
+                        )
+                        leaked = leaked_segments()
+                        summary = report.fault_summary()
+                        matched = (
+                            result == oracle and report.transport == "shm"
+                        )
+                        killed = summary["pool_rebuilds"] >= 1
+                        shm_ok = matched and killed and not leaked
+                        failures += not shm_ok
+                        verdict = (
+                            "LEAKED " + ", ".join(leaked) if leaked
+                            else "MISMATCH" if not matched
+                            else "NO KILL" if not killed
+                            else "ok"
+                        )
+                        print(
+                            f"  {label} {verdict}  "
+                            f"{summary['attempts']} attempts/"
+                            f"{summary['tasks']} tasks, "
+                            f"{summary['retries']} retries, "
+                            f"{summary['pool_rebuilds']} rebuilds, "
+                            f"{report.shm_bytes} shm bytes at "
+                            f"{report.transport_bytes_per_second:.0f} B/s"
+                        )
 
             if args.multiprocess:
                 evaluator.fault_plan = killing
