@@ -1582,7 +1582,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-group-size", type=int, default=8,
-        help="members per share group before immediate dispatch",
+        help="members that add measures per share group before "
+        "immediate dispatch (duplicates join free)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=16,

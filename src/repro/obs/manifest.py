@@ -621,7 +621,8 @@ class RunManifest:
             if admission:
                 lines.append(
                     f"  admission: {admission.get('offered', 0)} offered, "
-                    f"{admission.get('merges_accepted', 0)} merges won, "
+                    f"{admission.get('merges_accepted', 0)} merges won "
+                    f"({admission.get('free_joins', 0)} free), "
                     f"{admission.get('merges_rejected', 0)} lost, "
                     f"{serving.get('groups_dispatched', 0)} groups "
                     f"({serving.get('grouped_queries', 0)} members)"

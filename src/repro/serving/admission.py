@@ -18,7 +18,15 @@ merge wins.  A group leaves the window and dispatches when:
   member -- joining a group never extends its wait);
 * the merge stops winning: ``merge_patience`` consecutive arrivals
   failed to join it (more waiting is unlikely to pay);
-* it hits ``max_group_size`` members (dispatch immediately).
+* ``max_group_size`` of its units add measures (dispatch immediately).
+
+Duplicates ride free.  A unit whose measures the group already computes
+(its :attr:`~repro.query.workflow.Workflow.shape` is a subset of the
+group's) joins without adding work: it joins even a full group, it does
+not count toward ``max_group_size``, and it is not re-priced -- the
+group's plan is its plan, and its gain is its solo load.  So the cap
+bounds the work a group adds, not its arrivals, and the same dashboard
+sent by many tenants runs as one group.
 
 The controller is the daemon's one plan memo.  A plan depends only on
 the workflow's name-free :attr:`~repro.query.workflow.Workflow.shape`
@@ -26,10 +34,7 @@ the workflow's name-free :attr:`~repro.query.workflow.Workflow.shape`
 reducer count, so solo plans (:meth:`AdmissionController.solo_plan`)
 and merged plans alike are memoized by shape -- a merge's shape is the
 sorted union of its members' -- and a steady stream of the same tenant
-queries prices each shape once.  A duplicate of a member joining a
-group leaves the group's shape as it was, so it reuses the group's
-plan, and :func:`~repro.serving.groups.merge` adds none of its
-measures to the group's workflow.  The reducer count is
+queries prices each shape once.  The reducer count is
 fixed for the controller's lifetime; :meth:`~AdmissionController.
 set_record_count` is the one way to change the record count, and it
 clears the memo.
@@ -60,6 +65,9 @@ class PendingGroup(ShareGroup):
     #: Consecutive arrivals that considered this group and went
     #: elsewhere; resets when a member joins.
     misses: int = 0
+    #: Units that added measures (the opener included); the count
+    #: ``max_group_size`` caps.  Free joins do not raise it.
+    adding: int = 1
     #: Serial id unique within one controller (trace span attribute).
     group_id: int = 0
     #: Daemon clock when the group left the window for the ready
@@ -79,6 +87,9 @@ class AdmissionStats:
     offered: int = 0
     groups_opened: int = 0
     merges_accepted: int = 0
+    #: Accepted merges whose unit added no measure (a subset of
+    #: ``merges_accepted``): they joined free, full groups included.
+    free_joins: int = 0
     merges_rejected: int = 0
     merges_infeasible: int = 0
     dispatched_window: int = 0
@@ -93,6 +104,7 @@ class AdmissionStats:
             "offered": self.offered,
             "groups_opened": self.groups_opened,
             "merges_accepted": self.merges_accepted,
+            "free_joins": self.free_joins,
             "merges_rejected": self.merges_rejected,
             "merges_infeasible": self.merges_infeasible,
             "dispatched_window": self.dispatched_window,
@@ -108,7 +120,9 @@ class AdmissionController:
 
     *window* is the maximum hold (seconds); *merge_patience* dispatches
     a group after that many consecutive non-joining arrivals (``None``
-    disables early dispatch); *max_group_size* caps members per group.
+    disables early dispatch); *max_group_size* caps the units per group
+    that add measures -- a unit whose measures the group already
+    computes joins free, even a full group.
     The controller is clock-agnostic: callers pass ``now`` (the
     daemon's monotonic clock) to :meth:`offer` and :meth:`due`.
     """
@@ -197,11 +211,17 @@ class AdmissionController:
         now = self.clock() if now is None else now
         self.stats.offered += 1
         solo = unit.plan.predicted_max_load
-        best = None  # (gain, group, plan)
+        shape = set(unit.component.shape)
+        best = None  # (gain, group, plan, free)
         for group in self._open:
-            if len(group.units) >= self.max_group_size:
+            # A unit adding no measure rides on the group's plan.
+            free = shape.issubset(group.workflow.shape)
+            if free:
+                plan = group.plan
+            elif group.adding >= self.max_group_size:
                 continue
-            plan = self._merged_plan(group, unit)
+            else:
+                plan = self._merged_plan(group, unit)
             if plan is None:
                 self.stats.merges_infeasible += 1
                 continue
@@ -209,15 +229,19 @@ class AdmissionController:
                 group.plan.predicted_max_load + solo
             ) - plan.predicted_max_load
             if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, group, plan)
+                best = (gain, group, plan, free)
             elif gain <= 0:
                 self.stats.merges_rejected += 1
         if best is not None:
-            gain, group, plan = best
+            gain, group, plan, free = best
             group.units.append(unit)
             group.riders.append(member)
-            group.workflow = merge(group.workflow, unit.component)
-            group.plan = plan
+            if free:
+                self.stats.free_joins += 1
+            else:
+                group.adding += 1
+                group.workflow = merge(group.workflow, unit.component)
+                group.plan = plan
             group.misses = 0
             self.stats.merges_accepted += 1
             self.stats.predicted_savings += gain
@@ -245,15 +269,15 @@ class AdmissionController:
     def due(self, now: Optional[float] = None) -> list[PendingGroup]:
         """Remove and return every group whose hold is over.
 
-        A group is due when its window expired, when it reached
-        ``max_group_size``, or when ``merge_patience`` consecutive
+        A group is due when its window expired, when ``max_group_size``
+        of its units added measures, or when ``merge_patience`` consecutive
         arrivals declined to join it (the merge stopped winning).
         """
         now = self.clock() if now is None else now
         ready: list[PendingGroup] = []
         still_open: list[PendingGroup] = []
         for group in self._open:
-            if len(group.units) >= self.max_group_size:
+            if group.adding >= self.max_group_size:
                 self.stats.dispatched_full += 1
                 ready.append(group)
             elif now >= group.expires_at(self.window):

@@ -144,7 +144,9 @@ class ServiceLimits:
     #: Dispatch a held group after this many consecutive arrivals
     #: declined to join it (``None``: wait out the window).
     merge_patience: Optional[int] = 4
-    #: Members per share group before immediate dispatch.
+    #: Members that add measures per share group before immediate
+    #: dispatch; a member whose measures the group already computes
+    #: joins free, even a full group.
     max_group_size: int = 8
 
 
@@ -710,15 +712,19 @@ class QueryService:
 
         for member in fast:
             self._serve_fast(member)
+        if not execute:
+            # Served with no job: classification and the cache fast
+            # path fill the whole residence, up to the latency instant.
+            return self._finish(pending, tail_phase="cache_lookup")
         plan_start = self.clock()
         # Classification plus the cache fast path: lookups dominate.
-        ledger.add("cache_lookup", plan_start - now)
+        ledger.add_window("cache_lookup", now, plan_start)
         for member in execute:
             member.execute_as(
                 self.admission.solo_plan(member.component.workflow)
             )
         offer_at = self.clock()
-        ledger.add("planning", offer_at - plan_start)
+        ledger.add_window("planning", plan_start, offer_at)
         offer_wall = self.tracer.now()
         for member in execute:
             member.offered_at = offer_at
@@ -726,9 +732,6 @@ class QueryService:
             self._idle.clear()
             self.admission.offer(member.component.unit, member, now=now)
         self.telemetry.set_gauge("serve.held", float(self.admission.held))
-
-        if pending.complete and not execute:
-            return self._finish(pending)
         try:
             return await pending.future
         except asyncio.CancelledError:
@@ -1148,13 +1151,24 @@ class QueryService:
     # -- completion -------------------------------------------------------
 
     def _close_ledger(
-        self, pending: _PendingRequest, status: str, ended_at: float
+        self,
+        pending: _PendingRequest,
+        status: str,
+        ended_at: float,
+        tail_phase: str = "",
     ) -> None:
         """Close the query's ledger at *ended_at*, the instant its
-        latency was measured, and feed the phase telemetry."""
+        latency was measured, and feed the phase telemetry.
+
+        *tail_phase*, when given, is charged the still-unattributed
+        tail of the residence, from the ledger's watermark to
+        *ended_at*.
+        """
         ledger = self.ledgers.get(pending.internal)
         if ledger is None or ledger.closed:
             return
+        if tail_phase:
+            ledger.add_window(tail_phase, ledger.window_until, ended_at)
         ledger.close(ended_at, status)
         tenant = ledger.tenant or "-"
         for phase, ms in ledger.phases.items():
@@ -1201,10 +1215,6 @@ class QueryService:
         if pending.future.done():
             return
         now = self.clock()
-        if stall_phase:
-            ledger = self.ledgers.get(pending.internal)
-            if ledger is not None and not ledger.closed:
-                ledger.add_window(stall_phase, ledger.window_until, now)
         latency_ms = (now - pending.submitted_at) * 1000.0
         if status == STATUS_DEADLINE:
             self._report.deadline_missed += 1
@@ -1240,7 +1250,7 @@ class QueryService:
                     pending.ctx, "shed", reason=overload.reason
                 )
             self._note_shed(pending.request, overload.reason)
-        self._close_ledger(pending, status, now)
+        self._close_ledger(pending, status, now, stall_phase)
         self._close_trace(pending, status, latency_ms)
         self._slo_record(pending.request.tenant, None, failed=True)
         pending.future.set_result(
@@ -1256,7 +1266,9 @@ class QueryService:
             )
         )
 
-    def _finish(self, pending: _PendingRequest) -> QueryResponse:
+    def _finish(
+        self, pending: _PendingRequest, tail_phase: str = ""
+    ) -> QueryResponse:
         now = self.clock()
         latency_ms = (now - pending.submitted_at) * 1000.0
         late = pending.deadline_at is not None and now > pending.deadline_at
@@ -1286,7 +1298,7 @@ class QueryService:
         self.telemetry.inc("serve.completed")
         self.telemetry.mark("serve.completion_rate")
         self.telemetry.observe("serve.latency_ms", latency_ms)
-        self._close_ledger(pending, STATUS_OK, now)
+        self._close_ledger(pending, STATUS_OK, now, tail_phase)
         self._close_trace(pending, STATUS_OK, latency_ms)
         self._slo_record(pending.request.tenant, latency_ms, failed=late)
         if not pending.future.done():

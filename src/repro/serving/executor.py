@@ -11,8 +11,8 @@ over one dataset:
 * each share group of ``execute`` components runs as ONE map/shuffle/
   reduce over the merged workflow, which holds each distinct measure
   once (:func:`~repro.serving.groups.merge`); the merged output is then
-  split back into per-query tables, each member's measures looked up
-  by signature.
+  split back into per-query read-only tables, each member's measures
+  looked up by signature.
 
 Those steps are the module functions :func:`load_component`,
 :func:`split_by_query` and :func:`store_component`, which ``repro
@@ -118,10 +118,13 @@ def split_by_query(
     """*group*'s merged ``query/measure`` result, regrouped per member
     query under the original measure names.
 
-    A measure the group's workflow holds gets its own table.  One that
-    :func:`~repro.serving.groups.merge` left out as a duplicate gets a
-    copy of the table of the measure with its signature, so no two
-    members share a table object.
+    A measure the group's workflow holds is answered by its own table;
+    one that :func:`~repro.serving.groups.merge` left out as a
+    duplicate by the table of the measure with its signature.  Every
+    member, the owner included, gets a :meth:`MeasureTable.read_only`
+    view over that one table's rows, the way cache hits are served:
+    no member can change another's answer, and ``dict(table.values)``
+    gives a copy that can change.
     """
     computed: dict[str, MeasureTable] = {}
     for measure in group.workflow.measures:
@@ -134,8 +137,9 @@ def split_by_query(
             table = result.tables.get(measure.name)
             if table is None:
                 table = computed[measure.signature]
-                table = MeasureTable(table.granularity, table.values)
-            tables[measure.name[cut:]] = table
+            tables[measure.name[cut:]] = MeasureTable.read_only(
+                table.granularity, table.values
+            )
     return by_query
 
 

@@ -84,11 +84,14 @@ def merge(first: Workflow, second: Workflow) -> Workflow:
     that signature first computes it for both.  A kept composite that
     reads a left-out measure has its edge rewired to that measure, the
     way :func:`prefix_workflow` rebuilds edges.  Kept measures keep
-    their names and their order.
+    their names and their order.  When *second* keeps no measure the
+    result is *first* itself.
     """
     canonical: dict[str, object] = {}
     for measure in first.measures:
         canonical.setdefault(measure.signature, measure)
+    if all(measure.signature in canonical for measure in second.measures):
+        return first
     kept: dict[str, object] = {}
     for measure in second.topological_order():
         if measure.signature in canonical:

@@ -34,14 +34,14 @@ def optimizer():
     return Optimizer()
 
 
-def _sharable_workflow(schema, name="m", field="a2"):
+def _sharable_workflow(schema, name="m", field="a2", aggregate="sum"):
     """Same grouping attributes -> the merged plan wins Formula 2/4."""
     builder = WorkflowBuilder(schema)
     builder.basic(
         name,
         over={"a1": "value", "t1": "minute"},
         field=field,
-        aggregate="sum",
+        aggregate=aggregate,
     )
     return builder.build()
 
@@ -154,18 +154,94 @@ class TestOffer:
             optimizer, clock, window=10.0, max_group_size=2,
             merge_patience=None,
         )
-        fields = ["a2", "a4", "a2", "a4"]
-        for index, field in enumerate(fields):
+        # Four distinct measures: every unit adds one to its group.
+        measures = [("a2", "sum"), ("a4", "sum"), ("a2", "max"), ("a4", "max")]
+        for index, (field, aggregate) in enumerate(measures):
             controller.offer(
                 _unit(
                     optimizer,
                     f"q{index}",
-                    _sharable_workflow(schema, field=field),
+                    _sharable_workflow(
+                        schema, field=field, aggregate=aggregate
+                    ),
                 )
             )
         due = controller.due()
-        assert any(len(group.units) == 2 for group in due)
-        assert controller.stats.dispatched_full >= 1
+        assert [len(group.units) for group in due] == [2, 2]
+        assert controller.stats.dispatched_full == 2
+        assert controller.stats.free_joins == 0
+
+    def test_a_unit_adding_no_measure_joins_a_full_group_free(
+        self, schema, optimizer
+    ):
+        clock = FakeClock()
+        controller = _controller(
+            optimizer, clock, window=10.0, max_group_size=2,
+            merge_patience=None,
+        )
+        group = controller.offer(
+            _unit(optimizer, "q0", _sharable_workflow(schema, field="a2"))
+        )
+        controller.offer(
+            _unit(optimizer, "q1", _sharable_workflow(schema, field="a4"))
+        )
+        workflow, plan = group.workflow, group.plan
+        # A copy of q0's measure under another name and prefix.
+        copy = _unit(
+            optimizer, "q2", _sharable_workflow(schema, name="other")
+        )
+        assert controller.offer(copy) is group
+        assert len(group.units) == 3
+        assert group.adding == 2
+        assert group.workflow is workflow
+        assert group.plan is plan
+        assert controller.open_groups == 1
+        assert controller.stats.free_joins == 1
+        assert controller.stats.merges_accepted == 2
+        assert controller.stats.to_dict()["free_joins"] == 1
+
+    def test_free_joins_do_not_count_toward_the_cap(
+        self, schema, optimizer
+    ):
+        clock = FakeClock()
+        controller = _controller(
+            optimizer, clock, window=10.0, max_group_size=2,
+            merge_patience=None,
+        )
+        group = controller.offer(
+            _unit(optimizer, "q0", _sharable_workflow(schema, field="a2"))
+        )
+        for index in range(1, 4):
+            controller.offer(
+                _unit(
+                    optimizer, f"q{index}",
+                    _sharable_workflow(schema, field="a2"),
+                )
+            )
+        assert len(group.units) == 4
+        assert group.adding == 1
+        assert controller.due() == []
+        assert controller.stats.free_joins == 3
+
+    def test_a_group_whose_adding_units_reach_the_cap_dispatches(
+        self, schema, optimizer
+    ):
+        clock = FakeClock()
+        controller = _controller(
+            optimizer, clock, window=10.0, max_group_size=2,
+            merge_patience=None,
+        )
+        for index, field in enumerate(["a2", "a2", "a2", "a4"]):
+            group = controller.offer(
+                _unit(
+                    optimizer, f"q{index}",
+                    _sharable_workflow(schema, field=field),
+                )
+            )
+        assert controller.due() == [group]
+        assert len(group.units) == 4
+        assert controller.stats.dispatched_full == 1
+        assert controller.held == 0
 
     def test_flush_empties_everything(self, schema, optimizer):
         clock = FakeClock()

@@ -9,6 +9,8 @@ the flight recorder dumps on the advertised triggers.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.obs.flight import FlightRecorder
@@ -18,6 +20,8 @@ from repro.obs.tracer import Tracer
 from repro.obs.traceview import collect_trace, find_orphans, render_trace
 from repro.serving import (
     Arrival,
+    MeasureCache,
+    QueryRequest,
     QueryService,
     ServiceLimits,
     serve_arrivals,
@@ -145,6 +149,45 @@ class TestLatencyLedger:
         assert section["total"] == len(batch_queries)
         assert section["complete"] == section["total"]
         assert "default" in section["tenants"]
+
+    def test_a_cache_served_ledger_tiles_its_latency(
+        self, batch_queries, batch_records
+    ):
+        """An answer served with no job charges its whole residence, up
+        to the latency instant, to cache_lookup."""
+        cache = MeasureCache()
+        serve_arrivals(
+            _service(batch_queries, batch_records, cache=cache),
+            _burst(["Q1"]), speed=0,
+        )
+        ticks = iter(range(1, 1_000_000))
+
+        def stepping_clock():
+            # Every read is 10 ms after the last, so the interval
+            # between any two reads is visible to the ledger.
+            return next(ticks) * 0.010
+
+        service = _service(
+            batch_queries, batch_records, cache=cache,
+            clock=stepping_clock,
+        )
+
+        async def body():
+            answer = await service.submit(
+                QueryRequest("Q1", batch_queries["Q1"])
+            )
+            await service.drain()
+            return answer
+
+        answer = asyncio.run(body())
+        assert answer.ok and set(answer.served_by) == {"cache"}
+        ledger = service.ledgers.get(answer.trace_id)
+        assert ledger.total_ms == pytest.approx(answer.latency_ms)
+        assert ledger.residual_ms == pytest.approx(0.0, abs=1e-6)
+        assert ledger.complete()
+        assert ledger.phases["cache_lookup"] == pytest.approx(
+            answer.latency_ms
+        )
 
 
 class TestShedAndSlo:

@@ -2,10 +2,11 @@
 
 :func:`~repro.serving.groups.merge` keeps one measure per signature in
 a group's workflow, and :func:`~repro.serving.executor.split_by_query`
-hands every member its tables by signature.  These tests pin that the
-dedupe happens (a group of identical queries does a solo run's reduce
-work), that plans and answers do not move, and that members never
-share a table object.
+hands every member a read-only view of the one table computed for each
+signature.  A unit that adds no measure joins its group free, past
+``max_group_size``.  These tests pin that the dedupe happens (a group
+of identical queries does a solo run's reduce work), that plans and
+answers do not move, and that no member can change another's answer.
 """
 
 from __future__ import annotations
@@ -49,6 +50,21 @@ def typed(result) -> dict:
         for name, table in result.items()
         for coords, value in table.items()
     }
+
+
+def refuses_writes(table) -> bool:
+    """Whether writes to *table*, through it or its rows, raise."""
+    coords = next(iter(table.coords()), ())
+    try:
+        table[coords] = None
+        return False
+    except TypeError:
+        pass
+    try:
+        table.values[coords] = None
+        return False
+    except TypeError:
+        return True
 
 
 def _prefixed(workflow, query):
@@ -112,6 +128,11 @@ class TestMerge:
         assert merged.measures == first.measures
         assert merged.shape == first.shape
 
+    def test_nothing_new_returns_the_first_workflow(self, pair):
+        first = _prefixed(pair["B"], "q0")
+        assert merge(first, _prefixed(pair["B"], "q1")) is first
+        assert merge(first, _prefixed(pair["A"], "q2")) is first
+
     def test_a_new_composite_reads_the_existing_measure(self, pair):
         first = _prefixed(pair["A"], "A")
         merged = merge(first, _prefixed(pair["B"], "B"))
@@ -151,6 +172,8 @@ class TestMerge:
 
 class TestSplit:
     def test_every_member_owns_its_tables(self, pair, batch_records):
+        """Each member gets its own read-only table object over the one
+        computed table: writes raise and leave every peer as it was."""
         units = [
             BatchUnit(query, _prefixed(pair[name], query), None)
             for query, name in (("q0", "B"), ("q1", "B"), ("q2", "A"))
@@ -166,12 +189,17 @@ class TestSplit:
         assert set(split) == {"q0", "q1", "q2"}
         tables = [t for by_name in split.values() for t in by_name.values()]
         assert len({id(table) for table in tables}) == len(tables) == 5
+        assert all(refuses_writes(table) for table in tables)
         assert split["q2"]["minutes"].values == split["q0"]["base"].values
         coords = next(iter(split["q0"]["base"].coords()))
         before = split["q1"]["base"][coords]
-        split["q0"]["base"][coords] = "changed"
+        with pytest.raises(TypeError):
+            split["q0"]["base"][coords] = "changed"
         assert split["q1"]["base"][coords] == before
         assert split["q2"]["minutes"][coords] == before
+        copy = dict(split["q0"]["base"].values)
+        copy[coords] = "changed"
+        assert split["q0"]["base"][coords] == before
 
 
 class TestAdmission:
@@ -214,11 +242,15 @@ class TestDedupeIsObservable:
                     for index in range(copies)
                 ],
             )
-            return responses, telemetry.counters
+            return responses, telemetry.counters, service.report()
 
-        solo, solo_counters = run(1)
-        responses, counters = run(self.COPIES)
+        solo, solo_counters, _ = run(1)
+        responses, counters, report = run(self.COPIES)
         assert counters["serve.groups_dispatched"] == 1
+        # Every copy's every component joined without adding a measure.
+        assert report.admission["free_joins"] == (self.COPIES - 1) * len(
+            connected_components(workflow)
+        )
         assert counters["job.reduce_output_records"] == (
             solo_counters["job.reduce_output_records"]
         )
@@ -230,10 +262,11 @@ class TestDedupeIsObservable:
             assert response.ok
             assert len(response.group_queries) == 1
             assert typed(response.result) == oracle
-        # Mutating one answer leaves every other member's alone.
+        # No member can change another's answer: writes raise.
         coords = next(iter(responses[0].result["ctr"].coords()))
-        responses[0].result["ctr"][coords] = "changed"
-        for response in responses[1:]:
+        with pytest.raises(TypeError):
+            responses[0].result["ctr"][coords] = "changed"
+        for response in responses:
             assert typed(response.result) == oracle
 
     def test_batch(self, batch_queries, batch_records):
@@ -311,6 +344,10 @@ class TestAnswersUnchanged:
             assert response.ok, response.error
             assert response.served_by == ["fallback"]
             assert len(response.group_queries) == 2
+            assert all(
+                refuses_writes(table)
+                for table in response.result.tables.values()
+            )
         self._check(
             pair, batch_records,
             {f"{r.name}-{i}": r.result for i, r in enumerate(responses)},
@@ -345,6 +382,49 @@ class TestAnswersUnchanged:
             for table in result.tables.values()
         ]
         assert len({id(table) for table in tables}) == len(tables)
+        assert all(refuses_writes(table) for table in tables)
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.sampled_from(["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]),
+            min_size=2, max_size=10,
+        ),
+        st.sampled_from([1, 2, 8]),
+    )
+    def test_random_bursts_through_the_service(
+        self, batch_queries, batch_records, oracles, draw, max_group_size
+    ):
+        """Duplicates ride free at every cap, and every answer stays
+        exact and read-only."""
+        service = _service(
+            batch_queries, batch_records,
+            limits=ServiceLimits(
+                admission_window_ms=5.0, max_inflight=2,
+                max_group_size=max_group_size,
+            ),
+        )
+        responses = _serve(
+            service,
+            [
+                QueryRequest(name, batch_queries[name], tenant=f"t{index}")
+                for index, name in enumerate(draw)
+            ],
+        )
+        for response in responses:
+            assert response.ok, response.error
+            assert response.served_by == ["group"] * len(
+                connected_components(batch_queries[response.name])
+            )
+            assert typed(response.result) == oracles[response.name]
+            assert all(
+                refuses_writes(table)
+                for table in response.result.tables.values()
+            )
 
 
 @pytest.fixture(scope="module")

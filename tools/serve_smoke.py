@@ -20,11 +20,12 @@ configuration, both driven by seeded loadgen traces (bit-reproducible):
 
 3. **Duplicated burst.**  Several copies of every catalog query, each
    from its own tenant, arrive at once, as the same dashboards do from
-   several tenants: share groups compute each distinct measure once,
-   so the ``serve.shared_measures`` counter must be positive, every
-   answer must match the oracle in type and bits, and each copy must
-   own its tables (writing to one answer leaves the others as they
-   were).
+   several tenants: share groups compute each distinct measure once
+   and copies join them free, so the burst must dispatch no more groups
+   than one copy of each query does, the ``serve.shared_measures``
+   counter must be positive, every answer must match the oracle in type
+   and bits, and every answer table must refuse writes (members share
+   one read-only answer, as cache hits do).
 
 With ``--check-traces`` phases 1 and 2 also run the trace plane end to
 end: every query gets a per-query tracer, a latency ledger, and a
@@ -414,26 +415,40 @@ def duplicated_burst(args, catalog, records, oracles,
         f"phase 3: duplicated burst ({copies} tenants x "
         f"{len(catalog)} queries at once)"
     )
-    burst = [
-        Arrival(at=0.0, tenant=f"tenant{copy}", query=name)
-        for name in sorted(catalog)
-        for copy in range(copies)
-    ]
+    def burst(tenants):
+        return [
+            Arrival(at=0.0, tenant=f"tenant{copy}", query=name)
+            for name in sorted(catalog)
+            for copy in range(tenants)
+        ]
+
+    _, single = serve_arrivals(
+        build_service(catalog, records, None, args.machines, tight=False),
+        burst(1), speed=0,
+    )
     telemetry = TelemetryRegistry()
     service = build_service(
         catalog, records, None, args.machines, tight=False,
         telemetry=telemetry,
     )
-    responses, report = serve_arrivals(service, burst, speed=0)
+    arrivals = burst(copies)
+    responses, report = serve_arrivals(service, arrivals, speed=0)
     shared = telemetry.counters.get("serve.shared_measures", 0)
     print(
-        f"  {len(burst)} arrivals: {report.completed} completed, "
-        f"{report.groups_dispatched} groups, {shared} measures answered "
-        "from another member's computation"
+        f"  {len(arrivals)} arrivals: {report.completed} completed, "
+        f"{report.groups_dispatched} groups "
+        f"({single.groups_dispatched} for one copy of each), "
+        f"{report.admission.get('free_joins', 0)} free joins, {shared} "
+        "measures answered from another member's computation"
     )
     check(
-        report.completed == len(burst) and report.fallbacks == 0,
+        report.completed == len(arrivals) and report.fallbacks == 0,
         "every copy answered on the backend", violations,
+    )
+    check(
+        report.groups_dispatched <= single.groups_dispatched,
+        "the copies dispatch no more groups than one copy of each query",
+        violations,
     )
     check(shared > 0, "serve.shared_measures is positive", violations)
     expected = {name: typed(oracle) for name, oracle in oracles.items()}
@@ -445,17 +460,21 @@ def duplicated_burst(args, catalog, records, oracles,
         "oracle",
         violations,
     )
-    if responses[0].ok:
-        for table in responses[0].result.tables.values():
-            for coords in list(table.coords())[:1]:
-                table[coords] = "overwritten"
     check(
         all(
-            typed(r.result) == expected[r.name]
-            for r in responses[1:]
+            refuses_writes(table)
+            for r in responses
             if r.ok
+            for table in r.result.tables.values()
         ),
-        "writing to one answer leaves every other answer unchanged",
+        "every answer table refuses writes",
+        violations,
+    )
+    check(
+        all(
+            typed(r.result) == expected[r.name] for r in responses if r.ok
+        ),
+        "every answer still equals the oracle",
         violations,
     )
     check(report.drained, "clean drain after the burst", violations)
