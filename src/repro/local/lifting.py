@@ -15,8 +15,8 @@ back each block's own result (:func:`unlift_outputs`).
 
 Both parallel backends reduce this way, through one helper,
 :func:`evaluate_bucket`: a bucket's rows arrive block-major as one
-:class:`~repro.cube.batches.RecordBatch` (the simulated engine's
-columnar shuffle, the process backend's shared-memory bucket), which
+:class:`~repro.cube.batches.RecordBatch` (rows of the routed batch,
+in-process or in the process backend's shared-memory bucket), which
 gains the ordinal as its leading column (:func:`lift_batch`) and goes
 to the lifted vectorized evaluator, or as per-block lists of records,
 tagged ``(ordinal,) + record``, or of early-aggregation partial
@@ -144,7 +144,7 @@ def unlift_outputs(
     one ``(measure, regions, values)`` chunk whose regions lost their
     leading ordinal: an int matrix and a values array from the arrays,
     lists of region tuples and values from the scalar half (see
-    :func:`output_rows`).  *filters* maps measure names to
+    :func:`count_rows`).  *filters* maps measure names to
     :meth:`~repro.distribution.clustering.BlockScheme.make_result_filter`
     filters, or is ``None`` for a key with no annotated component,
     under which every block owns all it computes.  Otherwise a row
@@ -225,7 +225,7 @@ def _unlift_tables(
     return rows
 
 
-def output_rows(chunks) -> int:
+def count_rows(chunks) -> int:
     """How many ``(measure, region, value)`` rows *chunks* stand for.
 
     A chunk is ``(measure, regions, values)``: an int region matrix and

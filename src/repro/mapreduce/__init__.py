@@ -1,4 +1,5 @@
-"""Simulated MapReduce substrate: DFS, cluster, timing, job engine."""
+"""Simulated MapReduce substrate: DFS, cluster, timing, accounting,
+and the pair engine."""
 
 from repro.mapreduce.cluster import SimulatedCluster, makespan
 from repro.mapreduce.counters import JobCounters, JobReport, PhaseBreakdown
@@ -10,8 +11,10 @@ from repro.mapreduce.dfs import (
 )
 from repro.mapreduce.engine import (
     JobResult,
+    JobShape,
     MapReduceJob,
     TaskContext,
+    account,
     default_partitioner,
 )
 from repro.mapreduce.sorter import (
@@ -38,6 +41,7 @@ __all__ = [
     "JobCounters",
     "JobReport",
     "JobResult",
+    "JobShape",
     "MB",
     "MapReduceJob",
     "PhaseBreakdown",
@@ -46,6 +50,7 @@ __all__ = [
     "TaskSpan",
     "TaskContext",
     "TimingModel",
+    "account",
     "default_partitioner",
     "external_sort",
     "group_sorted",

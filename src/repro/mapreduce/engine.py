@@ -1,35 +1,33 @@
-"""The MapReduce job engine.
+"""The simulated cluster's accounting, and a plain pair engine.
 
-Executes jobs for real -- mappers emit key/value pairs, pairs shuffle to
-reducers by partitioned key, reducers group and reduce -- while charging
-every byte and record to the simulated cluster's timing model.  One call
-to :meth:`MapReduceJob.run` therefore yields both the exact job output
-and a deterministic simulated response time with the paper's Figure 4(d)
-phase breakdown.
+The clock prices counted work and never looks at answers: Figure 4's
+shapes come from counted work, and its seconds are calibrated, not
+measured (:mod:`repro.mapreduce.timing`).  One execution counts the
+work into a :class:`JobShape` -- per map task its records, remote
+read, emitted pairs, combiner input and output and shipped bytes; per
+reduce task its rows, bytes and per-group sort and scan sizes; the
+job's output rows -- and the pure :func:`account` turns that shape
+into a :class:`JobReport`: the deterministic simulated response time
+with the paper's Figure 4(d) phase breakdown, counters, task traces
+and fault accounting.
 
-The scatter/gather contract mirrors Hadoop's:
+Two executions produce shapes.  The composite query runs once, through
+the same route, split and bucket evaluation as the process backend
+(:class:`~repro.parallel.executor.ParallelEvaluator`).
+:class:`MapReduceJob` is the pair engine behind the naive
+per-measure baseline (:mod:`repro.parallel.naive`) and the per-block
+test oracle; its scatter/gather contract mirrors Hadoop's:
 
 * ``mapper(record) -> iterable[(key, value)]`` -- may emit several pairs
   per record, which is what enables overlapped data redistribution;
 * ``combiner(key, values) -> iterable[(key, value)]`` -- optional
   mapper-side pre-aggregation (the early-aggregation optimization);
 * ``reducer(key, values, ctx) -> iterable[output]`` -- sees each group
-  once, with pairs of equal key guaranteed to meet in the same task, and
-  charges its internal sort/scan work through *ctx*;
-* ``reduce_task(bucket, ctx) -> iterable[output]`` -- the whole-task
-  alternative to ``reducer``: sees all of a reduce task's input at once
-  as a :class:`ShuffleBucket`, so groups can share one sort and one
-  scan (Section III-D's composite key).
+  once, with pairs of equal key guaranteed to meet in the same task,
+  and reports its internal sort/scan work through *ctx*.
 
-A batched map task (``map_batch``) may ship pairs or, for records
-routed as arrays, one columnar output: :class:`BlockRows`, its block
-keys with per-block row indices into the task's int matrix.  The engine
-partitions it once per block, never per replica, and charges every row
-as one ``(key, record)`` pair, so the simulated clock cannot tell the
-two apart.  A reducer's :class:`ShuffleBucket` iterates as the
-key-sorted ``(key, values)`` groups of everything it received, and
-when every entry is columnar also offers the whole bucket as arrays
-(:meth:`ShuffleBucket.columnar`).
+:class:`BlockRows` is the columnar map output both backends route
+into: block keys with per-block row indices, split by reducer at once.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import dataclasses
 import logging
 import time
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,20 +63,84 @@ COMBINED_SORT_KEY_OVERHEAD = 1.1
 
 
 class TaskContext:
-    """Lets reduce functions charge their internal work to the clock."""
+    """Collects a reduce function's internal work for the clock."""
 
-    def __init__(self, timing: TimingModel):
-        self._timing = timing
-        self.group_sort_seconds = 0.0
-        self.eval_seconds = 0.0
+    def __init__(self):
+        self.sort_records: list[int] = []
+        self.sort_bytes: list[int] = []
+        self.eval_records: list[int] = []
 
     def charge_sort(self, records: int, nbytes: int) -> None:
         """Charge an in-group sort (the local algorithm's re-sort)."""
-        self.group_sort_seconds += self._timing.sort(records, nbytes)
+        self.sort_records.append(records)
+        self.sort_bytes.append(nbytes)
 
     def charge_eval(self, records: int) -> None:
         """Charge scan/evaluation CPU for *records* processed."""
-        self.eval_seconds += self._timing.eval_cpu(records)
+        self.eval_records.append(records)
+
+
+class MapTask(NamedTuple):
+    """What one map task counted."""
+
+    records: int
+    remote: bool
+    #: Pairs the map function emitted (map CPU is paid per pair).
+    emitted: int
+    #: Pairs shipped to reducers, and their bytes.
+    shipped: int
+    shipped_bytes: int
+    #: Pairs that entered the combiner and their bytes (0 when none ran).
+    combine_inputs: int = 0
+    combine_bytes: int = 0
+
+
+class ReduceTask(NamedTuple):
+    """What one reduce task counted: its input, then each group
+    re-sort ``(records, bytes)`` and each scan's records, in the order
+    the reducer ran them."""
+
+    rows: int
+    nbytes: int
+    sort_records: np.ndarray
+    sort_bytes: np.ndarray
+    eval_records: np.ndarray
+
+
+@dataclass
+class JobShape:
+    """Everything one execution of a job counted; :func:`account`
+    prices it.
+
+    Attributes:
+        record_bytes: Serialized size of one map input record.
+        combined_sort: Section III-D's combined framework/local sort:
+            group re-sorts become free, the framework sort pays a
+            slightly wider key.
+        maps: One :class:`MapTask` per DFS split, in split order.
+        reduces: One :class:`ReduceTask` per reducer, in reducer order.
+        output_records: Records the job output.
+        wall: ``time.perf_counter`` stamps of the map phase's start and
+            end and the reduce phase's start and end.
+    """
+
+    record_bytes: int
+    combined_sort: bool = False
+    maps: list = field(default_factory=list)
+    reduces: list = field(default_factory=list)
+    output_records: int = 0
+    wall: tuple = (0.0, 0.0, 0.0, 0.0)
+
+    def add_reducer(self, rows, nbytes, sort_records, sort_bytes,
+                        eval_records) -> None:
+        """Append one reducer's counts, charge sizes as arrays."""
+        self.reduces.append(ReduceTask(
+            rows,
+            nbytes,
+            np.asarray(sort_records, dtype=np.int64),
+            np.asarray(sort_bytes, dtype=np.int64),
+            np.asarray(eval_records, dtype=np.int64),
+        ))
 
 
 @dataclass
@@ -98,17 +160,14 @@ class BlockRows:
             ``repr`` would misplace NumPy scalars), ascending.
         key_matrix: The same keys as an int64 ``(blocks, width)`` array.
         counts: Rows per block.
-        rows: Row indices into *matrix* and *records*, block-major.
-        matrix: The map task's records as an int64 matrix.
-        records: The map task's records; materialised groups hold these.
+        rows: Row indices into the routed batch, block-major; a block's
+            rows ascend.
     """
 
     keys: list
     key_matrix: np.ndarray
     counts: np.ndarray
     rows: np.ndarray
-    matrix: np.ndarray
-    records: Sequence
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -150,133 +209,10 @@ class BlockRows:
                     self.key_matrix[order[low:high]],
                     counts[low:high],
                     rows[row_edges[low]:row_edges[high]],
-                    self.matrix,
-                    self.records,
                 ),
             )
             for low, high in zip(edges, edges[1:])
         ]
-
-    def pairs(self) -> list[tuple]:
-        """The ``(key, record)`` pairs these rows stand for."""
-        records = self.records
-        row_list = self.rows.tolist()
-        pairs = []
-        offset = 0
-        for key, count in zip(self.keys, self.counts.tolist()):
-            pairs.extend(
-                (key, records[row]) for row in row_list[offset:offset + count]
-            )
-            offset += count
-        return pairs
-
-
-@dataclass
-class BucketColumns:
-    """A columnar bucket grouped by block, as one reducer sees it.
-
-    Attributes:
-        keys: The distinct block keys, plain-int tuples, ascending.
-        counts: Rows per block.
-        matrix: The blocks' rows, block-major; a block's rows keep
-            their arrival order (map task, then row), as the values of
-            a :func:`~repro.mapreduce.sorter.sort_group_pairs` group do.
-    """
-
-    keys: list
-    counts: np.ndarray
-    matrix: np.ndarray
-
-
-class ShuffleBucket:
-    """One reduce task's input: what each map task shipped it, in order.
-
-    Each entry is one map task's share: a list of ``(key, value)``
-    pairs or a :class:`BlockRows`.  Iterating yields the
-    :func:`~repro.mapreduce.sorter.sort_group_pairs` groups of every
-    pair the entries stand for, built on first use; iterate as often as
-    needed.
-    """
-
-    def __init__(self):
-        self.entries: list = []
-        self._groups: Optional[list] = None
-
-    def __len__(self) -> int:
-        return sum(len(entry) for entry in self.entries)
-
-    def __iter__(self):
-        if self._groups is None:
-            pairs: list = []
-            for entry in self.entries:
-                pairs.extend(
-                    entry.pairs() if isinstance(entry, BlockRows) else entry
-                )
-            self._groups = sort_group_pairs(pairs)
-        return iter(self._groups)
-
-    def columnar(self) -> Optional[BucketColumns]:
-        """The bucket as arrays, or ``None`` unless it holds only
-        :class:`BlockRows`.
-
-        One stable lexsort of the entries' block keys merges equal
-        keys in arrival order, exactly the order the groups hold.
-        """
-        entries = self.entries
-        if not entries or not all(
-            isinstance(entry, BlockRows) for entry in entries
-        ):
-            return None
-        if len(entries) == 1:
-            (only,) = entries
-            return BucketColumns(
-                only.keys, only.counts, only.matrix[only.rows]
-            )
-        keys = [key for entry in entries for key in entry.keys]
-        key_matrix = np.concatenate([entry.key_matrix for entry in entries])
-        counts = np.concatenate([entry.counts for entry in entries])
-        matrix = np.concatenate(
-            [entry.matrix[entry.rows] for entry in entries]
-        )
-        order = np.lexsort(key_matrix.T[::-1])
-        starts = np.flatnonzero(kernels.row_boundaries(key_matrix[order]))
-        return BucketColumns(
-            [keys[i] for i in order[starts].tolist()],
-            np.add.reduceat(counts[order], starts),
-            matrix[kernels.take_blocks(counts, order)],
-        )
-
-
-@dataclass
-class MapBatchOutput:
-    """What a batched map-side fast path produced for one map task.
-
-    The engine charges the simulated clock from these numbers exactly as
-    it would have for the scalar path, so a batched implementation that
-    reports the scalar-equivalent pair counts yields bit-identical
-    counters, timings and results -- only the wall-clock cost of
-    producing them changes.
-
-    Attributes:
-        pairs: The final key/value pairs to partition (post-combine when
-            *combined* is set).
-        blocks: Rows routed as arrays instead of pairs; each counts as
-            one ``(key, record)`` pair charged ``record_bytes``.
-        emitted_pairs: How many pairs the scalar mapper would have
-            emitted before combining (drives map CPU accounting).
-        combine_inputs: Pairs that entered the combine stage (0 when no
-            combiner ran).
-        combine_bytes: Serialized size of the combine input, charged as
-            the mapper-side sort.
-        combined: Whether the pairs are combiner output.
-    """
-
-    pairs: list
-    emitted_pairs: int
-    combine_inputs: int = 0
-    combine_bytes: int = 0
-    combined: bool = False
-    blocks: Optional[BlockRows] = None
 
 
 def stable_hash(key) -> int:
@@ -387,166 +323,47 @@ def default_partitioner(key, num_reducers: int) -> int:
     return stable_hash(key) % num_reducers
 
 
-@dataclass
-class MapReduceJob:
-    """A configured job; call :meth:`run` against a cluster and a file.
+def _sort_seconds(timing: TimingModel, records, nbytes) -> np.ndarray:
+    """``timing.sort`` of each ``(records, bytes)`` pair, called once per
+    distinct pair: it takes ``math.log2``, whose bits NumPy's ``log2``
+    need not match."""
+    order = np.lexsort((nbytes, records))
+    pairs = np.column_stack((records, nbytes))[order]
+    starts = kernels.row_boundaries(pairs)
+    seconds = np.array(
+        [timing.sort(count, size) for count, size in pairs[starts].tolist()]
+    )
+    priced = np.zeros(len(order))
+    priced[order] = seconds[np.cumsum(starts) - 1]
+    return priced
 
-    Args:
-        mapper: Map function (see module docstring).
-        reducer: Per-group reduce function, or ``None`` when
-            *reduce_task* reduces whole tasks instead.
-        num_reducers: Number of reduce tasks (the paper's ``m``).
-        combiner: Optional mapper-side pre-aggregation.
-        partitioner: ``(key, m) -> reducer index``; defaults to hashing.
-        map_batch: Optional batched fast path for whole map tasks:
-            ``(records) -> MapBatchOutput | None``.  When it returns an
-            output, the per-record ``mapper`` (and ``combiner``) are
-            bypassed for that task; returning ``None`` falls back to the
-            scalar path, which is the per-task escape hatch for data the
-            batched implementation cannot represent.
-        reduce_task: Whole-task reduce function, the reduce-side mirror
-            of *map_batch*: called once per reduce task with that task's
-            :class:`ShuffleBucket` and the :class:`TaskContext`.
-            Exactly one of *reducer* and *reduce_task* must be given.
-        record_bytes: Serialized size of one map *input* record.
-        value_bytes: Size function for map output values; defaults to
-            ``record_bytes`` (values are copies of input records in the
-            paper's scheme).
-        combined_sort: Model Section III-D's combined framework/local
-            sort: group re-sorts become free, the framework sort pays a
-            slightly wider key.
-        output_rows: How many output records the job's output list
-            stands for; ``len`` unless the reduce side emits batches.
-        name: Label used in reports.
-    """
 
-    mapper: Callable
-    reducer: Optional[Callable]
-    num_reducers: int
-    combiner: Optional[Callable] = None
-    partitioner: Callable = default_partitioner
-    map_batch: Optional[Callable] = None
-    reduce_task: Optional[Callable] = None
-    record_bytes: int = 64
-    value_bytes: Optional[Callable] = None
-    combined_sort: bool = False
-    output_rows: Callable[[list], int] = len
-    name: str = "job"
+def _fold(seconds: np.ndarray) -> float:
+    """``0.0 + s0 + s1 + ...`` left to right, as a running ``+=`` adds
+    (``np.cumsum`` is sequential; ``np.sum`` is pairwise, and ``sum``
+    compensates since Python 3.12)."""
+    return float(np.cumsum(seconds)[-1]) if len(seconds) else 0.0
 
-    def __post_init__(self):
-        if self.num_reducers <= 0:
-            raise ValueError("num_reducers must be positive")
-        if (self.reducer is None) == (self.reduce_task is None):
-            raise ValueError(
-                "give exactly one of reducer (per group) and reduce_task "
-                "(per task)"
-            )
 
-    # -- map side ----------------------------------------------------------------
-
-    def _run_map_task(
-        self,
-        records: Sequence,
-        remote: bool,
-        timing: TimingModel,
-        counters: JobCounters,
-        buckets: list[ShuffleBucket],
-    ) -> float:
-        value_size = self.value_bytes or (lambda _value: self.record_bytes)
-        batch_output = (
-            self.map_batch(records) if self.map_batch is not None else None
-        )
-        counters.map_input_records += len(records)
-        blocks = None
-        if batch_output is not None:
-            # Batched fast path: the implementation reports the
-            # scalar-equivalent pair counts, so the charges below mirror
-            # the scalar branch exactly.
-            pairs = batch_output.pairs
-            blocks = batch_output.blocks
-            emitted_pairs = batch_output.emitted_pairs
-            combine_seconds = 0.0
-            if batch_output.combined and batch_output.combine_inputs:
-                counters.combine_input_records += batch_output.combine_inputs
-                combine_seconds = timing.sort(
-                    batch_output.combine_inputs, batch_output.combine_bytes
-                )
-                counters.combine_output_records += len(pairs)
-        else:
-            pairs = []
-            for record in records:
-                pairs.extend(self.mapper(record))
-            emitted_pairs = len(pairs)
-
-            combine_seconds = 0.0
-            if self.combiner is not None and pairs:
-                counters.combine_input_records += len(pairs)
-                pair_bytes = sum(
-                    KEY_BYTES + value_size(v) for _k, v in pairs
-                )
-                # Mapper-side grouping costs a sort (or hash) of the map
-                # output -- the overhead Figure 4(e) shows dominating at
-                # fine granularities.
-                combine_seconds = timing.sort(len(pairs), pair_bytes)
-                combined = []
-                for key, values in sort_group_pairs(pairs):
-                    combined.extend(self.combiner(key, values))
-                pairs = combined
-                counters.combine_output_records += len(pairs)
-
-        out_bytes = 0
-        shares: dict[int, list] = {}
-        for key, value in pairs:
-            index = self.partitioner(key, self.num_reducers)
-            share = shares.get(index)
-            if share is None:
-                share = shares[index] = []
-            share.append((key, value))
-            out_bytes += KEY_BYTES + value_size(value)
-        for index, share in shares.items():
-            buckets[index].entries.append(share)
-        shipped = len(pairs)
-        if blocks is not None and len(blocks):
-            for index, share in blocks.split(
-                self.partitioner, self.num_reducers
-            ):
-                buckets[index].entries.append(share)
-            shipped += len(blocks)
-            out_bytes += len(blocks) * (KEY_BYTES + self.record_bytes)
-        counters.map_output_records += shipped
-        counters.map_output_bytes += out_bytes
-
-        read_bytes = len(records) * self.record_bytes
-        # Emission CPU is paid per pair the map function produced; the
-        # combiner may shrink `pairs` afterwards but the work happened.
-        return (
-            timing.disk_read(read_bytes, remote=remote)
-            + timing.map_cpu(len(records) + emitted_pairs)
-            + combine_seconds
-        )
-
-    # -- reduce side --------------------------------------------------------------
-
-    def _run_reduce_task(
-        self,
-        bucket: ShuffleBucket,
-        cluster: SimulatedCluster,
-        counters: JobCounters,
-        outputs: list,
-    ) -> tuple[float, float, float, float, int]:
-        """Execute one reducer; returns its phase durations and load."""
-        timing = cluster.timing
-        value_size = self.value_bytes or (lambda _value: self.record_bytes)
-        size = 0
-        in_bytes = 0
-        for entry in bucket.entries:
-            size += len(entry)
-            if isinstance(entry, BlockRows):
-                in_bytes += len(entry) * (KEY_BYTES + self.record_bytes)
-            else:
-                in_bytes += sum(KEY_BYTES + value_size(v) for _k, v in entry)
-        shuffle_seconds = timing.network_transfer(in_bytes)
-
+def _reduce_stages(shape: JobShape, cluster: SimulatedCluster,
+                   counters: JobCounters) -> list[list[float]]:
+    """Each reducer's shuffle, framework-sort, group-sort and evaluate
+    seconds, one list per stage, before retries and stragglers."""
+    timing = cluster.timing
+    reduces = shape.reduces
+    sorts = np.split(
+        _sort_seconds(
+            timing,
+            np.concatenate([task.sort_records for task in reduces] or [[]]),
+            np.concatenate([task.sort_bytes for task in reduces] or [[]]),
+        ),
+        np.cumsum([len(task.sort_records) for task in reduces])[:-1],
+    )
+    stages: list[list[float]] = [[], [], [], []]
+    for task, group_sorts in zip(reduces, sorts):
+        size, in_bytes = task.rows, task.nbytes
+        counters.reduce_tasks += 1
+        counters.reduce_input_records += size
         sort_stats = spill_stats(
             size,
             record_bytes=max(1, in_bytes // max(1, size)),
@@ -555,31 +372,393 @@ class MapReduceJob:
         counters.spilled_records += sort_stats.spilled_records
         counters.sort_passes += sort_stats.passes
         fsort_bytes = in_bytes
-        if self.combined_sort:
+        if shape.combined_sort:
             fsort_bytes = int(in_bytes * COMBINED_SORT_KEY_OVERHEAD)
-        fsort_seconds = timing.sort(size, fsort_bytes)
+        stages[0].append(timing.network_transfer(in_bytes))
+        stages[1].append(timing.sort(size, fsort_bytes))
+        # Under the combined sort the local re-sort is subsumed by the
+        # composite framework key.
+        stages[2].append(0.0 if shape.combined_sort else _fold(group_sorts))
+        stages[3].append(_fold(timing.eval_cpu(task.eval_records)))
+    return stages
 
-        context = TaskContext(timing)
-        counters.reduce_input_records += size
-        if self.reduce_task is not None:
-            outputs.extend(self.reduce_task(bucket, context))
+
+def _tracer_walls(tracer, wall: tuple) -> tuple:
+    """*wall*'s ``perf_counter`` stamps on *tracer*'s clock."""
+    if not tracer.enabled:
+        return wall
+    offset = tracer.now() - time.perf_counter()
+    return tuple(stamp + offset for stamp in wall)
+
+
+def account(
+    shape: JobShape,
+    cluster: SimulatedCluster,
+    *,
+    name: str = "job",
+    sim_origin: float = 0.0,
+    tracer=None,
+    telemetry=None,
+) -> JobReport:
+    """Price one execution's counted work on *cluster*'s virtual clock.
+
+    Pure in *shape* and the cluster's configuration, static failures
+    and fault plan: stragglers and faults are seeded by job *name* and
+    cluster, never by answers.  *tracer* (a :class:`repro.obs.Tracer`,
+    disabled by default) receives the span tree of the run: a ``job``
+    span holding the ``map`` phase, per-slot task placements, and the
+    ``reduce`` phase with its ``shuffle``/``sort``/``group-sort``/
+    ``evaluate`` children on the simulated clock; the ``job``, ``map``
+    and ``reduce`` spans span the wall intervals *shape* stamped.
+    *sim_origin* offsets every simulated timestamp, letting multi-job
+    evaluations lay jobs end to end on one timeline.  *telemetry* (a
+    :class:`repro.obs.telemetry.TelemetryRegistry`, disabled by
+    default) receives each task's progress and row/byte counts.
+    """
+    tracer = tracer if tracer is not None else NULL_TRACER
+    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+    timing = cluster.timing
+    counters = JobCounters()
+    chaos = cluster.fault_plan is not None
+    num_reducers = len(shape.reduces)
+    map_start, map_end, reduce_start, reduce_end = _tracer_walls(
+        tracer, shape.wall
+    )
+
+    with tracer.span("job", wall_start=map_start, job=name) as job_span:
+        with tracer.span(
+            "map", wall_start=map_start, wall_end=map_end
+        ) as map_span:
+            map_durations = []
+            telemetry.phase("map", 0, len(shape.maps))
+            for task in shape.maps:
+                counters.map_input_records += task.records
+                counters.remote_block_reads += task.remote
+                combine_seconds = 0.0
+                if task.combine_inputs:
+                    counters.combine_input_records += task.combine_inputs
+                    # Mapper-side grouping costs a sort (or hash) of the
+                    # map output -- the overhead Figure 4(e) shows
+                    # dominating at fine granularities.
+                    combine_seconds = timing.sort(
+                        task.combine_inputs, task.combine_bytes
+                    )
+                    counters.combine_output_records += task.shipped
+                counters.map_output_records += task.shipped
+                counters.map_output_bytes += task.shipped_bytes
+                # Emission CPU is paid per pair the map function
+                # produced; the combiner may shrink them afterwards but
+                # the work happened.
+                map_durations.append(
+                    timing.disk_read(
+                        task.records * shape.record_bytes, remote=task.remote
+                    )
+                    + timing.map_cpu(task.records + task.emitted)
+                    + combine_seconds
+                )
+                telemetry.phase("map", len(map_durations), len(shape.maps))
+                telemetry.mark("map.rows", task.records)
+                telemetry.mark("shuffle.bytes", task.shipped_bytes)
+            counters.map_tasks = len(map_durations)
+            map_stats = None
+            if chaos:
+                # Fault-aware scheduling: the plan injects crashes,
+                # failures and stragglers per attempt; reruns charge
+                # their actual cost.
+                map_makespan, map_trace, map_stats = cluster.schedule_phase(
+                    "map", map_durations, origin=sim_origin
+                )
+                _account_fault_stats(counters, map_stats)
+                map_stragglers = map_stats.stragglers
+            else:
+                map_factors, map_stragglers, map_speculated = (
+                    cluster.straggler_factors(
+                        len(map_durations), f"{name}:map"
+                    )
+                )
+                map_durations = [
+                    duration * factor
+                    for duration, factor in zip(map_durations, map_factors)
+                ]
+                counters.extra["stragglers"] += map_stragglers
+                counters.extra["speculated"] += map_speculated
+                map_makespan, map_trace = schedule(
+                    map_durations, cluster.map_slots
+                )
+            map_span.set_sim(sim_origin, sim_origin + map_makespan)
+            map_span.set(
+                tasks=len(map_durations),
+                input_records=counters.map_input_records,
+                output_records=counters.map_output_records,
+                stragglers=map_stragglers,
+            )
+        if chaos:
+            _add_attempt_spans(
+                tracer, "map", map_trace, sim_offset=sim_origin, name="map"
+            )
         else:
-            for key, values in bucket:
+            tracer.add_task_spans(
+                "map", map_trace, sim_offset=sim_origin, name="map"
+            )
+
+        with tracer.span(
+            "reduce", wall_start=reduce_start, wall_end=reduce_end
+        ) as reduce_span:
+            stages = _reduce_stages(shape, cluster, counters)
+            telemetry.phase("reduce", 0, num_reducers)
+            for index, task in enumerate(shape.reduces):
+                telemetry.phase("reduce", index + 1, num_reducers)
+                telemetry.mark("reduce.rows", task.rows)
+                # Under chaos, dispatch-to-a-dead-machine is priced by
+                # real attempt accounting, not the flat 2x.
+                if not chaos and cluster.reducer_retry_needed(index):
+                    counters.task_retries += 1
+                    for stage in stages:
+                        stage[index] *= 2.0
+            counters.shuffle_bytes = counters.map_output_bytes
+            counters.reduce_output_records = shape.output_records
+
+            reduce_stats = None
+            if chaos:
+                # A lost shuffle partition re-fetches that reducer's map
+                # output once: its shuffle cost is paid twice.
+                for index in range(num_reducers):
+                    if cluster.fault_plan.partition_lost(index):
+                        stages[0][index] *= 2.0
+                        counters.extra["shuffle_refetches"] += 1
+                reduce_stragglers = 0
+            else:
+                reduce_factors, reduce_stragglers, reduce_speculated = (
+                    cluster.straggler_factors(num_reducers, f"{name}:reduce")
+                )
+                counters.extra["stragglers"] += reduce_stragglers
+                counters.extra["speculated"] += reduce_speculated
+                for stage in stages:
+                    for index, factor in enumerate(reduce_factors):
+                        stage[index] *= factor
+
+            reduce_base = sim_origin + map_makespan
+            slots = cluster.reduce_slots
+            if chaos:
+                # Machines crashed during the map phase contribute no
+                # reduce slots; the stage-shape makespans below use what
+                # is actually alive when the reduce starts.
+                slots = max(
+                    1,
+                    len(cluster.live_machines_at(reduce_base))
+                    * cluster.config.reduce_slots_per_machine,
+                )
+            # Each reducer's stage prefixes, folded left to right.
+            prefixes = np.cumsum(stages, axis=0).tolist()
+            cumulative = [0.0] + [
+                makespan(prefix, slots) for prefix in prefixes
+            ]
+            reducer_times = prefixes[3]
+            if chaos:
+                reduce_makespan, reduce_trace, reduce_stats = (
+                    cluster.schedule_phase(
+                        "reduce", reducer_times, origin=reduce_base
+                    )
+                )
+                _account_fault_stats(counters, reduce_stats)
+                reduce_stragglers = reduce_stats.stragglers
+                # Reruns stretch the phase; scale the per-stage breakdown
+                # proportionally so it still sums to the fault-aware
+                # makespan.
+                if cumulative[-1] > 0:
+                    factor = reduce_makespan / cumulative[-1]
+                    cumulative = [value * factor for value in cumulative]
+            else:
+                reduce_makespan = cumulative[4]
+                _finish, reduce_trace = schedule(reducer_times, slots)
+            breakdown = PhaseBreakdown(
+                map=map_makespan,
+                shuffle=cumulative[1] - cumulative[0],
+                framework_sort=cumulative[2] - cumulative[1],
+                group_sort=cumulative[3] - cumulative[2],
+                evaluate=cumulative[4] - cumulative[3],
+            )
+
+            # The reduce phases are derived makespans, not wall-clock
+            # intervals: record them on the simulated timeline only.
+            for phase_name, depth in (
+                ("shuffle", 1),
+                ("sort", 2),
+                ("group-sort", 3),
+                ("evaluate", 4),
+            ):
+                tracer.record_span(
+                    phase_name,
+                    reduce_base + cumulative[depth - 1],
+                    reduce_base + cumulative[depth],
+                    tasks=num_reducers,
+                )
+            reduce_span.set_sim(reduce_base, reduce_base + reduce_makespan)
+            reduce_span.set(
+                tasks=num_reducers,
+                input_records=counters.reduce_input_records,
+                output_records=counters.reduce_output_records,
+                stragglers=reduce_stragglers,
+            )
+        if chaos:
+            _add_attempt_spans(
+                tracer, "reduce", reduce_trace, sim_offset=reduce_base,
+                name="reduce",
+            )
+        else:
+            tracer.add_task_spans(
+                "reduce", reduce_trace, sim_offset=reduce_base,
+                name="reduce",
+            )
+
+        faults: dict = {}
+        if chaos:
+            faults = {
+                "plan": cluster.fault_plan.to_dict(),
+                "policy": dataclasses.asdict(cluster.retry_policy),
+                "map": map_stats.to_dict(),
+                "reduce": reduce_stats.to_dict(),
+            }
+        report = JobReport(
+            name=name,
+            counters=counters,
+            breakdown=breakdown,
+            map_makespan=map_makespan,
+            reduce_makespan=reduce_makespan,
+            reducer_loads=[task.rows for task in shape.reduces],
+            reducer_times=reducer_times,
+            map_trace=map_trace,
+            reduce_trace=reduce_trace,
+            faults=faults,
+            wall_map_start=shape.wall[0],
+            wall_map_end=shape.wall[1],
+            wall_reduce_start=shape.wall[2],
+        )
+        job_span.set_sim(sim_origin, sim_origin + report.response_time)
+        job_span.set(
+            max_reducer_load=report.max_reducer_load,
+            load_imbalance=report.load_imbalance,
+        )
+        if chaos and (
+            counters.task_retries
+            or counters.extra["speculated"]
+            or counters.extra["crash_kills"]
+        ):
+            tracer.record_span(
+                "fault-recovery",
+                sim_origin,
+                sim_origin + report.response_time,
+                retries=counters.task_retries,
+                crash_kills=counters.extra["crash_kills"],
+                injected_failures=counters.extra["injected_failures"],
+                speculative=counters.extra["speculated"],
+                exhausted=counters.extra["exhausted_tasks"],
+            )
+    logger.debug("job %s finished: %s", name, report.summary())
+    return report
+
+
+@dataclass
+class MapReduceJob:
+    """A configured pair job; call :meth:`run` against a cluster and a
+    file.
+
+    Args:
+        mapper: Map function (see module docstring).
+        reducer: Per-group reduce function.
+        num_reducers: Number of reduce tasks (the paper's ``m``).
+        combiner: Optional mapper-side pre-aggregation.
+        partitioner: ``(key, m) -> reducer index``; defaults to hashing.
+        record_bytes: Serialized size of one map *input* record.
+        value_bytes: Size function for map output values; defaults to
+            ``record_bytes`` (values are copies of input records in the
+            paper's scheme).
+        combined_sort: Model Section III-D's combined framework/local
+            sort (see :class:`JobShape`).
+        name: Label used in reports.
+    """
+
+    mapper: Callable
+    reducer: Callable
+    num_reducers: int
+    combiner: Optional[Callable] = None
+    partitioner: Callable = default_partitioner
+    record_bytes: int = 64
+    value_bytes: Optional[Callable] = None
+    combined_sort: bool = False
+    name: str = "job"
+
+    def __post_init__(self):
+        if self.num_reducers <= 0:
+            raise ValueError("num_reducers must be positive")
+
+    def execute(
+        self,
+        input_file: DistributedFile,
+        cluster: SimulatedCluster,
+        sim_origin: float = 0.0,
+    ) -> tuple[list, JobShape]:
+        """Run the job; returns its outputs and the work it counted.
+
+        Each DFS split is read from a replica alive at *sim_origin*
+        (:class:`~repro.mapreduce.dfs.DataUnavailableError` when none
+        is) and mapped, combined and partitioned as one map task; each
+        reducer groups what it received by key, in arrival order.
+        """
+        value_size = self.value_bytes or (lambda _value: self.record_bytes)
+        failed = (
+            cluster.machines_dead_at(sim_origin)
+            if cluster.fault_plan is not None
+            else cluster.failed_machines
+        )
+        shape = JobShape(self.record_bytes, self.combined_sort)
+        shares: list[list] = [[] for _ in range(self.num_reducers)]
+        map_start = time.perf_counter()
+        for block in input_file.blocks:
+            records, served_by = input_file.read_block(block, failed)
+            pairs = [pair for record in records for pair in self.mapper(record)]
+            emitted = len(pairs)
+            combine_bytes = 0
+            if self.combiner is not None and pairs:
+                combine_bytes = sum(KEY_BYTES + value_size(v) for _k, v in pairs)
+                pairs = [
+                    pair
+                    for key, values in sort_group_pairs(pairs)
+                    for pair in self.combiner(key, values)
+                ]
+            shipped_bytes = 0
+            for pair in pairs:
+                shares[self.partitioner(pair[0], self.num_reducers)].append(
+                    pair
+                )
+                shipped_bytes += KEY_BYTES + value_size(pair[1])
+            shape.maps.append(MapTask(
+                len(records),
+                served_by != block.replicas[0],
+                emitted,
+                len(pairs),
+                shipped_bytes,
+                emitted if combine_bytes else 0,
+                combine_bytes,
+            ))
+        map_end = reduce_start = time.perf_counter()
+        outputs: list = []
+        for share in shares:
+            context = TaskContext()
+            for key, values in sort_group_pairs(share):
                 produced = self.reducer(key, values, context)
                 if produced:
                     outputs.extend(produced)
-        if self.combined_sort:
-            # The local re-sort is subsumed by the composite framework key.
-            context.group_sort_seconds = 0.0
-        return (
-            shuffle_seconds,
-            fsort_seconds,
-            context.group_sort_seconds,
-            context.eval_seconds,
-            size,
-        )
-
-    # -- whole job -----------------------------------------------------------------
+            shape.add_reducer(
+                len(share),
+                sum(KEY_BYTES + value_size(v) for _k, v in share),
+                context.sort_records,
+                context.sort_bytes,
+                context.eval_records,
+            )
+        shape.output_records = len(outputs)
+        shape.wall = (map_start, map_end, reduce_start, time.perf_counter())
+        return outputs, shape
 
     def run(
         self,
@@ -589,274 +768,11 @@ class MapReduceJob:
         sim_origin: float = 0.0,
         telemetry=None,
     ) -> JobResult:
-        """Execute the job and return outputs plus the execution report.
-
-        *tracer* (a :class:`repro.obs.Tracer`, disabled by default)
-        receives the span tree of the run: a ``job`` span holding the
-        ``map`` phase, per-slot task placements, and the ``reduce``
-        phase with its ``shuffle``/``sort``/``group-sort``/``evaluate``
-        children on the simulated clock.  *sim_origin* offsets every
-        simulated timestamp, letting multi-job evaluations lay jobs
-        end to end on one timeline.  *telemetry* (a
-        :class:`repro.obs.telemetry.TelemetryRegistry`, disabled by
-        default) receives live phase progress and row/byte rates while
-        the job runs.
-        """
-        tracer = tracer if tracer is not None else NULL_TRACER
-        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        timing = cluster.timing
-        counters = JobCounters()
-        chaos = cluster.fault_plan is not None
-        failed = (
-            cluster.machines_dead_at(sim_origin)
-            if chaos
-            else cluster.failed_machines
+        """Execute the job and :func:`account` for it (see
+        :meth:`execute` and :func:`account` for the arguments)."""
+        outputs, shape = self.execute(input_file, cluster, sim_origin)
+        report = account(
+            shape, cluster, name=self.name, sim_origin=sim_origin,
+            tracer=tracer, telemetry=telemetry,
         )
-        buckets = [ShuffleBucket() for _ in range(self.num_reducers)]
-
-        with tracer.span("job", job=self.name) as job_span:
-            wall_map_start = time.perf_counter()
-            with tracer.span("map") as map_span:
-                map_durations = []
-                telemetry.phase("map", 0, len(input_file.blocks))
-                shipped_bytes = 0
-                for block in input_file.blocks:
-                    records, served_by = input_file.read_block(block, failed)
-                    remote = served_by != block.replicas[0]
-                    if remote:
-                        counters.remote_block_reads += 1
-                    map_durations.append(
-                        self._run_map_task(
-                            records, remote, timing, counters, buckets
-                        )
-                    )
-                    telemetry.phase(
-                        "map", len(map_durations), len(input_file.blocks)
-                    )
-                    telemetry.mark("map.rows", len(records))
-                    telemetry.mark(
-                        "shuffle.bytes",
-                        counters.map_output_bytes - shipped_bytes,
-                    )
-                    shipped_bytes = counters.map_output_bytes
-                counters.map_tasks = len(map_durations)
-                map_stats = None
-                if chaos:
-                    # Fault-aware scheduling: the plan injects crashes,
-                    # failures and stragglers per attempt; reruns charge
-                    # their actual cost.
-                    map_makespan, map_trace, map_stats = (
-                        cluster.schedule_phase(
-                            "map", map_durations, origin=sim_origin
-                        )
-                    )
-                    _account_fault_stats(counters, map_stats)
-                    map_stragglers = map_stats.stragglers
-                else:
-                    map_factors, map_stragglers, map_speculated = (
-                        cluster.straggler_factors(
-                            len(map_durations), f"{self.name}:map"
-                        )
-                    )
-                    map_durations = [
-                        duration * factor
-                        for duration, factor in zip(map_durations, map_factors)
-                    ]
-                    counters.extra["stragglers"] += map_stragglers
-                    counters.extra["speculated"] += map_speculated
-                    map_makespan, map_trace = schedule(
-                        map_durations, cluster.map_slots
-                    )
-                map_span.set_sim(sim_origin, sim_origin + map_makespan)
-                map_span.set(
-                    tasks=len(map_durations),
-                    input_records=counters.map_input_records,
-                    output_records=counters.map_output_records,
-                    stragglers=map_stragglers,
-                )
-            wall_map_end = time.perf_counter()
-            if chaos:
-                _add_attempt_spans(
-                    tracer, "map", map_trace, sim_offset=sim_origin,
-                    name="map",
-                )
-            else:
-                tracer.add_task_spans(
-                    "map", map_trace, sim_offset=sim_origin, name="map"
-                )
-
-            wall_reduce_start = time.perf_counter()
-            with tracer.span("reduce") as reduce_span:
-                outputs: list = []
-                shuffle, fsort, gsort, evaluate, loads = [], [], [], [], []
-                telemetry.phase("reduce", 0, len(buckets))
-                for index, bucket in enumerate(buckets):
-                    counters.reduce_tasks += 1
-                    durations = self._run_reduce_task(
-                        bucket, cluster, counters, outputs
-                    )
-                    telemetry.phase("reduce", index + 1, len(buckets))
-                    telemetry.mark("reduce.rows", durations[4])
-                    # Under chaos, dispatch-to-a-dead-machine is priced
-                    # by real attempt accounting, not the flat 2x.
-                    retry = (
-                        2.0
-                        if not chaos and cluster.reducer_retry_needed(index)
-                        else 1.0
-                    )
-                    if retry > 1.0:
-                        counters.task_retries += 1
-                    shuffle.append(durations[0] * retry)
-                    fsort.append(durations[1] * retry)
-                    gsort.append(durations[2] * retry)
-                    evaluate.append(durations[3] * retry)
-                    loads.append(durations[4])
-                counters.shuffle_bytes = counters.map_output_bytes
-                counters.reduce_output_records = self.output_rows(outputs)
-
-                reduce_stats = None
-                if chaos:
-                    # A lost shuffle partition re-fetches that reducer's
-                    # map output once: its shuffle cost is paid twice.
-                    for index in range(self.num_reducers):
-                        if cluster.fault_plan.partition_lost(index):
-                            shuffle[index] *= 2.0
-                            counters.extra["shuffle_refetches"] += 1
-                    reduce_stragglers = 0
-                else:
-                    reduce_factors, reduce_stragglers, reduce_speculated = (
-                        cluster.straggler_factors(
-                            self.num_reducers, f"{self.name}:reduce"
-                        )
-                    )
-                    counters.extra["stragglers"] += reduce_stragglers
-                    counters.extra["speculated"] += reduce_speculated
-                    for stage in (shuffle, fsort, gsort, evaluate):
-                        for index, factor in enumerate(reduce_factors):
-                            stage[index] *= factor
-
-                reduce_base = sim_origin + map_makespan
-                slots = cluster.reduce_slots
-                if chaos:
-                    # Machines crashed during the map phase contribute no
-                    # reduce slots; the stage-shape makespans below use
-                    # what is actually alive when the reduce starts.
-                    slots = max(
-                        1,
-                        len(cluster.live_machines_at(reduce_base))
-                        * cluster.config.reduce_slots_per_machine,
-                    )
-                stages = [shuffle, fsort, gsort, evaluate]
-                cumulative = [0.0] * (len(stages) + 1)
-                for depth in range(1, len(stages) + 1):
-                    partial = [
-                        sum(stage[j] for stage in stages[:depth])
-                        for j in range(self.num_reducers)
-                    ]
-                    cumulative[depth] = makespan(partial, slots)
-                reducer_times = [
-                    shuffle[j] + fsort[j] + gsort[j] + evaluate[j]
-                    for j in range(self.num_reducers)
-                ]
-                if chaos:
-                    reduce_makespan, reduce_trace, reduce_stats = (
-                        cluster.schedule_phase(
-                            "reduce", reducer_times, origin=reduce_base
-                        )
-                    )
-                    _account_fault_stats(counters, reduce_stats)
-                    reduce_stragglers = reduce_stats.stragglers
-                    # Reruns stretch the phase; scale the per-stage
-                    # breakdown proportionally so it still sums to the
-                    # fault-aware makespan.
-                    if cumulative[-1] > 0:
-                        factor = reduce_makespan / cumulative[-1]
-                        cumulative = [value * factor for value in cumulative]
-                else:
-                    reduce_makespan = cumulative[4]
-                    _finish, reduce_trace = schedule(reducer_times, slots)
-                breakdown = PhaseBreakdown(
-                    map=map_makespan,
-                    shuffle=cumulative[1] - cumulative[0],
-                    framework_sort=cumulative[2] - cumulative[1],
-                    group_sort=cumulative[3] - cumulative[2],
-                    evaluate=cumulative[4] - cumulative[3],
-                )
-
-                # The reduce phases are derived makespans, not wall-clock
-                # intervals: record them on the simulated timeline only.
-                for phase_name, depth in (
-                    ("shuffle", 1),
-                    ("sort", 2),
-                    ("group-sort", 3),
-                    ("evaluate", 4),
-                ):
-                    tracer.record_span(
-                        phase_name,
-                        reduce_base + cumulative[depth - 1],
-                        reduce_base + cumulative[depth],
-                        tasks=self.num_reducers,
-                    )
-                reduce_span.set_sim(reduce_base, reduce_base + reduce_makespan)
-                reduce_span.set(
-                    tasks=self.num_reducers,
-                    input_records=counters.reduce_input_records,
-                    output_records=counters.reduce_output_records,
-                    stragglers=reduce_stragglers,
-                )
-            if chaos:
-                _add_attempt_spans(
-                    tracer, "reduce", reduce_trace, sim_offset=reduce_base,
-                    name="reduce",
-                )
-            else:
-                tracer.add_task_spans(
-                    "reduce", reduce_trace, sim_offset=reduce_base,
-                    name="reduce",
-                )
-
-            faults: dict = {}
-            if chaos:
-                faults = {
-                    "plan": cluster.fault_plan.to_dict(),
-                    "policy": dataclasses.asdict(cluster.retry_policy),
-                    "map": map_stats.to_dict(),
-                    "reduce": reduce_stats.to_dict(),
-                }
-            report = JobReport(
-                name=self.name,
-                counters=counters,
-                breakdown=breakdown,
-                map_makespan=map_makespan,
-                reduce_makespan=reduce_makespan,
-                reducer_loads=loads,
-                reducer_times=reducer_times,
-                map_trace=map_trace,
-                reduce_trace=reduce_trace,
-                faults=faults,
-                wall_map_start=wall_map_start,
-                wall_map_end=wall_map_end,
-                wall_reduce_start=wall_reduce_start,
-            )
-            job_span.set_sim(sim_origin, sim_origin + report.response_time)
-            job_span.set(
-                max_reducer_load=report.max_reducer_load,
-                load_imbalance=report.load_imbalance,
-            )
-            if chaos and (
-                counters.task_retries
-                or counters.extra["speculated"]
-                or counters.extra["crash_kills"]
-            ):
-                tracer.record_span(
-                    "fault-recovery",
-                    sim_origin,
-                    sim_origin + report.response_time,
-                    retries=counters.task_retries,
-                    crash_kills=counters.extra["crash_kills"],
-                    injected_failures=counters.extra["injected_failures"],
-                    speculative=counters.extra["speculated"],
-                    exhausted=counters.extra["exhausted_tasks"],
-                )
-        logger.debug("job %s finished: %s", self.name, report.summary())
         return JobResult(outputs=outputs, report=report)

@@ -58,8 +58,8 @@ class Span:
     """One span: a named interval with attributes on two clocks.
 
     The live handle :meth:`Tracer.span` returns is the record itself;
-    ``wall_end`` is stamped when its ``with`` block exits.
-    ``track``/``slot`` are set only for per-task spans replayed from a
+    ``wall_end`` is stamped when its ``with`` block exits, unless it
+    was opened with one.  ``track``/``slot`` are set only for per-task spans replayed from a
     :class:`~repro.mapreduce.trace.TaskSpan` schedule; exporters render
     those as one timeline row per (track, slot) pair.  ``links`` are
     foreign ``(trace_id, span_id)`` parents (share-group execution
@@ -247,12 +247,15 @@ class Tracer:
 
     def span(self, name: str, sim_start: Optional[float] = None,
              sim_end: Optional[float] = None, parent=None,
-             **attributes) -> Span:
+             wall_start: Optional[float] = None,
+             wall_end: Optional[float] = None, **attributes) -> Span:
         """Open a span; use as ``with tracer.span("name") as span:``.
 
         It parents under the innermost open span of this thread, or
         under *parent* (a :class:`TraceContext` or :class:`Span`) when
-        given; spans opened inside it nest under it either way.
+        given; spans opened inside it nest under it either way.  Its
+        wall interval runs from opening to exit unless *wall_start* or
+        *wall_end* (on this tracer's clock) says where it was measured.
         """
         stack = self._stack()
         if parent is None and stack:
@@ -262,7 +265,8 @@ class Tracer:
             trace_id=parent.trace_id if parent is not None else self.trace_id,
             span_id=new_span_id(),
             parent_id=parent.span_id if parent is not None else None,
-            wall_start=self._clock(),
+            wall_start=self._clock() if wall_start is None else wall_start,
+            wall_end=wall_end or 0.0,
             sim_start=sim_start,
             sim_end=sim_end,
             process=self.process,
@@ -289,7 +293,8 @@ class Tracer:
                     leaked.depth = span.depth + 1 + offset
                 del stack[index:]
                 break
-        span.wall_end = self._clock()
+        if not span.wall_end:
+            span.wall_end = self._clock()
         self._emit(span)
 
     def record_span(self, name: str, sim_start: float, sim_end: float,
@@ -454,7 +459,8 @@ class NullTracer:
 
     def span(self, name: str, sim_start: Optional[float] = None,
              sim_end: Optional[float] = None, parent=None,
-             **attributes) -> _NullSpan:
+             wall_start: Optional[float] = None,
+             wall_end: Optional[float] = None, **attributes) -> _NullSpan:
         """Return the cached no-op span handle."""
         return _NULL_SPAN
 

@@ -1,26 +1,33 @@
 """The one-round parallel evaluator (Section III).
 
-One MapReduce job evaluates the whole composite query:
+One round evaluates the whole composite query:
 
 1. the workflow is split into weakly connected components (independent
    measure families need not share a key) and the optimizer picks a
    feasible distribution key and clustering factor per component;
-2. mappers replicate each record into every block whose extended range
-   needs it, once per component (overlapping redistribution); a map
-   task whose records form an int matrix ships them as arrays -- block
-   keys plus per-block row indices -- instead of one pair per replica;
+2. the input is routed once: every record is replicated into every
+   block whose extended range needs it, once per component
+   (overlapping redistribution), and the blocks are split by reducer
+   (:func:`scatter`, the map side of both backends) -- as block keys
+   plus row indices into one batch when the records form one, as
+   per-block record lists otherwise;
 3. each reducer sorts and scans its whole bucket once per component
    under a composite (block ordinal, local order) key -- the ordinal
    is a leading coordinate of every region, so blocks stay isolated --
    in one call of the component's lifted vectorized evaluator (its
-   scalar half when the bucket holds record pairs or partial states),
-   and filters each block's outputs to its owned region range, so
+   scalar half for record lists or partial states), and filters each
+   block's outputs to its owned region range, so
 4. the final answer is the plain union of local results -- no combination
    step, and any duplicate is a hard error.
 
+The simulated cluster only prices that one execution: its counts go to
+:func:`~repro.mapreduce.engine.account`, which charges the virtual
+clock.  The process backend (:mod:`repro.parallel.multiprocess`) runs
+the same steps and differs only in where buckets are evaluated.
+
 With ``early_aggregation`` enabled (and every basic measure distributive
-or algebraic), mappers pre-aggregate their share of each block into
-partial accumulator states and ship those instead of raw records
+or algebraic), each DFS split pre-aggregates its share of each block
+into partial accumulator states, shipped instead of raw records
 (Section III-D); reducers merge states and evaluate composites on top.
 Partial aggregation folds values in a different order than the
 centralized scan, so float-valued aggregates may differ from the
@@ -31,18 +38,20 @@ bit-identical.
 from __future__ import annotations
 
 import logging
+import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.cube.batches import RecordBatch, row_tuples
 from repro.cube.records import Record, estimated_record_bytes
 from repro.local.lifting import (
+    count_rows,
     evaluate_bucket,
-    output_rows,
     vectorized_bucket_evaluator,
 )
 from repro.local.measure_table import MeasureTable, ResultSet
@@ -56,10 +65,12 @@ from repro.mapreduce.dfs import DistributedFile
 from repro.mapreduce.engine import (
     KEY_BYTES,
     BlockRows,
-    MapBatchOutput,
-    MapReduceJob,
-    ShuffleBucket,
+    JobShape,
+    MapTask,
+    account,
+    default_partitioner,
 )
+from repro.mapreduce.sorter import sort_group_pairs
 from repro.optimizer.optimizer import (
     Optimizer,
     OptimizerConfig,
@@ -83,6 +94,18 @@ _PARTIAL_STATE_BYTES = 64
 
 
 logger = logging.getLogger(__name__)
+
+
+class _Execution(NamedTuple):
+    """One run of the composite query: the reducers' output chunks, the
+    work it counted, the local work counters, how many blocks it
+    evaluated, and the map side's columnar accounting."""
+
+    chunks: list
+    shape: JobShape
+    local_stats: LocalStats
+    blocks: int
+    columnar: Optional[ColumnarStats]
 
 
 class DuplicateResultError(RuntimeError):
@@ -123,13 +146,15 @@ class ExecutionConfig:
 
 
 class ParallelEvaluator:
-    """Evaluates workflows on a simulated cluster, one job per query.
+    """Evaluates workflows on a simulated cluster, one job per query:
+    the query executes once, in this process, and the cluster prices
+    what it counted (:func:`~repro.mapreduce.engine.account`).
 
     *tracer* (a :class:`repro.obs.Tracer`) records the evaluation's
     span tree -- optimize, map, shuffle, sort, evaluate, per-slot task
     placements.  *telemetry* (a
-    :class:`repro.obs.telemetry.TelemetryRegistry`) receives live phase
-    progress and throughput rates while the job runs, then each job's
+    :class:`repro.obs.telemetry.TelemetryRegistry`) receives per-task
+    phase progress and row/byte counts, then each job's
     counters (``job.<field>``), reducer loads, phase makespans, the
     optimizer's predicted-versus-actual max load (``optimizer.*``) and
     the calibration errors (``calibration.*``).  Both default to
@@ -210,179 +235,11 @@ class ParallelEvaluator:
             key_cache=key_cache,
         )
 
-    # -- map/reduce closures -----------------------------------------------------------
-
-    @staticmethod
-    def _make_mapper(plan: QueryPlan):
-        """Record -> tagged block keys, one family per component."""
-        component_mappers = [
-            (index, subplan.scheme.make_mapper())
-            for index, (_wf, subplan) in enumerate(plan.subplans)
-        ]
-
-        def mapper(record: Record):
-            pairs = []
-            for index, blocks_of in component_mappers:
-                pairs.extend(
-                    ((index,) + block_key, record)
-                    for block_key in blocks_of(record)
-                )
-            return pairs
-
-        return mapper
-
-    @staticmethod
-    def _component_basics(component: Workflow):
-        schema = component.schema
-        return [
-            (
-                local_index,
-                measure,
-                measure.granularity.coordinate_mapper(),
-                schema.field_index(measure.field),
-            )
-            for local_index, measure in enumerate(component.basic_measures())
-        ]
-
-    def _make_combiner(self, plan: QueryPlan):
-        """Early aggregation: records -> per-region partial states."""
-        basics_by_component = [
-            self._component_basics(component)
-            for component, _plan in plan.subplans
-        ]
-
-        def combiner(block_key, records):
-            basics = basics_by_component[block_key[0]]
-            states: dict[tuple[int, tuple], object] = {}
-            for record in records:
-                for local_index, measure, mapper, field_index in basics:
-                    slot = (local_index, mapper(record))
-                    acc = states.get(slot)
-                    if acc is None:
-                        acc = measure.aggregate.create()
-                    states[slot] = measure.aggregate.add(
-                        acc, record[field_index]
-                    )
-            for (local_index, coords), state in states.items():
-                yield (block_key, (_PARTIAL, local_index, coords, state))
-
-        return combiner
-
-    def _make_map_batch(
-        self,
-        plan: QueryPlan,
-        record_bytes: int,
-        stats: ColumnarStats,
-    ):
-        """Columnar map side: whole tasks routed and combined in batch.
-
-        Returns the engine's ``map_batch`` hook.  Per task it builds one
-        :class:`RecordBatch`, routes it through every component's
-        vectorized block router, and -- under early aggregation --
-        produces the partial states with grouped reduceat aggregation,
-        falling back to the scalar combiner for components it cannot
-        compute bit-identically.  Without early aggregation, a task
-        whose records form an int matrix ships them as one
-        :class:`~repro.mapreduce.engine.BlockRows` instead of pairs.
-        Tasks whose records are not routable return ``None``, which the
-        engine answers with the scalar mapper path.
-        """
-        schema = plan.subplans[0][0].schema
-        routers = [
-            subplan.scheme.make_batch_router()
-            for _wf, subplan in plan.subplans
-        ]
-        components = [component for component, _plan in plan.subplans]
-        early = self.config.early_aggregation
-        scalar_combiner = self._make_combiner(plan) if early else None
-
-        def map_batch(records) -> MapBatchOutput | None:
-            batch = RecordBatch.from_records(schema, records)
-            if batch is None or not batch.routable():
-                # No batch at all, or typed dimension columns that the
-                # hierarchy level arrays cannot map: scalar mapper path.
-                stats.fallback_tasks += 1
-                stats.fallback_records += len(records)
-                return None
-            stats.batch_tasks += 1
-            stats.batch_records += len(batch)
-            if not early and batch.matrix is not None:
-                blocks = route_block_rows(routers, batch, records)
-                return MapBatchOutput(
-                    pairs=[], emitted_pairs=len(blocks), blocks=blocks
-                )
-            pairs: list = []
-            emitted = 0
-            for index, router in enumerate(routers):
-                if not early:
-                    for full_key, rows in router(batch, (index,)):
-                        emitted += len(rows)
-                        pairs.extend(
-                            [(full_key, records[i]) for i in rows.tolist()]
-                        )
-                    continue
-                raw_keys, raw_rows, varying = router(
-                    batch, (index,), raw=True
-                )
-                emitted += len(raw_rows)
-                if not len(raw_rows):
-                    continue
-                fused = batched_partial_states(
-                    components[index], batch.matrix, raw_keys, raw_rows,
-                    varying,
-                )
-                if fused is None:
-                    # Scalar-combiner fallback (unsupported aggregate or
-                    # overflow risk): re-route grouped, per-block lists.
-                    full_keys, flat_rows, counts, _matrix = router(
-                        batch, (index,), flat=True
-                    )
-                    stats.scalar_groups += len(full_keys)
-                    offsets = np.append(0, np.cumsum(counts)).tolist()
-                    row_list = flat_rows.tolist()
-                    for block_id, full_key in enumerate(full_keys):
-                        members = [
-                            records[i]
-                            for i in row_list[
-                                offsets[block_id]:offsets[block_id + 1]
-                            ]
-                        ]
-                        pairs.extend(scalar_combiner(full_key, members))
-                else:
-                    full_keys, partials = fused
-                    stats.vector_groups += len(full_keys)
-                    # Pure C-level assembly: zip() builds the value and
-                    # pair tuples, map() resolves block keys -- no
-                    # bytecode runs per partial.
-                    for local_index, ids, regions, states in partials:
-                        pairs.extend(
-                            zip(
-                                map(full_keys.__getitem__, ids),
-                                zip(
-                                    repeat(_PARTIAL),
-                                    repeat(local_index),
-                                    regions,
-                                    states,
-                                ),
-                            )
-                        )
-            if early:
-                return MapBatchOutput(
-                    pairs=pairs,
-                    emitted_pairs=emitted,
-                    combine_inputs=emitted,
-                    combine_bytes=emitted * (KEY_BYTES + record_bytes),
-                    combined=True,
-                )
-            return MapBatchOutput(pairs=pairs, emitted_pairs=emitted)
-
-        return map_batch
+    # -- one execution --------------------------------------------------------------
 
     def _make_partitioner(self, plan: QueryPlan):
         """Block -> reducer assignment per ExecutionConfig.partitioner."""
         if self.config.partitioner == "hash":
-            from repro.mapreduce.engine import default_partitioner
-
             return default_partitioner
 
         # Round-robin over the per-component linearized block grids;
@@ -402,68 +259,107 @@ class ParallelEvaluator:
 
         return partitioner
 
-    def _make_reducer(
+    def _execute(
         self,
+        workflow: Workflow,
         plan: QueryPlan,
+        input_file: DistributedFile,
         record_bytes: int,
-        local_stats: LocalStats,
-        served_blocks: set,
         cancel: CancellationToken | None,
-    ):
-        """The engine's ``reduce_task`` hook: one sort/scan per bucket.
+    ) -> "_Execution":
+        """Run the composite query once and count its work.
 
-        All of a reduce task's blocks of one component are evaluated in
-        a single call of a lifted evaluator
-        (:func:`repro.local.lifting.evaluate_bucket`): every record --
-        or, under early aggregation, every partial state's region -- is
-        tagged with its block's ordinal in the bucket, which leads the
-        sort key and is a coordinate of every region, so no measure can
-        cross a block.  A columnar bucket goes to the vectorized
-        evaluator as one batch.  The ordinal is stripped from the
-        output, the owned-region filter runs only under keys with an
-        annotated component, and the virtual clock is charged block by
-        block in block order, exactly as a per-block loop would charge
-        it.
+        Map side: every DFS split is read from a live replica (one map
+        task each), then the whole input is routed into blocks and
+        split by reducer at once (:func:`scatter`) -- or, under early
+        aggregation, combined split by split (:meth:`_map_early`).
+        Reduce side: each reducer's bucket is one
+        :func:`~repro.local.lifting.evaluate_bucket` call, the virtual
+        clock's sort and scan sizes counted block by block in key
+        order.  *cancel* is checked per split, per bucket and per
+        component.
         """
-        schema = plan.subplans[0][0].schema
+        check = cancel.check if cancel is not None else None
+        early = self.config.early_aggregation
+        num_reducers = plan.num_reducers
+        partitioner = self._make_partitioner(plan)
+        # The batched map side needs a vectorized implementation of
+        # every basic measure.
+        columnar = ColumnarStats() if vectorized_supports(workflow) else None
+        shape = JobShape(record_bytes, self.config.combined_sort)
+        cluster = self.cluster
+        failed = (
+            cluster.machines_dead_at(0.0)
+            if cluster.fault_plan is not None
+            else cluster.failed_machines
+        )
+
+        map_start = time.perf_counter()
+        splits = []
+        for block in input_file.blocks:
+            if check is not None:
+                check()
+            records, served_by = input_file.read_block(block, failed)
+            splits.append((records, served_by != block.replicas[0]))
+        batch = None
+        if early:
+            shares = self._map_early(
+                plan, splits, shape, columnar, partitioner, check
+            )
+        else:
+            records = [record for split, _remote in splits for record in split]
+            if columnar is not None:
+                batch = RecordBatch.from_records(workflow.schema, records)
+                if batch is not None and batch.routable():
+                    columnar.batch_tasks += len(splits)
+                    columnar.batch_records += len(records)
+                else:
+                    # No batch at all, or typed dimension columns that
+                    # the hierarchy level arrays cannot map.
+                    batch = None
+                    columnar.fallback_tasks += len(splits)
+                    columnar.fallback_records += len(records)
+            routed_shares, replicas = scatter(
+                plan, records, batch, num_reducers, partitioner
+            )
+            shares = dict(routed_shares)
+            ends = np.cumsum(
+                [len(split) for split, _remote in splits], dtype=np.int64
+            )
+            routed = np.append(0, np.cumsum(replicas))[ends]
+            for (split, remote), emitted in zip(
+                splits, np.diff(routed, prepend=0).tolist()
+            ):
+                shape.maps.append(MapTask(
+                    len(split), remote, emitted, emitted,
+                    emitted * (KEY_BYTES + record_bytes),
+                ))
+        map_end = reduce_start = time.perf_counter()
+
         evaluators, filters = bucket_evaluators(
-            [
-                (component, subplan.scheme)
-                for component, subplan in plan.subplans
-            ],
+            [(component, subplan.scheme) for component, subplan in plan.subplans],
             tracer=self.tracer,
         )
-        basics_by_component = [
-            list(evaluator.workflow.basic_measures())
-            for evaluator in evaluators
-        ]
-        early = self.config.early_aggregation
+        basic_tables = None
+        if early:
+            basics = [
+                list(evaluator.workflow.basic_measures())
+                for evaluator in evaluators
+            ]
+
+            def basic_tables(component_index, blocks):
+                return _merge_partials(basics[component_index], blocks)
+
         value_width = _PARTIAL_STATE_BYTES if early else record_bytes
-        check = cancel.check if cancel is not None else None
-
-        def partial_tables(component_index, blocks):
-            return _merge_partials(
-                basics_by_component[component_index], blocks
+        chunks: list = []
+        local_stats = LocalStats()
+        blocks = 0
+        for reducer in range(num_reducers):
+            if check is not None:
+                check()
+            keys, sizes, rows, indices = _bucket(
+                shares.get(reducer), batch, early
             )
-
-        def reduce_task(groups, ctx):
-            columns = None
-            if isinstance(groups, ShuffleBucket):
-                columns = groups.columnar()
-            if columns is not None:
-                keys = columns.keys
-                sizes = columns.counts.tolist()
-                rows = RecordBatch(schema, columns.matrix)
-            else:
-                keys, rows = [], []
-                for block_key, values in groups:
-                    keys.append(block_key)
-                    rows.append(values)
-                sizes = [len(values) for values in rows]
-            # A set, not a counter: fault-tolerant retries may re-run a
-            # block, but it still counts once toward calibration.
-            served_blocks.update(keys)
-            outputs: list = []
             stats = LocalStats()
             done = evaluate_bucket(
                 evaluators,
@@ -471,20 +367,88 @@ class ParallelEvaluator:
                 keys,
                 sizes,
                 rows,
-                outputs,
+                chunks,
+                indices=indices,
                 stats=stats,
                 check=check,
-                basic_tables=partial_tables if early else None,
+                basic_tables=basic_tables,
             )
             local_stats.merge(stats)
+            blocks += len(keys)
+            sizes = np.asarray(sizes, dtype=np.int64)
+            made = np.zeros(len(keys), dtype=np.int64)
             for _component, positions, produced in done:
-                for position, made in zip(positions, produced):
-                    size = sizes[position]
-                    ctx.charge_sort(size, size * value_width)
-                    ctx.charge_eval(size if early else size + made)
-            return outputs
+                made[positions] = produced
+            size = int(sizes.sum())
+            shape.add_reducer(
+                size,
+                size * (KEY_BYTES + value_width),
+                sizes,
+                sizes * value_width,
+                sizes if early else sizes + made,
+            )
+        shape.output_records = count_rows(chunks)
+        shape.wall = (map_start, map_end, reduce_start, time.perf_counter())
+        return _Execution(chunks, shape, local_stats, blocks, columnar)
 
-        return reduce_task
+    def _map_early(
+        self, plan, splits, shape, columnar, partitioner, check
+    ) -> dict[int, list]:
+        """Early aggregation's map side: each split combines its share
+        of every block into partial accumulator states, one map task
+        per split -- combine counts are per task by definition.
+
+        A routable split routes as one batch and produces the states
+        with grouped reduceat aggregation, falling back to the scalar
+        combiner for components it cannot compute bit-identically;
+        any other split runs the per-record router and the scalar
+        combiner.  Returns each reducer's ``(block key, state)`` pairs
+        in arrival order, by reducer.
+        """
+        schema = plan.subplans[0][0].schema
+        routers = [
+            subplan.scheme.make_batch_router() for _wf, subplan in plan.subplans
+        ]
+        components = [component for component, _plan in plan.subplans]
+        combiner = _scalar_combiner(plan)
+        keys_of = block_keys_of(plan)
+        shares: dict[int, list] = defaultdict(list)
+        for records, remote in splits:
+            if check is not None:
+                check()
+            batch = (
+                RecordBatch.from_records(schema, records)
+                if columnar is not None
+                else None
+            )
+            if batch is not None and batch.routable():
+                columnar.batch_tasks += 1
+                columnar.batch_records += len(batch)
+                pairs, emitted = _batch_partials(
+                    routers, components, combiner, batch, records, columnar
+                )
+            else:
+                if columnar is not None:
+                    columnar.fallback_tasks += 1
+                    columnar.fallback_records += len(records)
+                mapped = [
+                    (key, record) for record in records
+                    for key in keys_of(record)
+                ]
+                emitted = len(mapped)
+                pairs = [
+                    pair
+                    for key, values in sort_group_pairs(mapped)
+                    for pair in combiner(key, values)
+                ]
+            for pair in pairs:
+                shares[partitioner(pair[0], plan.num_reducers)].append(pair)
+            shape.maps.append(MapTask(
+                len(records), remote, emitted, len(pairs),
+                len(pairs) * (KEY_BYTES + _PARTIAL_STATE_BYTES),
+                emitted, emitted * (KEY_BYTES + shape.record_bytes),
+            ))
+        return shares
 
     # -- whole query ----------------------------------------------------------------------
 
@@ -504,8 +468,8 @@ class ParallelEvaluator:
 
         *cancel* (a :class:`repro.parallel.cancel.CancellationToken`)
         makes the evaluation cooperative: the token is checked before
-        planning, per map task, and per reduce task and component, and a
-        tripped token unwinds the run with
+        planning, per map split, and per reduce task and component, and
+        a tripped token unwinds the run with
         :class:`~repro.parallel.cancel.DeadlineExceededError`.
         """
         if self.config.early_aggregation and not (
@@ -533,89 +497,50 @@ class ParallelEvaluator:
                     predicted_max_load=query_plan.predicted_max_load,
                     plan=query_plan.describe(),
                 )
-
-            record_bytes = estimated_record_bytes(workflow.schema)
-            local_stats = LocalStats()
-            served_blocks: set = set()
-            # The batched map side (vectorized block routing and, under
-            # early aggregation, the reduceat combiner) needs a vectorized
-            # implementation of every basic measure; a map task whose
-            # records are not an integer batch still falls back alone.
-            use_columnar = vectorized_supports(workflow)
-            columnar_stats = ColumnarStats() if use_columnar else None
-            mapper = self._make_mapper(query_plan)
-            reduce_task = self._make_reducer(
-                query_plan, record_bytes, local_stats, served_blocks, cancel
-            )
-            map_batch = (
-                self._make_map_batch(
-                    query_plan, record_bytes, columnar_stats
-                )
-                if use_columnar
-                else None
-            )
             if cancel is not None:
                 cancel.check()
-                mapper = _cancellable(mapper, cancel)
-                reduce_task = _cancellable(reduce_task, cancel)
-                if map_batch is not None:
-                    map_batch = _cancellable(map_batch, cancel)
-            job = MapReduceJob(
-                mapper=mapper,
-                reducer=None,
-                reduce_task=reduce_task,
-                num_reducers=query_plan.num_reducers,
-                combiner=(
-                    self._make_combiner(query_plan)
-                    if self.config.early_aggregation
-                    else None
-                ),
-                partitioner=self._make_partitioner(query_plan),
-                map_batch=map_batch,
-                record_bytes=record_bytes,
-                value_bytes=_value_bytes(record_bytes),
-                combined_sort=self.config.combined_sort,
-                output_rows=output_rows,
-                name="composite-query",
-            )
+
+            record_bytes = estimated_record_bytes(workflow.schema)
             logger.info(
                 "evaluating %d measures over %d records: %s",
                 len(workflow),
                 input_file.num_records,
                 query_plan.describe(),
             )
-            job_result = job.run(
-                input_file,
+            run = self._execute(
+                workflow, query_plan, input_file, record_bytes, cancel
+            )
+            report = account(
+                run.shape,
                 self.cluster,
+                name="composite-query",
                 tracer=self.tracer,
                 telemetry=self.telemetry,
             )
-            logger.info("job finished: %s", job_result.report.summary())
+            logger.info("job finished: %s", report.summary())
 
-            result = union_outputs(workflow, job_result.outputs)
+            result = union_outputs(workflow, run.chunks)
             calibration = CalibrationReport.from_run(
                 query_plan,
-                job_result.report,
+                report,
                 record_bytes=record_bytes,
                 key_bytes=KEY_BYTES,
                 early_aggregation=self.config.early_aggregation,
-                actual_blocks=len(served_blocks),
+                actual_blocks=run.blocks,
             )
-            root.set_sim(0.0, job_result.report.response_time)
+            root.set_sim(0.0, report.response_time)
             root.set(rows=result.total_rows())
             root.set(calibration_error=calibration.max_load_error)
-            if columnar_stats is not None:
-                root.set(columnar=columnar_stats.to_dict())
+            if run.columnar is not None:
+                root.set(columnar=run.columnar.to_dict())
         if self.telemetry.enabled:
-            self._record_job(
-                query_plan, job_result.report, calibration, columnar_stats
-            )
+            self._record_job(query_plan, report, calibration, run.columnar)
         return ParallelResult(
             result=result,
             plan=query_plan,
-            job=job_result.report,
-            local_stats=local_stats,
-            columnar=columnar_stats,
+            job=report,
+            local_stats=run.local_stats,
+            columnar=run.columnar,
             calibration=calibration,
         )
 
@@ -690,16 +615,6 @@ def bucket_evaluators(schemes, tracer=None) -> tuple[list, list]:
     return evaluators, filters
 
 
-def _cancellable(fn, cancel: CancellationToken):
-    """Check *cancel* before every call into *fn* (map or reduce task)."""
-
-    def guarded(*args, **kwargs):
-        cancel.check()
-        return fn(*args, **kwargs)
-
-    return guarded
-
-
 def _merge_partials(basics, blocks) -> dict[str, MeasureTable]:
     """Merge a bucket's shipped accumulator states into basic tables.
 
@@ -743,15 +658,6 @@ def _merge_partials(basics, blocks) -> dict[str, MeasureTable]:
         )
         for index, measure in enumerate(basics)
     }
-
-
-def _value_bytes(record_bytes: int):
-    def size(value) -> int:
-        if isinstance(value, tuple) and value and value[0] == _PARTIAL:
-            return _PARTIAL_STATE_BYTES
-        return record_bytes
-
-    return size
 
 
 def union_outputs(workflow: Workflow, chunks) -> ResultSet:
@@ -805,14 +711,12 @@ def union_outputs(workflow: Workflow, chunks) -> ResultSet:
     return ResultSet(tables)
 
 
-def route_block_rows(routers, batch: RecordBatch, records) -> BlockRows:
-    """Every component's blocks of one routable batch, as arrays: the
-    map side of both backends.
+def route_block_rows(routers, batch: RecordBatch) -> BlockRows:
+    """Every component's blocks of one routable batch, as arrays.
 
     Each router returns its component's blocks in key order, and the
     component index leads every key, so the concatenation is in key
-    order too.  *records* are what materialised groups hold; a typed
-    batch has no int matrix, so only its row indices are of use.
+    order too.
     """
     keys, rows, counts, key_matrices = zip(
         *(
@@ -825,6 +729,169 @@ def route_block_rows(routers, batch: RecordBatch, records) -> BlockRows:
         np.concatenate(key_matrices),
         np.concatenate(counts),
         np.concatenate(rows),
-        batch.matrix,
-        records,
     )
+
+
+def block_keys_of(plan: QueryPlan) -> Callable[[Record], list]:
+    """The per-record router: a record's full block keys (component
+    index first), every component's in turn."""
+    routers = [
+        ((index,), subplan.scheme.make_mapper())
+        for index, (_wf, subplan) in enumerate(plan.subplans)
+    ]
+
+    def keys_of(record: Record) -> list:
+        return [
+            lead + block_key
+            for lead, blocks_of in routers
+            for block_key in blocks_of(record)
+        ]
+
+    return keys_of
+
+
+def scatter(
+    plan: QueryPlan,
+    records: Sequence[Record],
+    batch: Optional[RecordBatch],
+    num_reducers: int,
+    partitioner: Callable = default_partitioner,
+) -> tuple[list, np.ndarray]:
+    """Route the query's input into blocks once and split the blocks by
+    reducer: the map side of both backends.
+
+    With a routable *batch* of *records*, every component's vectorized
+    router runs over it (:func:`route_block_rows`) and the blocks split
+    by reducer at once (:meth:`BlockRows.split`): a reducer's share is
+    a :class:`BlockRows` of row indices into *batch*.  Without one,
+    each record goes through the per-record router
+    (:func:`block_keys_of`) and a reducer's share is its ``(block key,
+    records)`` lists.  Either way a share's blocks are in key order and
+    a block's rows in input order.
+
+    Returns ``(shares, replicas)``: ``[(reducer, share)]`` for every
+    reducer that gets a block, ascending, and how many blocks each
+    record went to.
+    """
+    if batch is not None:
+        blocks = route_block_rows(
+            [
+                subplan.scheme.make_batch_router()
+                for _component, subplan in plan.subplans
+            ],
+            batch,
+        )
+        return (
+            blocks.split(partitioner, num_reducers),
+            np.bincount(blocks.rows, minlength=len(batch)),
+        )
+    keys_of = block_keys_of(plan)
+    blocks: dict[tuple, list] = defaultdict(list)
+    replicas = []
+    for record in records:
+        keys = keys_of(record)
+        replicas.append(len(keys))
+        for key in keys:
+            blocks[key].append(record)
+    shares: dict[int, list] = defaultdict(list)
+    for key in sorted(blocks):
+        shares[partitioner(key, num_reducers)].append((key, blocks[key]))
+    return sorted(shares.items()), np.array(replicas, dtype=np.int64)
+
+
+def _bucket(share, batch: Optional[RecordBatch], early: bool) -> tuple:
+    """One reducer's share as :func:`~repro.local.lifting.evaluate_bucket`
+    takes it: ``(keys, sizes, rows, indices)``."""
+    if share is None:
+        return [], [], [], None
+    if early:
+        groups = sort_group_pairs(share)
+    elif batch is not None:
+        return share.keys, share.counts, batch, share.rows
+    else:
+        groups = share
+    return (
+        [key for key, _values in groups],
+        [len(values) for _key, values in groups],
+        [values for _key, values in groups],
+        None,
+    )
+
+
+def _scalar_combiner(plan: QueryPlan):
+    """Early aggregation, per record: a block's records -> its
+    per-region partial states."""
+    basics_by_component = [
+        [
+            (
+                local_index,
+                measure,
+                measure.granularity.coordinate_mapper(),
+                component.schema.field_index(measure.field),
+            )
+            for local_index, measure in enumerate(component.basic_measures())
+        ]
+        for component, _plan in plan.subplans
+    ]
+
+    def combiner(block_key, records):
+        basics = basics_by_component[block_key[0]]
+        states: dict[tuple[int, tuple], object] = {}
+        for record in records:
+            for local_index, measure, mapper, field_index in basics:
+                slot = (local_index, mapper(record))
+                acc = states.get(slot)
+                if acc is None:
+                    acc = measure.aggregate.create()
+                states[slot] = measure.aggregate.add(acc, record[field_index])
+        for (local_index, coords), state in states.items():
+            yield (block_key, (_PARTIAL, local_index, coords, state))
+
+    return combiner
+
+
+def _batch_partials(routers, components, combiner, batch, records,
+                    stats: ColumnarStats) -> tuple[list, int]:
+    """One routable split's partial states: ``(pairs, emitted)``.
+
+    Per component, grouped reduceat aggregation over the batch
+    (:func:`~repro.local.vectorized.batched_partial_states`), or the
+    scalar *combiner* over per-block record lists where that cannot be
+    bit-identical (unsupported aggregate, overflow risk).
+    """
+    pairs: list = []
+    emitted = 0
+    for index, router in enumerate(routers):
+        raw_keys, raw_rows, varying = router(batch, (index,), raw=True)
+        emitted += len(raw_rows)
+        if not len(raw_rows):
+            continue
+        fused = batched_partial_states(
+            components[index], batch.matrix, raw_keys, raw_rows, varying
+        )
+        if fused is None:
+            full_keys, flat_rows, counts, _matrix = router(
+                batch, (index,), flat=True
+            )
+            stats.scalar_groups += len(full_keys)
+            offsets = np.append(0, np.cumsum(counts)).tolist()
+            row_list = flat_rows.tolist()
+            for block_id, full_key in enumerate(full_keys):
+                members = [
+                    records[i]
+                    for i in row_list[offsets[block_id]:offsets[block_id + 1]]
+                ]
+                pairs.extend(combiner(full_key, members))
+            continue
+        full_keys, partials = fused
+        stats.vector_groups += len(full_keys)
+        # Pure C-level assembly: zip() builds the value and pair tuples,
+        # map() resolves block keys -- no bytecode runs per partial.
+        for local_index, ids, regions, states in partials:
+            pairs.extend(
+                zip(
+                    map(full_keys.__getitem__, ids),
+                    zip(repeat(_PARTIAL), repeat(local_index), regions, states),
+                )
+            )
+    return pairs, emitted

@@ -64,13 +64,14 @@ lambdas cannot cross process boundaries.  Parameterized aggregates
 factory list, once per install.
 
 The result is bit-identical to :func:`repro.local.evaluate_centralized`
--- asserted by the test suite, including under chaos -- because every
-step of the plan is the simulated executor's: the routing
-(:func:`~repro.parallel.executor.route_block_rows`, or its per-record
-mapper), the partitioning (:meth:`~repro.mapreduce.engine.BlockRows.
-split`) and the evaluators and owned-region filters
-(:func:`~repro.parallel.executor.bucket_evaluators`).  Only the
-transport (and what can go wrong with it) differs.
+-- asserted by the test suite, including under chaos -- because the
+execution is the simulated path's: the same routing and partitioning
+call (:func:`~repro.parallel.executor.scatter`), the same
+:func:`~repro.local.lifting.evaluate_bucket` over the same evaluators
+and owned-region filters
+(:func:`~repro.parallel.executor.bucket_evaluators`), the same union.
+Only where buckets are evaluated -- and the transport, and what can go
+wrong with it -- differs.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import queue as queue_module
 import threading
 import time
 import weakref
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -105,11 +106,10 @@ from repro.cube.records import Record, Schema
 from repro.faults.inject import apply_chaos
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.io.serialize import workflow_from_dict, workflow_to_dict
-from repro.local.lifting import evaluate_bucket, output_rows
+from repro.local.lifting import count_rows, evaluate_bucket
 from repro.local.measure_table import ResultSet
 from repro.local.sortscan import evaluate_centralized
 from repro.local.vectorized import vectorized_supports
-from repro.mapreduce.engine import default_partitioner
 from repro.obs.telemetry import NULL_TELEMETRY, sample_resources
 from repro.obs.tracectx import SpanCollector, TraceContext, wire_span
 from repro.obs.tracer import NULL_TRACER
@@ -118,9 +118,8 @@ from repro.query.functions import Expression
 from repro.query.workflow import Workflow, connected_components
 from repro.parallel.cancel import CancellationToken
 from repro.parallel.executor import (
-    ParallelEvaluator,
     bucket_evaluators,
-    route_block_rows,
+    scatter,
     union_outputs,
 )
 from repro.parallel.shm import (
@@ -407,6 +406,47 @@ def _bucket_block_count(bucket) -> int:
     return len(bucket)
 
 
+def _scatter_buckets(
+    plan,
+    records: list,
+    batch: Optional[RecordBatch],
+    partitions: int,
+    registry: Optional[SegmentRegistry],
+) -> tuple[list, int, int, Optional[float]]:
+    """The gather tasks' buckets: the simulated path's scatter
+    (:func:`~repro.parallel.executor.scatter`), one bucket per
+    partition that gets a block.
+
+    With *batch*, one segment of *registry* holds the batch once and
+    each bucket's block keys, counts and row indices into it
+    (:meth:`ShmBucket.scatter`); only the descriptors cross the pipe.
+    Without it a bucket is its ``(block key, records)`` lists.  Returns
+    ``(buckets, blocks, replicated_records, materialize_seconds)``, the
+    last the wall time spent writing the segment (``None`` for record
+    lists).
+    """
+    shares, replicas = scatter(plan, records, batch, partitions)
+    replicated = int(replicas.sum())
+    if batch is None:
+        buckets = [share for _partition, share in shares]
+        return buckets, sum(map(len, buckets)), replicated, None
+    started = time.perf_counter()
+    buckets = ShmBucket.scatter(
+        registry,
+        batch,
+        [
+            (share.key_matrix, share.counts, share.rows)
+            for _partition, share in shares
+        ],
+    )
+    return (
+        buckets,
+        sum(len(share.keys) for _partition, share in shares),
+        replicated,
+        time.perf_counter() - started,
+    )
+
+
 def _run_task(
     task: int,
     attempt: int,
@@ -436,7 +476,7 @@ def _run_task(
             _record_task_span(task, attempt, started, error=repr(exc))
             _flush_worker_telemetry()
         raise
-    rows = output_rows(chunks)
+    rows = count_rows(chunks)
     if tracing:
         _record_task_span(task, attempt, started, rows=rows)
     counters = _WORKER.get("telemetry_counters")
@@ -739,17 +779,10 @@ class MultiprocessEvaluator:
         transport; the caller guarantees ``unlink_all`` runs whatever
         happens here.  Without them the records ship as pickled lists.
         """
-        if batch is not None:
-            buckets, num_blocks, replicated, transport_seconds = (
-                self._scatter_columnar(batch, plan, partitions, registry)
-            )
-            transport = "shm"
-        else:
-            buckets, num_blocks, replicated = self._scatter_records(
-                records, plan, partitions
-            )
-            transport = "records"
-            transport_seconds = None
+        work, num_blocks, replicated, transport_seconds = _scatter_buckets(
+            plan, records, batch, partitions, registry
+        )
+        transport = "shm" if batch is not None else "records"
 
         # Telemetry channel: a managed queue is picklable into task
         # arguments (a plain multiprocessing.Queue is not); the manager
@@ -765,7 +798,6 @@ class MultiprocessEvaluator:
 
         # Gather: one task per non-empty bucket, with retries,
         # speculation, pool rebuilds and a centralized fallback.
-        work = [bucket for bucket in buckets if bucket]
         measure_started = time.perf_counter()
         shipped_bytes = sum(
             estimated_pickle_bytes(bucket) for bucket in work
@@ -865,72 +897,6 @@ class MultiprocessEvaluator:
                 "mp.columnar_transport", float(report.transport == "shm")
             )
         return result, report
-
-    # -- scatter -------------------------------------------------------------------
-
-    @staticmethod
-    def _scatter_records(
-        records: list, plan, partitions: int
-    ) -> tuple[list, int, int]:
-        """Replicate records into blocks and group blocks into buckets.
-
-        Returns ``(buckets, num_blocks, replicated_records)``: one list
-        of ``(block_key, records)`` entries per partition, assigned by
-        the simulated engine's default (hash) partitioner.
-        """
-        mapper = ParallelEvaluator._make_mapper(plan)
-        blocks: dict[tuple, list] = defaultdict(list)
-        for record in records:
-            for block_key, value in mapper(record):
-                blocks[block_key].append(value)
-        buckets: list[list] = [[] for _ in range(partitions)]
-        replicated = 0
-        for block_key, block_records in blocks.items():
-            replicated += len(block_records)
-            buckets[default_partitioner(block_key, partitions)].append(
-                (block_key, block_records)
-            )
-        return buckets, len(blocks), replicated
-
-    @staticmethod
-    def _scatter_columnar(
-        batch: RecordBatch,
-        plan,
-        partitions: int,
-        registry: SegmentRegistry,
-    ) -> tuple[list, int, int, float]:
-        """Route one batch into per-partition shared-memory buckets.
-
-        Returns ``(buckets, num_blocks, replicated_records,
-        materialize_seconds)``: one :class:`ShmBucket` per partition
-        that gets a block, in partition order.  Routing and
-        partitioning are the simulated engine's
-        (:meth:`BlockRows.split`).  One segment of *registry* holds the
-        batch once and each bucket's block keys, counts and row indices
-        into it (:meth:`ShmBucket.scatter`); only the descriptors cross
-        the pipe.  ``materialize_seconds`` is the wall time spent
-        writing the segment, excluding the routing.
-        """
-        blocks = route_block_rows(
-            [
-                subplan.scheme.make_batch_router()
-                for _component, subplan in plan.subplans
-            ],
-            batch,
-            (),
-        )
-        shares = [
-            (share.key_matrix, share.counts, share.rows)
-            for _partition, share in blocks.split(
-                default_partitioner, partitions
-            )
-        ]
-        started = time.perf_counter()
-        buckets = ShmBucket.scatter(registry, batch, shares)
-        return (
-            buckets, len(blocks.keys), len(blocks),
-            time.perf_counter() - started,
-        )
 
     # -- resilient gather loop ---------------------------------------------------
 
@@ -1095,7 +1061,7 @@ class MultiprocessEvaluator:
                         retry_at.pop(task, None)
                         if backup:
                             report.speculative_wins += 1
-                        self.telemetry.mark("mp.rows", output_rows(chunks))
+                        self.telemetry.mark("mp.rows", count_rows(chunks))
                         self.telemetry.observe(
                             "mp.task_seconds",
                             time.monotonic() - submitted,

@@ -14,10 +14,12 @@ from repro.local import operators, sortscan, vectorized
 from repro.local.measure_table import MeasureTable
 from repro.local.sortscan import BlockEvaluator, LocalStats
 from repro.local.vectorized import VectorizedBlockEvaluator
+from repro.mapreduce.engine import MapReduceJob
 from repro.parallel.executor import (
     _PARTIAL,
     _PARTIAL_STATE_BYTES,
     ParallelEvaluator,
+    _Execution,
 )
 from repro.parallel.shm import ShmBucket
 from repro.query.measures import Relationship
@@ -215,8 +217,8 @@ def assert_valid_exposition(text):
 def per_block_reducer(
     plan, record_bytes, local_stats, served_blocks, early, tracer=None
 ):
-    """The ``MapReduceJob`` reducer :class:`ParallelEvaluator` ran before
-    it evaluated whole buckets: one :class:`BlockEvaluator` call, one
+    """The pair-engine reducer :class:`ParallelEvaluator` ran before it
+    evaluated whole buckets: one :class:`BlockEvaluator` call, one
     owned-region filter and one set of clock charges per block.
 
     Built from the unlifted pieces only (``BlockEvaluator``,
@@ -365,31 +367,81 @@ def per_block_task_rows(plan, schema, bucket):
     return rows
 
 
-class PerBlockLoopEvaluator(ParallelEvaluator):
-    """A :class:`ParallelEvaluator` whose reduce tasks run the per-block
-    loop: same planning, map side, engine and reporting, so everything
-    but the reducer is shared with the evaluator under test."""
+def _scalar_combiner(plan):
+    """Early aggregation's map side, one record at a time: a block's
+    records -> one ``(key, partial state)`` pair per basic region."""
+    basics_by_component = [
+        list(component.basic_measures()) for component, _plan in plan.subplans
+    ]
 
-    def _make_reducer(
-        self, plan, record_bytes, local_stats, served_blocks, cancel
-    ):
+    def combiner(block_key, records):
+        basics = basics_by_component[block_key[0]]
+        states = {}
+        for record in records:
+            for index, measure in enumerate(basics):
+                slot = (index, measure.granularity.coordinates_of(record))
+                state = states.get(slot)
+                if state is None:
+                    state = measure.aggregate.create()
+                states[slot] = measure.aggregate.add(
+                    state, record[measure.schema.field_index(measure.field)]
+                )
+        for (index, coords), state in states.items():
+            yield (block_key, (_PARTIAL, index, coords, state))
+
+    return combiner
+
+
+class PerBlockLoopEvaluator(ParallelEvaluator):
+    """A :class:`ParallelEvaluator` that executes on the pair engine:
+    a per-record mapper (and combiner), one pair per replica, and the
+    per-block reducer loop.  Planning, accounting and reporting are the
+    evaluator's; no step of the execution is."""
+
+    def _execute(self, workflow, plan, input_file, record_bytes, cancel):
+        early = self.config.early_aggregation
+        local_stats = LocalStats()
+        served_blocks = set()
         reducer = per_block_reducer(
             plan,
             record_bytes,
             local_stats,
             served_blocks,
-            early=self.config.early_aggregation,
+            early=early,
             tracer=self.tracer,
         )
+        routers = [
+            ((index,), subplan.scheme.make_mapper())
+            for index, (_component, subplan) in enumerate(plan.subplans)
+        ]
 
-        def reduce_task(groups, ctx):
+        def mapper(record):
+            return [
+                (lead + block_key, record)
+                for lead, blocks_of in routers
+                for block_key in blocks_of(record)
+            ]
+
+        def reduce(block_key, values, ctx):
             # One single-row chunk per row: the union's input form.
-            outputs = []
-            for block_key, values in groups:
-                outputs.extend(
-                    (name, [coords], [value])
-                    for name, coords, value in reducer(block_key, values, ctx)
-                )
-            return outputs
+            return [
+                (name, [coords], [value])
+                for name, coords, value in reducer(block_key, values, ctx)
+            ]
 
-        return reduce_task
+        value_bytes = _PARTIAL_STATE_BYTES if early else record_bytes
+        job = MapReduceJob(
+            mapper,
+            reduce,
+            num_reducers=plan.num_reducers,
+            combiner=_scalar_combiner(plan) if early else None,
+            partitioner=self._make_partitioner(plan),
+            record_bytes=record_bytes,
+            value_bytes=lambda _value: value_bytes,
+            combined_sort=self.config.combined_sort,
+            name="composite-query",
+        )
+        outputs, shape = job.execute(input_file, self.cluster)
+        return _Execution(
+            outputs, shape, local_stats, len(served_blocks), None
+        )

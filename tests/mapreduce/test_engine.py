@@ -93,44 +93,6 @@ class TestExecution:
         with pytest.raises(ValueError):
             MapReduceJob(word_mapper, counting_reducer, num_reducers=0)
 
-    def test_reduce_task_sees_each_task_whole(self, cluster, words):
-        """The whole-task hook gets a task's key-sorted groups at once
-        and reports exactly what the per-group reducer reports."""
-        tasks_seen = []
-
-        def reduce_task(groups, ctx):
-            tasks_seen.append([key for key, _values in groups])
-            return [
-                row
-                for key, values in groups
-                for row in counting_reducer(key, values, ctx)
-            ]
-
-        per_group = MapReduceJob(word_mapper, counting_reducer, num_reducers=3)
-        per_task = MapReduceJob(
-            word_mapper, None, num_reducers=3, reduce_task=reduce_task
-        )
-        a = per_group.run(words, cluster)
-        b = per_task.run(words, cluster)
-        assert b.outputs == a.outputs
-        assert b.report.counters == a.report.counters
-        assert b.report.breakdown == a.report.breakdown
-        # One call per reduce task, empty ones included.
-        assert len(tasks_seen) == 3
-        assert all(keys == sorted(keys) for keys in tasks_seen)
-        assert sorted(k for keys in tasks_seen for k in keys) == [
-            "fox", "quick", "the",
-        ]
-
-    def test_exactly_one_reduce_function(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            MapReduceJob(word_mapper, None, num_reducers=2)
-        with pytest.raises(ValueError, match="exactly one"):
-            MapReduceJob(
-                word_mapper, counting_reducer, num_reducers=2,
-                reduce_task=lambda groups, ctx: [],
-            )
-
 
 class TestReporting:
     def test_counters(self, cluster, words):

@@ -89,7 +89,6 @@ def test_routed_query_keys(name, generator):
     blocks = route_block_rows(
         [subplan.scheme.make_batch_router() for _c, subplan in plan.subplans],
         RecordBatch.from_records(SCHEMA, records),
-        records,
     )
     assert blocks.keys == [tuple(row) for row in blocks.key_matrix.tolist()]
     for num_reducers in (2, 3, 8):

@@ -87,6 +87,17 @@ class TestTracer:
             pass
         assert tracer.spans[0].sim_duration is None
 
+    def test_measured_wall_interval_is_kept(self):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("job", wall_start=0.25) as job:
+            with tracer.span("map", wall_start=0.25, wall_end=0.5):
+                pass
+        (map_span,) = tracer.find("map")
+        assert (map_span.wall_start, map_span.wall_end) == (0.25, 0.5)
+        assert map_span.parent_id == job.span_id
+        assert job.wall_start == 0.25
+        assert job.wall_end == 1.0  # stamped at exit
+
     def test_record_span_parents_under_open_span(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("reduce"):

@@ -19,6 +19,7 @@ from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce import ClusterConfig, SimulatedCluster
 from repro.obs import Tracer
 from repro.optimizer.optimizer import Plan, QueryPlan
+from repro.parallel import executor
 from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
 from repro.query.builder import WorkflowBuilder
 from repro.query.workflow import connected_components
@@ -311,7 +312,7 @@ class TestBlockIsolation:
         )
 
     def test_infeasible_key_stays_wrong_in_one_bucket(
-        self, tiny_schema, tiny_workflow, tiny_records
+        self, monkeypatch, tiny_schema, tiny_workflow, tiny_records
     ):
         """The narrow key of ``TestInfeasiblePlansFailLoudly``: with one
         reducer every block's missing fringe sits right there in the
@@ -334,23 +335,30 @@ class TestBlockIsolation:
             tiny_workflow, tiny_records
         )
 
-        class BoundaryBlind(ParallelEvaluator):
+        original = executor.evaluate_bucket
+
+        def boundary_blind(evaluators, filters, keys, sizes, rows, outputs,
+                           **kwargs):
             """Hands each component's blocks over as one block."""
+            merged_keys, merged_sizes, merged_rows = [], [], []
+            for position, key in enumerate(keys):
+                if merged_keys and merged_keys[-1][0] == key[0]:
+                    merged_sizes[-1] += sizes[position]
+                    if isinstance(rows, list):
+                        merged_rows[-1] = merged_rows[-1] + rows[position]
+                    continue
+                merged_keys.append(key)
+                merged_sizes.append(sizes[position])
+                if isinstance(rows, list):
+                    merged_rows.append(rows[position])
+            return original(
+                evaluators, filters, merged_keys, merged_sizes,
+                merged_rows if isinstance(rows, list) else rows, outputs,
+                **kwargs,
+            )
 
-            def _make_reducer(self, *args):
-                reduce_task = super()._make_reducer(*args)
-
-                def blind(groups, ctx):
-                    merged: dict = {}
-                    for block_key, values in groups:
-                        merged.setdefault(block_key[0], (block_key, []))[
-                            1
-                        ].extend(values)
-                    return reduce_task(list(merged.values()), ctx)
-
-                return blind
-
-        blind = BoundaryBlind(_cluster(), config).evaluate(
+        monkeypatch.setattr(executor, "evaluate_bucket", boundary_blind)
+        blind = ParallelEvaluator(_cluster(), config).evaluate(
             tiny_workflow, tiny_records, plan=plan
         )
         assert blind.result != bucket.result

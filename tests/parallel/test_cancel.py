@@ -118,7 +118,7 @@ class TestEvaluatorCancellation:
 
 
 class TestReduceTaskCancellation:
-    """The deadline reaches the whole-task reduce hook."""
+    """The deadline reaches each reduce task and component."""
 
     @staticmethod
     def expire_after_first_evaluation(monkeypatch, clock):

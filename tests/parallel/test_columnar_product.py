@@ -61,8 +61,8 @@ def worker_result(workflow, records, expressions=None):
     registry = SegmentRegistry()
     saved = dict(mp._WORKER)
     try:
-        buckets, *_rest = mp.MultiprocessEvaluator._scatter_columnar(
-            batch, plan, PARTITIONS, registry
+        buckets, *_rest = mp._scatter_buckets(
+            plan, records, batch, PARTITIONS, registry
         )
         install = mp._install_payload(workflow, plan, expressions, ())
         rows = []

@@ -1,10 +1,12 @@
-"""The simulated engine's columnar shuffle at its edges.
+"""The simulated path's columnar shuffle at its edges.
 
-Map tasks over an int matrix ship block row arrays; every other task
-ships ``(key, record)`` pairs.  Whichever a bucket holds, the answer
-must equal :func:`evaluate_centralized`, and the virtual clock, the
-counters and the per-reducer times must equal a run in which no map
-task routes columnar at all.
+An input that forms one routable batch is routed once as arrays, and
+each reducer's bucket is block keys plus row indices into that batch;
+any other input goes through the per-record router and ships record
+lists.  Whichever a bucket holds, the answer must equal
+:func:`evaluate_centralized`, and the virtual clock, the counters and
+the per-reducer times must equal a run in which nothing routes
+columnar at all.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.faults import FaultPlan
 from repro.local.sortscan import evaluate_centralized
 from repro.mapreduce import ClusterConfig, SimulatedCluster
 from repro.mapreduce.dfs import Block, DistributedFile, InMemoryDFS
-from repro.mapreduce.engine import BlockRows, ShuffleBucket
+from repro.parallel import executor
 from repro.parallel.executor import ExecutionConfig, ParallelEvaluator
 from repro.query.builder import WorkflowBuilder
 
@@ -73,28 +75,30 @@ def assert_same_as_pairs(
 
 @pytest.fixture
 def bucket_kinds(monkeypatch):
-    """Which entry kinds each reduce task's bucket held."""
+    """What each reduce task's bucket held: ``matrix`` (rows of an int
+    batch), ``typed`` (rows of a typed batch) or ``records`` (lists)."""
     kinds = []
-    original = ShuffleBucket.columnar
+    original = executor.evaluate_bucket
 
-    def spy(self):
-        kinds.append(
-            frozenset(
-                "rows" if isinstance(entry, BlockRows) else "pairs"
-                for entry in self.entries
-            )
+    def spy(evaluators, filters, keys, sizes, rows, outputs, **kwargs):
+        if keys:
+            if not isinstance(rows, RecordBatch):
+                kinds.append("records")
+            else:
+                kinds.append("matrix" if rows.matrix is not None else "typed")
+        return original(
+            evaluators, filters, keys, sizes, rows, outputs, **kwargs
         )
-        return original(self)
 
-    monkeypatch.setattr(ShuffleBucket, "columnar", spy)
+    monkeypatch.setattr(executor, "evaluate_bucket", spy)
     return kinds
 
 
 def test_typed_task_and_int_tasks_meet_in_one_bucket(
     monkeypatch, workflow, tiny_records, bucket_kinds
 ):
-    # 12 DFS blocks of 50; the third holds float facts, so its map task
-    # builds a typed batch and ships pairs beside the others' arrays.
+    # 12 DFS blocks of 50; the third holds float facts, so no batch
+    # covers the input's fact column: every bucket ships record lists.
     records = [
         (x, t, v + 0.5) if 100 <= index < 150 else (x, t, v)
         for index, (x, t, v) in enumerate(tiny_records)
@@ -107,8 +111,8 @@ def test_typed_task_and_int_tasks_meet_in_one_bucket(
         cluster=lambda: _cluster(block_records=50),
         num_reducers=2,
     )
-    assert outcome.columnar.batch_tasks == 12
-    assert frozenset({"rows", "pairs"}) in bucket_kinds
+    assert outcome.columnar.fallback_tasks == 12
+    assert set(bucket_kinds) == {"records"}
 
 
 def test_int_buckets_reduce_columnar(
@@ -122,8 +126,9 @@ def test_int_buckets_reduce_columnar(
         cluster=lambda: _cluster(block_records=100),
         num_reducers=3,
     )
-    assert frozenset({"rows"}) in bucket_kinds
-    assert frozenset({"rows", "pairs"}) not in bucket_kinds
+    # The columnar run's buckets hold rows of the int batch; the
+    # reference run's hold record lists.
+    assert set(bucket_kinds) == {"matrix", "records"}
 
 
 def test_empty_dataset(monkeypatch, workflow):

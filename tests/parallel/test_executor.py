@@ -490,3 +490,32 @@ class TestUnion:
         rolled = list(result["rolled"].values)
         assert rolled and set(rolled) == set(coarse)
         assert all(region is coarse[region] for region in rolled)
+
+
+def test_job_spans_bracket_the_execution(tiny_workflow, tiny_records):
+    """The ``map`` and ``reduce`` spans span the wall intervals the run
+    spent routing and evaluating buckets, though the clock prices the
+    run only afterwards."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    outcome = ParallelEvaluator(
+        SimulatedCluster(ClusterConfig(machines=4)), tracer=tracer
+    ).evaluate(tiny_workflow, tiny_records)
+    (job,) = tracer.find("job")
+    (map_span,) = tracer.find("map")
+    (reduce_span,) = tracer.find("reduce")
+    assert map_span.parent_id == reduce_span.parent_id == job.span_id
+    assert job.wall_start == map_span.wall_start
+    assert map_span.wall_start <= map_span.wall_end <= reduce_span.wall_start
+    evaluated = tracer.find("block-sort")
+    assert evaluated
+    # The phase stamps are perf_counter readings moved onto the
+    # tracer's clock at accounting time; allow for the two clocks.
+    slack = 1e-3
+    for span in evaluated:
+        assert reduce_span.wall_start - slack <= span.wall_start
+        assert span.wall_end <= reduce_span.wall_end + slack
+    report = outcome.job
+    assert report.wall_map_start <= report.wall_map_end
+    assert report.wall_map_end <= report.wall_reduce_start

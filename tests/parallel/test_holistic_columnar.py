@@ -128,12 +128,12 @@ def worker_result(workflow, records, transport):
     try:
         if transport == "shm":
             batch = RecordBatch.from_records(workflow.schema, records)
-            buckets, *_rest = mp.MultiprocessEvaluator._scatter_columnar(
-                batch, plan, PARTITIONS, registry
+            buckets, *_rest = mp._scatter_buckets(
+                plan, records, batch, PARTITIONS, registry
             )
         else:
-            buckets, *_rest = mp.MultiprocessEvaluator._scatter_records(
-                records, plan, PARTITIONS
+            buckets, *_rest = mp._scatter_buckets(
+                plan, records, None, PARTITIONS, None
             )
         install = mp._install_payload(workflow, plan, None, ())
         rows = []

@@ -239,12 +239,12 @@ def scatter(transport, workflow, records, plan, registry):
         batch = RecordBatch.from_records(workflow.schema, records)
         if batch is None or not batch.routable():
             pytest.skip("no routable batch: the product ships records")
-        buckets, *_rest = mp.MultiprocessEvaluator._scatter_columnar(
-            batch, plan, PARTITIONS, registry
+        buckets, *_rest = mp._scatter_buckets(
+            plan, records, batch, PARTITIONS, registry
         )
     else:
-        buckets, *_rest = mp.MultiprocessEvaluator._scatter_records(
-            records, plan, PARTITIONS
+        buckets, *_rest = mp._scatter_buckets(
+            plan, records, None, PARTITIONS, None
         )
     return [bucket for bucket in buckets if bucket]
 
